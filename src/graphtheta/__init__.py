@@ -29,7 +29,6 @@ from .indices import (
     index_report,
     randic_edge,
     sc_edge,
-    sign_class,
     sign_of_gap,
 )
 
@@ -57,7 +56,6 @@ __all__ = [
     "pendent_vertices",
     "randic_edge",
     "sc_edge",
-    "sign_class",
     "sign_of_gap",
     "subdivide_at_degree2",
     "to_graph6",

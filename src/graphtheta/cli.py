@@ -2,7 +2,9 @@
 
 Subcommands: index, scan, near-ties, verify, enum.  Exit codes:
 0 success / statement verified, 1 verification counterexample,
-2 usage or input errors.
+2 usage or input errors, or a census worker that died.  A regular file
+named by --out or --witness-out is replaced only when the command
+succeeds.
 
 Numeric fields in CSV output are printed with 9 significant digits;
 JSON carries full binary64 round-trip values.
@@ -12,9 +14,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
+import os
+import stat
 import sys
-from contextlib import ExitStack
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack, contextmanager, suppress
+from typing import IO, Iterator, Sequence
 
 from . import __version__, survey, treegen
 from .graphs import GraphError, is_connected
@@ -35,10 +42,47 @@ def _parse_range(text: str) -> tuple[int, int]:
     return n, n
 
 
+_tmp_ids = itertools.count()
+
+
+@contextmanager
+def _atomic_output(path: str) -> Iterator[IO[str]]:
+    """Open ``path`` for writing.  A regular file (or a new one) is written
+    to a temp file beside it that replaces it only when the block succeeds,
+    so a failed command leaves ``path`` as it was.  Anything else (a
+    symlink, device, FIFO) is written through directly."""
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, "w", encoding="ascii") as fh:
+            yield fh
+        return
+    head, base = os.path.split(path)
+    while True:
+        tmp = os.path.join(head, f".{base}.{os.getpid()}.{next(_tmp_ids)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        with open(fd, "w", encoding="ascii") as fh:
+            if st is not None:
+                os.fchmod(fd, stat.S_IMODE(st.st_mode))
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def _open_out(stack: ExitStack, path: str | None):
     if path is None or path == "-":
         return sys.stdout
-    return stack.enter_context(open(path, "w", encoding="ascii"))
+    return stack.enter_context(_atomic_output(path))
 
 
 def _input_lines(stack: ExitStack, path: str | None):
@@ -47,13 +91,33 @@ def _input_lines(stack: ExitStack, path: str | None):
     return stack.enter_context(open(path, encoding="ascii"))
 
 
+def _write_rows(
+    out: IO[str], fmt: str, schema: str, columns: Sequence[str], records: list[dict]
+) -> None:
+    """JSON: ``records`` in full.  CSV: a ``# schema:`` line, the column
+    header, then each record's ``columns``, floats to 9 significant digits."""
+    if fmt == "json":
+        json.dump(records, out, indent=2)
+        out.write("\n")
+        return
+    out.write(f"# schema: {schema}\n")
+    out.write(",".join(columns) + "\n")
+    for r in records:
+        out.write(",".join(_fmt(r[c]) if isinstance(r[c], float) else str(r[c])
+                           for c in columns) + "\n")
+
+
 # --- subcommands ------------------------------------------------------
+
+INDEX_COLUMNS = ("graph6", "n", "m", "randic", "sum_connectivity", "abc", "abs", "gap", "sign")
+SCAN_COLUMNS = ("n", "total", "positive", "negative", "zero", "negative_ratio",
+                "min_abs_gap", "min_abs_gap_graph6")
+
 
 def _cmd_index(args) -> int:
     status = 0
+    rows = []
     with ExitStack() as stack:
-        out = _open_out(stack, args.out)
-        rows = []
         for lineno, line in enumerate(_input_lines(stack, getattr(args, "in")), 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -67,31 +131,10 @@ def _cmd_index(args) -> int:
                 print(f"line {lineno}: {exc}", file=sys.stderr)
                 status = 2
                 continue
-            rows.append(
-                {
-                    "graph6": line,
-                    "n": g.n,
-                    "m": g.m,
-                    "randic": r.randic,
-                    "sum_connectivity": r.sum_connectivity,
-                    "abc": r.abc,
-                    "abs": r.abs,
-                    "gap": r.gap,
-                    "sign": sign_of_gap(r.gap, args.tol).value,
-                }
-            )
-        if args.format == "json":
-            json.dump(rows, out, indent=2)
-            out.write("\n")
-        else:
-            out.write("# schema: index-v1\n")
-            out.write("graph6,n,m,randic,sum_connectivity,abc,abs,gap,sign\n")
-            for r in rows:
-                out.write(
-                    f"{r['graph6']},{r['n']},{r['m']},{_fmt(r['randic'])},"
-                    f"{_fmt(r['sum_connectivity'])},{_fmt(r['abc'])},{_fmt(r['abs'])},"
-                    f"{_fmt(r['gap'])},{r['sign']}\n"
-                )
+            values = (line, g.n, g.m, r.randic, r.sum_connectivity, r.abc, r.abs, r.gap,
+                      sign_of_gap(r.gap, args.tol).value)
+            rows.append(dict(zip(INDEX_COLUMNS, values)))
+        _write_rows(_open_out(stack, args.out), args.format, "index-v1", INDEX_COLUMNS, rows)
     return status
 
 
@@ -107,44 +150,29 @@ def _cmd_scan(args) -> int:
         for n in range(lo, hi + 1)
     ]
     with ExitStack() as stack:
-        out = _open_out(stack, args.out)
         if args.format == "json":
-            json.dump([dataclasses.asdict(r) for r in records], out, indent=2)
-            out.write("\n")
+            rows = [dataclasses.asdict(r) for r in records]
         else:
-            out.write("# schema: scan-v1\n")
-            out.write(
-                "n,total,positive,negative,zero,negative_ratio,"
-                "min_abs_gap,min_abs_gap_graph6\n"
-            )
-            for r in records:
-                out.write(
-                    f"{r.order},{r.total},{r.positive},{r.negative},{r.zero},"
-                    f"{_fmt(r.negative_ratio)},{_fmt(r.min_abs_gap)},"
-                    f"{r.min_abs_gap_graph6}\n"
-                )
+            rows = [dict(zip(SCAN_COLUMNS, (
+                r.order, r.total, r.positive, r.negative, r.zero, r.negative_ratio,
+                r.min_abs_gap, r.min_abs_gap_graph6))) for r in records]
+        _write_rows(_open_out(stack, args.out), args.format, "scan-v1", SCAN_COLUMNS, rows)
         if args.witness_out:
-            with open(args.witness_out, "w", encoding="ascii") as wf:
-                for r in records:
-                    wf.write(f"# n={r.order} negative={r.negative}"
-                             f" listed={len(r.negative_witnesses)}\n")
-                    for g6 in r.negative_witnesses:
-                        wf.write(g6 + "\n")
+            wf = stack.enter_context(_atomic_output(args.witness_out))
+            for r in records:
+                wf.write(f"# n={r.order} negative={r.negative}"
+                         f" listed={len(r.negative_witnesses)}\n")
+                for g6 in r.negative_witnesses:
+                    wf.write(g6 + "\n")
     return 0
 
 
 def _cmd_near_ties(args) -> int:
     ties = survey.find_near_ties(args.n, args.top_k)
+    columns = [f.name for f in dataclasses.fields(survey.TieRecord)]
     with ExitStack() as stack:
-        out = _open_out(stack, args.out)
-        if args.format == "json":
-            json.dump([dataclasses.asdict(t) for t in ties], out, indent=2)
-            out.write("\n")
-        else:
-            out.write("# schema: near-ties-v1\n")
-            out.write("graph6,abc,abs,abs_gap\n")
-            for t in ties:
-                out.write(f"{t.graph6},{_fmt(t.abc)},{_fmt(t.abs)},{_fmt(t.abs_gap)}\n")
+        _write_rows(_open_out(stack, args.out), args.format, "near-ties-v1", columns,
+                    [dataclasses.asdict(t) for t in ties])
     return 0
 
 
@@ -169,16 +197,11 @@ def _cmd_verify(args) -> int:
             trials=args.trials, seed=args.seed, tol=1e-12
         )
     else:
-        min_order = {"p1": 1, "t1": 5, "t2": 1, "t3": 1}[args.statement]
-        universes = _universes_for(args, min_order)
-        if args.statement == "p1":
-            report = survey.verify_min_degree2(universes, tol=1e-12)
-        elif args.statement == "t1":
-            report = survey.verify_line_graphs(universes, tol=args.tol)
-        elif args.statement == "t2":
-            report = survey.verify_no_degree2_bound(universes, tol=args.tol)
-        else:
-            report = survey.verify_isolated_degree2_bound(universes, tol=args.tol)
+        statement = survey.STATEMENTS[args.statement]
+        tol = args.tol if statement.tol is None else statement.tol
+        report = survey.verify_statement(
+            statement, _universes_for(args, statement.min_order), tol
+        )
     with ExitStack() as stack:
         out = _open_out(stack, args.out)
         json.dump(dataclasses.asdict(report), out, indent=2)
@@ -203,9 +226,7 @@ def _cmd_enum(args) -> int:
 
 # --- parser -----------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL,
-                   help="zero tolerance for the gap sign (default 1e-9)")
+def _add_format_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -220,26 +241,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="index values for graph6 input")
     p.add_argument("--in", default=None, help="graph6 file (default stdin)")
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL, help="zero tolerance")
+    _add_format_out(p)
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("scan", help="sign census over all trees of each order")
     p.add_argument("range", help="order range, e.g. 3..15 or 11")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--witness-cap", type=int, default=survey.DEFAULT_WITNESS_CAP)
+    p.add_argument("--workers", type=int, default=1, help="census processes (>= 1)")
+    p.add_argument("--witness-cap", type=int, default=survey.DEFAULT_WITNESS_CAP,
+                   help="negative witnesses listed per order (>= 0)")
     p.add_argument("--witness-out", default=None,
                    help="dump negative witnesses as graph6 lines")
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL, help="zero tolerance")
+    _add_format_out(p)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("near-ties", help="trees with the smallest |ABC-ABS|")
     p.add_argument("n", type=int)
     p.add_argument("--top-k", type=int, default=4)
-    _add_common(p)
+    _add_format_out(p)
     p.set_defaults(func=_cmd_near_ties)
 
     p = sub.add_parser("verify", help="verify a statement over a universe")
-    p.add_argument("statement", choices=["p1", "p2", "t1", "t2", "t3"])
+    p.add_argument("statement", choices=sorted({*survey.STATEMENTS, "p2"}))
     p.add_argument("--max-order", type=int, default=6,
                    help="largest internal universe order")
     p.add_argument("--in", default=None, help="external graph6 universe")
@@ -247,13 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="expected order of the external universe")
     p.add_argument("--trials", type=int, default=10_000, help="p2 trials")
     p.add_argument("--seed", type=int, default=0, help="p2 RNG seed")
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL, help="zero tolerance")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("enum", help="emit a graph family as graph6 lines")
     p.add_argument("kind", choices=["trees", "connected"])
     p.add_argument("n", type=int)
-    _add_common(p)
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_enum)
 
     return parser
@@ -263,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, ValueError, OSError) as exc:
+    except (GraphError, ValueError, OSError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -111,10 +111,6 @@ def sign_of_gap(gap: float, tol: float = DEFAULT_ZERO_TOL) -> Sign:
     return Sign.POSITIVE if gap > 0 else Sign.NEGATIVE
 
 
-def sign_class(report: IndexReport, tol: float = DEFAULT_ZERO_TOL) -> Sign:
-    return sign_of_gap(report.gap, tol)
-
-
 def gap_extended_precision(pairs: Iterable[tuple[int, int]], dps: int = 50) -> mpmath.mpf:
     """Re-evaluate the ABC - ABS gap at ``dps`` decimal digits.
 

@@ -72,20 +72,6 @@ def internal_universe(n: int) -> GraphUniverse:
     return GraphUniverse(order=n, source="internal", graphs=_connected_reps(n))
 
 
-def brute_force_connected(n: int) -> list[Graph]:
-    """Oracle enumeration: walk all 2^(n(n-1)/2) edge subsets, keep the
-    connected ones, dedup by canonical key.  Only sensible for n <= 6."""
-    pairs = list(combinations(range(n), 2))
-    seen: dict[bytes, Graph] = {}
-    for mask in range(1 << len(pairs)) if n > 1 else range(1):
-        g = from_edge_list(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-        if is_connected(g):
-            key = canonical_key(g)
-            if key not in seen:
-                seen[key] = g
-    return [g for _, g in sorted(seen.items())]
-
-
 def load_universe(path: str, expect_order: int) -> GraphUniverse:
     """Read a graph6 file (one graph per line, '#' comments ignored),
     validating order and connectivity of every graph."""

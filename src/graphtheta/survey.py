@@ -9,15 +9,21 @@ pendent-count hypotheses (t2, t3).
 
 from __future__ import annotations
 
-import heapq
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from . import treegen
-from .graphs import Graph, Shape, classify_shape, from_edge_list, min_degree
+from .graphs import (
+    Graph,
+    Shape,
+    classify_shape,
+    from_edge_list,
+    min_degree,
+    subdivide_at_degree2,
+)
 from .graph6 import to_graph6
 from .indices import (
     DEFAULT_ZERO_TOL,
@@ -78,48 +84,111 @@ class VerificationReport:
 
 # --- tree census ------------------------------------------------------
 
-def _scan_partition(args) -> dict:
-    n, parts, part, tol, cap = args
-    positive = negative = zero = 0
-    min_abs = float("inf")
-    min_g6 = ""
-    neg_witnesses: list[tuple[int, str]] = []
-    zero_candidates: list[str] = []
+@dataclass
+class _Scan:
+    """What one pass over the tree stream keeps, per partition or merged.
+
+    Trees are held as level sequences with their stream index; graph6
+    strings are made only for the trees a view finally reports.
+
+    The stream is in ascending graph6 order, so among trees of equal
+    |gap| the lower stream index has the smaller graph6 string.  It runs
+    through level sequences in decreasing lexicographic order; where two
+    first differ, the later one gives that vertex an earlier parent,
+    which sets an earlier graph6 bit (checked by
+    tests/test_treegen.py::test_stream_in_ascending_graph6_order).
+    """
+
+    positive: int = 0
+    negative: int = 0
+    zero: int = 0
+    # (|gap|, index, sequence, abc, abs) of the near_k smallest, ascending
+    near: list = field(default_factory=list)
+    # (index, sequence) of the first witness_cap negative trees
+    witnesses: list = field(default_factory=list)
+    # (index, sequence, gap, gap at RECHECK_DPS digits) of every |gap| <= tol,
+    # kept only when the caller asks (near_zero_candidates)
+    rechecked: list = field(default_factory=list)
+
+
+def _scan_partition(args) -> _Scan:
+    """Score every ``parts``-th tree of order n, from stream index ``part``.
+
+    This is the only loop over the tree stream in this module; every
+    census view reads its result.
+    """
+    n, parts, part, tol, witness_cap, near_k, keep_rechecked = args
+    s = _Scan()
+    bound = float("inf")  # |gap| of the near_k-th tree kept so far
     idx = part
     for seq in treegen.partitioned_sequences(n, parts, part):
         abc, abs_ = treegen.abc_abs_sums(seq)
         gap = abc - abs_
         a = abs(gap)
-        if a < min_abs or (a == min_abs and min_g6):
-            g6 = to_graph6(treegen.sequence_to_graph(seq))
-            if a < min_abs or g6 < min_g6:
-                min_abs = a
-                min_g6 = g6
+        if a < bound:  # a later tree tied with the near_k-th ranks after it
+            s.near.append((a, idx, seq, abc, abs_))
+            if len(s.near) == 2 * near_k:
+                s.near.sort()
+                del s.near[near_k:]
+                bound = s.near[-1][0]
         sign = sign_of_gap(gap, tol)
         if sign is Sign.ZERO_WITHIN_TOL:
             # re-verify at extended precision before counting as zero
             hp = gap_extended_precision(treegen.degree_pairs(seq), RECHECK_DPS)
+            if keep_rechecked:
+                s.rechecked.append((idx, seq, gap, float(hp)))
             if abs(hp) > tol:
                 sign = Sign.POSITIVE if hp > 0 else Sign.NEGATIVE
             else:
-                zero += 1
-                zero_candidates.append(to_graph6(treegen.sequence_to_graph(seq)))
+                s.zero += 1
         if sign is Sign.POSITIVE:
-            positive += 1
+            s.positive += 1
         elif sign is Sign.NEGATIVE:
-            negative += 1
-            if len(neg_witnesses) < cap:
-                neg_witnesses.append((idx, to_graph6(treegen.sequence_to_graph(seq))))
+            s.negative += 1
+            if len(s.witnesses) < witness_cap:
+                s.witnesses.append((idx, seq))
         idx += parts
-    return {
-        "positive": positive,
-        "negative": negative,
-        "zero": zero,
-        "min_abs": min_abs,
-        "min_g6": min_g6,
-        "neg": neg_witnesses,
-        "zero_candidates": zero_candidates,
-    }
+    s.near.sort()
+    del s.near[near_k:]
+    return s
+
+
+def _scan(
+    n: int, tol: float, workers: int, witness_cap: int, near_k: int,
+    keep_rechecked: bool = False,
+) -> _Scan:
+    """One pass over all free trees of order n.
+
+    Partitions are index-strided slices of the deterministic stream and
+    the merge orders everything by stream index, so the result does not
+    depend on the worker count.
+    """
+    jobs = [(n, workers, part, tol, witness_cap, near_k, keep_rechecked)
+            for part in range(workers)]
+    if workers == 1:
+        partials = [_scan_partition(jobs[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(_scan_partition, jobs))
+    return _Scan(
+        positive=sum(p.positive for p in partials),
+        negative=sum(p.negative for p in partials),
+        zero=sum(p.zero for p in partials),
+        near=sorted(c for p in partials for c in p.near)[:near_k],
+        witnesses=sorted(w for p in partials for w in p.witnesses)[:witness_cap],
+        rechecked=sorted(r for p in partials for r in p.rechecked),
+    )
+
+
+def _graph6(seq: tuple[int, ...]) -> str:
+    return to_graph6(treegen.sequence_to_graph(seq))
+
+
+def _near_ties(scan: _Scan) -> list[TieRecord]:
+    return [
+        TieRecord(graph6=_graph6(seq), abc=abc, abs=abs_, abs_gap=a)
+        for a, _, seq, abc, abs_ in scan.near
+    ]
 
 
 def classify_trees(
@@ -130,36 +199,26 @@ def classify_trees(
 ) -> ClassificationRecord:
     """Full sign census over all free trees of order n.
 
-    The result is independent of the worker count: partitions are
-    index-strided slices of the deterministic stream and the merge is
-    order-normalized.
+    The result is independent of the worker count.
     """
     if n < 3:
         raise ValueError(f"census needs order >= 3, got {n}")
-    parts = max(1, workers)
-    jobs = [(n, parts, part, tol, witness_cap) for part in range(parts)]
-    if parts == 1:
-        partials = [_scan_partition(jobs[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=parts) as pool:
-            partials = list(pool.map(_scan_partition, jobs))
-    positive = sum(p["positive"] for p in partials)
-    negative = sum(p["negative"] for p in partials)
-    zero = sum(p["zero"] for p in partials)
-    best = min(
-        ((p["min_abs"], p["min_g6"]) for p in partials if p["min_g6"]),
-    )
-    witnesses = sorted((w for p in partials for w in p["neg"]))[:witness_cap]
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if witness_cap < 0:
+        raise ValueError(f"witness cap must be >= 0, got {witness_cap}")
+    scan = _scan(n, tol, workers, witness_cap, 1)
+    best = _near_ties(scan)[0]
     return ClassificationRecord(
         order=n,
-        total=positive + negative + zero,
-        positive=positive,
-        negative=negative,
-        zero=zero,
+        total=scan.positive + scan.negative + scan.zero,
+        positive=scan.positive,
+        negative=scan.negative,
+        zero=scan.zero,
         tol=tol,
-        min_abs_gap=best[0],
-        min_abs_gap_graph6=best[1],
-        negative_witnesses=tuple(g6 for _, g6 in witnesses),
+        min_abs_gap=best.abs_gap,
+        min_abs_gap_graph6=best.graph6,
+        negative_witnesses=tuple(_graph6(seq) for _, seq in scan.witnesses),
         witness_cap=witness_cap,
     )
 
@@ -171,15 +230,7 @@ def find_near_ties(n: int, top_k: int) -> list[TieRecord]:
         raise ValueError(f"near-tie search needs order >= 3, got {n}")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-
-    def records():
-        for seq in treegen.free_tree_sequences(n):
-            abc, abs_ = treegen.abc_abs_sums(seq)
-            g6 = to_graph6(treegen.sequence_to_graph(seq))
-            yield (abs(abc - abs_), g6, abc, abs_)
-
-    best = heapq.nsmallest(top_k, records())
-    return [TieRecord(graph6=g6, abc=abc, abs=abs_, abs_gap=a) for a, g6, abc, abs_ in best]
+    return _near_ties(_scan(n, DEFAULT_ZERO_TOL, 1, 0, top_k))
 
 
 def near_zero_candidates(
@@ -187,14 +238,8 @@ def near_zero_candidates(
 ) -> list[tuple[str, float, float]]:
     """Trees of order n with |gap| <= threshold, with the gap re-evaluated
     at extended precision: (graph6, gap, gap_extended)."""
-    out = []
-    for seq in treegen.free_tree_sequences(n):
-        abc, abs_ = treegen.abc_abs_sums(seq)
-        gap = abc - abs_
-        if abs(gap) <= threshold:
-            hp = gap_extended_precision(treegen.degree_pairs(seq), RECHECK_DPS)
-            out.append((to_graph6(treegen.sequence_to_graph(seq)), gap, float(hp)))
-    return out
+    scan = _scan(n, threshold, 1, 0, 1, keep_rechecked=True)
+    return [(_graph6(seq), gap, hp) for _, seq, gap, hp in scan.rechecked]
 
 
 @dataclass(frozen=True)
@@ -209,48 +254,126 @@ class NegativeTreeResult:
 def smallest_negative_tree(
     tol: float = DEFAULT_ZERO_TOL, max_order: int = 20
 ) -> NegativeTreeResult:
-    """Scan orders 3, 4, ... and return the first tree whose gap is
-    below -tol (ABC < ABS)."""
+    """Scan orders 3, 4, ... and return the first tree whose census sign
+    at ``tol`` is negative (ABC < ABS); among several, the smallest
+    graph6 string, which is the first in stream order."""
     for n in range(3, max_order + 1):
-        hits = []
-        for seq in treegen.free_tree_sequences(n):
+        scan = _scan(n, tol, 1, 1, 1)
+        if scan.negative:
+            seq = scan.witnesses[0][1]
             abc, abs_ = treegen.abc_abs_sums(seq)
-            if abc - abs_ < -tol:
-                hits.append((seq, abc - abs_))
-        if hits:
-            hits.sort(key=lambda h: to_graph6(treegen.sequence_to_graph(h[0])))
-            seq, gap = hits[0]
-            g = treegen.sequence_to_graph(seq)
             return NegativeTreeResult(
                 order=n,
-                graph=g,
-                graph6=to_graph6(g),
-                gap=gap,
-                unique=len(hits) == 1,
+                graph=treegen.sequence_to_graph(seq),
+                graph6=_graph6(seq),
+                gap=abc - abs_,
+                unique=scan.negative == 1,
             )
     raise RuntimeError(f"no negative tree found up to order {max_order}")
 
 
-def ratio_table(
-    n_from: int, n_to: int, tol: float = DEFAULT_ZERO_TOL, workers: int = 1
-) -> list[tuple[int, int, int, float]]:
-    """(n, total, negative, negative/total) per order in the range."""
-    if not 3 <= n_from <= n_to:
-        raise ValueError(f"need 3 <= n_from <= n_to, got {n_from}..{n_to}")
-    rows = []
-    for n in range(n_from, n_to + 1):
-        rec = classify_trees(n, tol=tol, workers=workers)
-        rows.append((n, rec.total, rec.negative, rec.negative_ratio))
-    return rows
-
-
 # --- statement verifiers ----------------------------------------------
 
-def _universe_graphs(universes: GraphUniverse | Sequence[GraphUniverse]):
+@dataclass(frozen=True)
+class Statement:
+    """A statement checked graph by graph: every graph of the universe
+    that meets ``hypothesis`` must, after ``transform`` (None: the graph
+    itself), have a gap that meets ``conclusion``."""
+
+    name: str
+    hypothesis: Callable[[Graph], bool]
+    transform: Callable[[Graph], Graph] | None
+    conclusion: Callable[[Graph, float, float], bool]  # (graph, gap, tol)
+    min_order: int  # smallest internal universe order the CLI checks
+    reports_margin: bool  # report the smallest -gap over the hypothesis graphs
+    tol: float | None = None  # fixed CLI tolerance; None reads --tol
+
+
+def _min_degree2(g: Graph) -> bool:
+    return g.n >= 3 and min_degree(g) >= 2
+
+
+def _zero_exactly_on_cycles(g: Graph, gap: float, tol: float) -> bool:
+    return gap <= tol and (abs(gap) <= tol) == (classify_shape(g) is Shape.CYCLE)
+
+
+def _line_graph_root(k: Graph) -> bool:
+    return k.n >= 5 and classify_shape(k) not in (Shape.PATH, Shape.CYCLE)
+
+
+def _gap_negative(g: Graph, gap: float, tol: float) -> bool:
+    return gap < -tol
+
+
+def bounded_pendents_no_degree2(g: Graph) -> bool:
+    """t2 hypothesis: at least one edge, pendent count <= floor(m/2),
+    and no vertex of degree 2."""
+    if g.m < 1:
+        return False
+    pendents = sum(1 for d in g.degrees if d == 1)
+    return pendents <= g.m // 2 and all(d != 2 for d in g.degrees)
+
+
+def bounded_pendents_isolated_degree2(g: Graph) -> bool:
+    """t3 hypothesis: at least one edge, pendent count <= floor(m/2),
+    and no degree-2 vertex has a neighbor of degree 2, 3, or 4."""
+    if g.m < 1:
+        return False
+    pendents = sum(1 for d in g.degrees if d == 1)
+    if pendents > g.m // 2:
+        return False
+    for v in range(g.n):
+        if g.degrees[v] == 2 and any(g.degrees[w] in (2, 3, 4) for w in g.adj[v]):
+            return False
+    return True
+
+
+STATEMENTS = {
+    s.name: s
+    for s in (
+        Statement("p1", _min_degree2, None, _zero_exactly_on_cycles, 1, False, 1e-12),
+        # line_graph is looked up per call, so a wrapper installed on
+        # survey.line_graph (perfbench/tracer.py) sees every call
+        Statement("t1", _line_graph_root, lambda k: line_graph(k), _gap_negative, 5, True),
+        Statement("t2", bounded_pendents_no_degree2, None, _gap_negative, 1, True),
+        Statement("t3", bounded_pendents_isolated_degree2, None, _gap_negative, 1, True),
+    )
+}
+
+
+def verify_statement(
+    statement: Statement,
+    universes: GraphUniverse | Sequence[GraphUniverse],
+    tol: float,
+) -> VerificationReport:
+    """Check ``statement`` on every graph of ``universes``."""
     if isinstance(universes, GraphUniverse):
         universes = [universes]
-    label = ", ".join(f"{u.source}:n={u.order}({len(u)})" for u in universes)
-    return universes, label
+    t0 = time.perf_counter()
+    checked = holds = 0
+    failures = []
+    min_margin = None
+    for u in universes:
+        for g in u:
+            checked += 1
+            if not statement.hypothesis(g):
+                continue
+            holds += 1
+            h = g if statement.transform is None else statement.transform(g)
+            gap = index_report(h).gap
+            if statement.reports_margin and (min_margin is None or -gap < min_margin):
+                min_margin = -gap
+            if not statement.conclusion(g, gap, tol):
+                failures.append(to_graph6(g))
+    return VerificationReport(
+        statement=statement.name,
+        universe=", ".join(f"{u.source}:n={u.order}({len(u)})" for u in universes),
+        checked=checked,
+        hypothesis_holds=holds,
+        conclusion_failures=tuple(failures),
+        elapsed=time.perf_counter() - t0,
+        min_margin=min_margin,
+    )
 
 
 def verify_min_degree2(
@@ -258,28 +381,27 @@ def verify_min_degree2(
     tol: float = 1e-12,
 ) -> VerificationReport:
     """p1: min degree >= 2 forces gap <= 0, zero exactly on cycles."""
-    universes, label = _universe_graphs(universes)
-    t0 = time.perf_counter()
-    checked = holds = 0
-    failures = []
-    for u in universes:
-        for g in u:
-            checked += 1
-            if g.n < 3 or min_degree(g) < 2:
-                continue
-            holds += 1
-            gap = index_report(g).gap
-            is_cycle = classify_shape(g) is Shape.CYCLE
-            if gap > tol or ((abs(gap) <= tol) != is_cycle):
-                failures.append(to_graph6(g))
-    return VerificationReport(
-        statement="p1",
-        universe=label,
-        checked=checked,
-        hypothesis_holds=holds,
-        conclusion_failures=tuple(failures),
-        elapsed=time.perf_counter() - t0,
-    )
+    return verify_statement(STATEMENTS["p1"], universes, tol)
+
+
+def verify_line_graphs(
+    universes: GraphUniverse | Sequence[GraphUniverse],
+    tol: float = DEFAULT_ZERO_TOL,
+) -> VerificationReport:
+    """t1: the line graph of any connected root of order >= 5 other
+    than a path or cycle has ABS > ABC (gap strictly negative)."""
+    return verify_statement(STATEMENTS["t1"], universes, tol)
+
+
+def verify_no_degree2_bound(universes, tol: float = DEFAULT_ZERO_TOL) -> VerificationReport:
+    """t2: the no-degree-2 / bounded-pendent hypothesis forces ABS > ABC."""
+    return verify_statement(STATEMENTS["t2"], universes, tol)
+
+
+def verify_isolated_degree2_bound(universes, tol: float = DEFAULT_ZERO_TOL) -> VerificationReport:
+    """t3: the isolated-degree-2 / bounded-pendent hypothesis forces
+    ABS > ABC."""
+    return verify_statement(STATEMENTS["t3"], universes, tol)
 
 
 def _random_tree_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
@@ -319,7 +441,7 @@ def verify_subdivision_invariance(
         checked += 1
         x = rng.choice(deg2)
         w = rng.choice(g.adj[x])
-        subdivided = index_report(_subdivide(g, x, w)).gap
+        subdivided = index_report(subdivide_at_degree2(g, x, (x, w))).gap
         if abs(index_report(g).gap - subdivided) > tol:
             failures.append(to_graph6(g))
     return VerificationReport(
@@ -330,111 +452,3 @@ def verify_subdivision_invariance(
         conclusion_failures=tuple(failures),
         elapsed=time.perf_counter() - t0,
     )
-
-
-def _subdivide(g: Graph, x: int, w: int) -> Graph:
-    from .graphs import subdivide_at_degree2
-
-    return subdivide_at_degree2(g, x, (x, w))
-
-
-def verify_line_graphs(
-    universes: GraphUniverse | Sequence[GraphUniverse],
-    tol: float = DEFAULT_ZERO_TOL,
-) -> VerificationReport:
-    """t1: the line graph of any connected root of order >= 5 other
-    than a path or cycle has ABS > ABC (gap strictly negative)."""
-    universes, label = _universe_graphs(universes)
-    t0 = time.perf_counter()
-    checked = holds = 0
-    failures = []
-    min_margin = None
-    for u in universes:
-        for k in u:
-            checked += 1
-            if k.n < 5 or classify_shape(k) in (Shape.PATH, Shape.CYCLE):
-                continue
-            holds += 1
-            gap = index_report(line_graph(k)).gap
-            margin = -gap
-            if min_margin is None or margin < min_margin:
-                min_margin = margin
-            if not gap < -tol:
-                failures.append(to_graph6(k))
-    return VerificationReport(
-        statement="t1",
-        universe=label,
-        checked=checked,
-        hypothesis_holds=holds,
-        conclusion_failures=tuple(failures),
-        elapsed=time.perf_counter() - t0,
-        min_margin=min_margin,
-    )
-
-
-def bounded_pendents_no_degree2(g: Graph) -> bool:
-    """t2 hypothesis: at least one edge, pendent count <= floor(m/2),
-    and no vertex of degree 2."""
-    if g.m < 1:
-        return False
-    pendents = sum(1 for d in g.degrees if d == 1)
-    return pendents <= g.m // 2 and all(d != 2 for d in g.degrees)
-
-
-def bounded_pendents_isolated_degree2(g: Graph) -> bool:
-    """t3 hypothesis: at least one edge, pendent count <= floor(m/2),
-    and no degree-2 vertex has a neighbor of degree 2, 3, or 4."""
-    if g.m < 1:
-        return False
-    pendents = sum(1 for d in g.degrees if d == 1)
-    if pendents > g.m // 2:
-        return False
-    for v in range(g.n):
-        if g.degrees[v] == 2 and any(g.degrees[w] in (2, 3, 4) for w in g.adj[v]):
-            return False
-    return True
-
-
-def _verify_hypothesis(
-    statement: str,
-    hypothesis: Callable[[Graph], bool],
-    universes: GraphUniverse | Sequence[GraphUniverse],
-    tol: float,
-) -> VerificationReport:
-    universes, label = _universe_graphs(universes)
-    t0 = time.perf_counter()
-    checked = holds = 0
-    failures = []
-    min_margin = None
-    for u in universes:
-        for g in u:
-            checked += 1
-            if not hypothesis(g):
-                continue
-            holds += 1
-            gap = index_report(g).gap
-            margin = -gap
-            if min_margin is None or margin < min_margin:
-                min_margin = margin
-            if not gap < -tol:
-                failures.append(to_graph6(g))
-    return VerificationReport(
-        statement=statement,
-        universe=label,
-        checked=checked,
-        hypothesis_holds=holds,
-        conclusion_failures=tuple(failures),
-        elapsed=time.perf_counter() - t0,
-        min_margin=min_margin,
-    )
-
-
-def verify_no_degree2_bound(universes, tol: float = DEFAULT_ZERO_TOL) -> VerificationReport:
-    """t2: the no-degree-2 / bounded-pendent hypothesis forces ABS > ABC."""
-    return _verify_hypothesis("t2", bounded_pendents_no_degree2, universes, tol)
-
-
-def verify_isolated_degree2_bound(universes, tol: float = DEFAULT_ZERO_TOL) -> VerificationReport:
-    """t3: the isolated-degree-2 / bounded-pendent hypothesis forces
-    ABS > ABC."""
-    return _verify_hypothesis("t3", bounded_pendents_isolated_degree2, universes, tol)

@@ -9,7 +9,6 @@ backend-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import IO, Iterator
 
@@ -31,44 +30,10 @@ abc_abs_sums = _impl.abc_abs_sums
 parent_array = _pure.parent_array
 
 
-@dataclass(frozen=True)
-class LevelSequence:
-    """Canonical rooted-tree encoding: 1-based depth of each vertex.
-
-    levels[0] = 1 and every later entry is between 2 and its
-    predecessor + 1.
-    """
-
-    levels: tuple[int, ...]
-
-    def __post_init__(self):
-        lv = self.levels
-        if not lv or lv[0] != 1:
-            raise ValueError("level sequence must start at level 1")
-        prev = 1
-        for x in lv[1:]:
-            if not 2 <= x <= prev + 1:
-                raise ValueError(f"invalid level {x} after {prev}")
-            prev = x
-
-    @property
-    def order(self) -> int:
-        return len(self.levels)
-
-    def to_graph(self) -> Graph:
-        return sequence_to_graph(tuple(x - 1 for x in self.levels))
-
-
 def sequence_to_graph(seq: tuple[int, ...]) -> Graph:
     """Materialize the tree encoded by a 0-based depth sequence."""
     par = parent_array(seq)
     return from_edge_list(len(seq), [(par[i], i) for i in range(1, len(seq))])
-
-
-def level_sequences(n: int) -> Iterator[LevelSequence]:
-    """Public 1-based view of the canonical sequence stream."""
-    for seq in free_tree_sequences(n):
-        yield LevelSequence(tuple(x + 1 for x in seq))
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
@@ -93,16 +58,6 @@ def partitioned_sequences(n: int, parts: int, part: int) -> Iterator[tuple[int, 
     if not 0 <= part < parts:
         raise ValueError(f"part must be in [0,{parts})")
     return islice(free_tree_sequences(n), part, None, parts)
-
-
-def partitioned_enumeration(n: int, parts: int) -> list[Iterator[Graph]]:
-    """Disjoint Graph streams covering all free trees of order n."""
-
-    def stream(part: int) -> Iterator[Graph]:
-        for seq in partitioned_sequences(n, parts, part):
-            yield sequence_to_graph(seq)
-
-    return [stream(p) for p in range(parts)]
 
 
 def write_graph6_stream(n: int, out: IO[str]) -> int:

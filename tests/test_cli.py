@@ -1,18 +1,31 @@
 import json
+import os
+import stat
+import threading
 
 import pytest
 
+from graphtheta import survey
 from graphtheta.cli import main
 from graphtheta.graph6 import to_graph6
 from graphtheta.treegen import enumerate_trees
 
 from conftest import cycle_graph, path_graph
 
+_scan_partition = survey._scan_partition
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _partition_1_dies(args):
+    """Census pool entry point whose partition 1 exits like a killed worker."""
+    if args[2] == 1:
+        os._exit(1)
+    return _scan_partition(args)
 
 
 class TestIndex:
@@ -77,6 +90,33 @@ class TestScan:
         records = json.loads(out)
         assert records[0]["total"] == 6 and records[0]["negative"] == 0
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, capsys, workers):
+        code, out, err = run(capsys, "scan", "9", "--workers", workers)
+        assert code == 2 and "workers must be >= 1" in err and out == ""
+
+    def test_negative_witness_cap_exit_2(self, capsys):
+        code, out, err = run(capsys, "scan", "12", "--witness-cap", "-1")
+        assert code == 2 and "witness cap must be >= 0" in err and out == ""
+
+    def test_out_and_witness_out_same_path(self, capsys, tmp_path):
+        path = tmp_path / "both.txt"
+        code, _, _ = run(capsys, "scan", "11", "--out", str(path),
+                         "--witness-out", str(path))
+        assert code == 0
+        assert path.read_text() in (
+            "# n=11 negative=1 listed=1\nJkE?K?@_??_\n",
+            "# schema: scan-v1\n"
+            "n,total,positive,negative,zero,negative_ratio,min_abs_gap,min_abs_gap_graph6\n"
+            "11,235,234,1,0,0.00425531915,0.0187849065,JkE?K?@_C??\n",
+        )
+        assert os.listdir(tmp_path) == ["both.txt"]
+
+    def test_crashed_worker_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(survey, "_scan_partition", _partition_1_dies)
+        code, out, err = run(capsys, "scan", "9", "--workers", "2")
+        assert code == 2 and err.startswith("error: ") and out == ""
+
 
 class TestNearTies:
     def test_top_k(self, capsys):
@@ -132,9 +172,59 @@ class TestEnum:
         code, _, err = run(capsys, "enum", "connected", "8")
         assert code == 2
 
+    def test_failed_command_leaves_out_file_unchanged(self, capsys, tmp_path):
+        out_path = tmp_path / "t70.g6"
+        out_path.write_text("previous\n")
+        code, _, err = run(capsys, "enum", "trees", "70", "--out", str(out_path))
+        assert code == 2 and "graph6" in err
+        assert out_path.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["t70.g6"]
+
+    def test_out_keeps_existing_file_mode(self, capsys, tmp_path):
+        out_path = tmp_path / "t5.g6"
+        out_path.write_text("previous\n")
+        out_path.chmod(0o640)
+        code, _, _ = run(capsys, "enum", "trees", "5", "--out", str(out_path))
+        assert code == 0 and len(out_path.read_text().splitlines()) == 3
+        assert stat.S_IMODE(out_path.stat().st_mode) == 0o640
+
+    def test_out_writes_through_symlink(self, capsys, tmp_path):
+        target = tmp_path / "target.g6"
+        target.write_text("previous\n")
+        link = tmp_path / "link.g6"
+        link.symlink_to(target)
+        code, _, _ = run(capsys, "enum", "trees", "5", "--out", str(link))
+        assert code == 0 and link.is_symlink()
+        assert len(target.read_text().splitlines()) == 3
+        assert sorted(os.listdir(tmp_path)) == ["link.g6", "target.g6"]
+
+    def test_out_writes_into_fifo(self, capsys, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()))
+        reader.start()
+        code, _, _ = run(capsys, "enum", "trees", "5", "--out", str(fifo))
+        reader.join(timeout=30)
+        assert code == 0 and len(received[0].splitlines()) == 3
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
+
     def test_tree_stream_matches_library(self, capsys, tmp_path):
         out_path = tmp_path / "t7.g6"
         code, _, _ = run(capsys, "enum", "trees", "7", "--out", str(out_path))
         assert code == 0
         expected = [to_graph6(g) for g in enumerate_trees(7)]
         assert out_path.read_text().splitlines() == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ("near-ties", "8", "--tol", "-1"),
+    ("enum", "trees", "4", "--tol", "1e-9"),
+    ("enum", "trees", "4", "--format", "json"),
+    ("verify", "p1", "--format", "csv"),
+])
+def test_flags_a_subcommand_never_reads_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2

@@ -1,17 +1,26 @@
+from itertools import combinations
+
 import pytest
 
 from graphtheta.canon import canonical_key
-from graphtheta.graphs import GraphError
+from graphtheta.graphs import GraphError, from_edge_list, is_connected
 from graphtheta.graph6 import to_graph6
-from graphtheta.smallgraphs import (
-    brute_force_connected,
-    enumerate_connected,
-    internal_universe,
-    load_universe,
-)
+from graphtheta.smallgraphs import enumerate_connected, internal_universe, load_universe
 from graphtheta.treegen import enumerate_trees
 
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
+
+
+def brute_force_connected(n):
+    """Oracle enumeration: walk all 2^(n(n-1)/2) edge subsets, keep the
+    connected ones, dedup by canonical key.  Only sensible for n <= 6."""
+    pairs = list(combinations(range(n), 2))
+    seen = {}
+    for mask in range(1 << len(pairs)) if n > 1 else range(1):
+        g = from_edge_list(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+        if is_connected(g):
+            seen.setdefault(canonical_key(g), g)
+    return [g for _, g in sorted(seen.items())]
 
 
 def test_counts_match_published_sequence():
@@ -27,8 +36,6 @@ def test_agrees_with_edge_subset_brute_force():
 
 
 def test_all_emitted_graphs_connected_and_distinct():
-    from graphtheta.graphs import is_connected
-
     for n in range(1, 7):
         keys = set()
         for g in enumerate_connected(n):
@@ -79,8 +86,6 @@ class TestLoadUniverse:
 
 
 def _two_edges():
-    from graphtheta.graphs import from_edge_list
-
     return from_edge_list(4, [(0, 1), (2, 3)])
 
 

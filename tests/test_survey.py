@@ -1,7 +1,9 @@
+import functools
+
 import pytest
 
-from graphtheta import survey
-from graphtheta.graph6 import parse_graph6
+from graphtheta import survey, treegen
+from graphtheta.graph6 import parse_graph6, to_graph6
 from graphtheta.graphs import classify_shape, Shape
 from graphtheta.indices import index_report
 from graphtheta.smallgraphs import internal_universe
@@ -32,7 +34,30 @@ class TestClassifyTrees:
         assert rec.negative == 6 and len(rec.negative_witnesses) == 2
 
 
+@functools.cache
+def ranked_by_abs_gap(n):
+    """Reference ranking: every tree of order n as (|gap|, graph6, abc,
+    abs), sorted, with graph6 made for every tree."""
+    rows = []
+    for seq in treegen.free_tree_sequences(n):
+        abc, abs_ = treegen.abc_abs_sums(seq)
+        rows.append((abs(abc - abs_), to_graph6(treegen.sequence_to_graph(seq)), abc, abs_))
+    return sorted(rows)
+
+
 class TestNearTies:
+    # (14, 1), (14, 3) and (15, 2) cut through groups of exactly tied gaps
+    @pytest.mark.parametrize("n,k", [(8, 10**6), (11, 5), (14, 1), (14, 3), (15, 2)])
+    def test_matches_reference_ranking(self, n, k):
+        ties = survey.find_near_ties(n, k)
+        assert [(t.abs_gap, t.graph6, t.abc, t.abs) for t in ties] == ranked_by_abs_gap(n)[:k]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_census_minimum_is_first_near_tie(self, workers):
+        rec = survey.classify_trees(14, workers=workers)
+        best = ranked_by_abs_gap(14)[0]
+        assert (rec.min_abs_gap, rec.min_abs_gap_graph6) == best[:2]
+
     def test_p3_single_tree(self):
         ties = survey.find_near_ties(3, 1)
         r = index_report(parse_graph6(ties[0].graph6))
@@ -102,20 +127,6 @@ class TestVerifiers:
     def test_pendent_bound_verifiers_clean(self, universes_1_to_6):
         assert survey.verify_no_degree2_bound(universes_1_to_6).ok
         assert survey.verify_isolated_degree2_bound(universes_1_to_6).ok
-
-
-class TestRatioTable:
-    def test_rows(self):
-        rows = survey.ratio_table(10, 12)
-        assert rows[0] == (10, 106, 0, 0.0)
-        n, total, neg, ratio = rows[1]
-        assert (n, total, neg) == (11, 235, 1)
-        assert ratio == pytest.approx(1 / 235)
-        assert rows[2][1:3] == (551, 6)
-
-    def test_bad_range(self):
-        with pytest.raises(ValueError):
-            survey.ratio_table(5, 4)
 
 
 def test_near_zero_candidates_empty_below_threshold():

@@ -5,12 +5,11 @@ import pytest
 from graphtheta import treegen
 from graphtheta.canon import canonical_key
 from graphtheta.graphs import from_edge_list, is_connected
+from graphtheta.graph6 import to_graph6
 from graphtheta.treegen import (
-    LevelSequence,
     count_trees,
     enumerate_trees,
     free_tree_sequences,
-    partitioned_enumeration,
     partitioned_sequences,
     sequence_to_graph,
 )
@@ -65,6 +64,13 @@ def test_emission_order_deterministic():
     assert list(free_tree_sequences(9)) == list(free_tree_sequences(9))
 
 
+def test_stream_in_ascending_graph6_order():
+    # survey breaks ties in |gap| by stream index, relying on this order
+    for n in range(1, 15):
+        codes = [to_graph6(g) for g in enumerate_trees(n)]
+        assert codes == sorted(codes)
+
+
 def test_partitioned_single_part_is_identity():
     assert list(partitioned_sequences(8, 1, 0)) == list(free_tree_sequences(8))
 
@@ -78,11 +84,6 @@ def test_partitioned_union_and_disjointness():
     assert len(seen) == count_trees(n)
     assert len(set(seen)) == len(seen)
     assert sorted(seen) == sorted(free_tree_sequences(n))
-
-
-def test_partitioned_union_n12():
-    streams = partitioned_enumeration(12, 4)
-    assert sum(1 for s in streams for _ in s) == 551
 
 
 def test_degree_pairs_match_graphs():
@@ -102,15 +103,6 @@ def test_abc_abs_sums_match_reports():
         r = index_report(sequence_to_graph(seq))
         assert abc == pytest.approx(r.abc, abs=1e-13)
         assert abs_ == pytest.approx(r.abs, abs=1e-13)
-
-
-def test_level_sequence_validation():
-    LevelSequence((1, 2, 3, 2))
-    with pytest.raises(ValueError):
-        LevelSequence((2, 3))
-    with pytest.raises(ValueError):
-        LevelSequence((1, 2, 4))
-    assert LevelSequence((1, 2, 2)).to_graph().degrees == (2, 1, 1)
 
 
 def test_backends_agree_if_extension_built():
