@@ -1,45 +1,5 @@
-"""Build script: compiles the optional enumeration speedup extension.
+"""Build script: the package is pure Python; all metadata is in pyproject.toml."""
 
-The package is fully functional without the extension (a pure-Python
-backend is selected at import time), so any failure to build it is
-downgraded to a warning.
-"""
+from setuptools import setup
 
-import warnings
-
-from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
-
-
-class optional_build_ext(build_ext):
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # compiler missing, etc.
-            warnings.warn(f"skipping C extension build: {exc}")
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            warnings.warn(f"skipping {ext.name}: {exc}")
-
-
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    return cythonize(
-        [
-            Extension(
-                "graphtheta.treegen._speedups",
-                ["src/graphtheta/treegen/_speedups.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level=3,
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": optional_build_ext})
+setup()

@@ -2,9 +2,9 @@
 
 Subcommands: index, scan, near-ties, verify, enum.  Exit codes:
 0 success / statement verified, 1 verification counterexample,
-2 usage or input errors, or a census worker that died.  A regular file
-named by --out or --witness-out is replaced only when the command
-succeeds.
+2 usage or input errors (a verify with no graph to check among them),
+or a census worker that died.  A regular file named by --out or
+--witness-out is replaced only when the command succeeds.
 
 Numeric fields in CSV output are printed with 9 significant digits;
 JSON carries full binary64 round-trip values.
@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import stat
 import sys
@@ -32,6 +33,14 @@ from .smallgraphs import MAX_INTERNAL_ORDER, internal_universe, load_universe
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite number > 0."""
+    tol = float(text)
+    if not 0 < tol < math.inf:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return tol
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -181,14 +190,19 @@ def _universes_for(args, min_order: int) -> list:
     if ext:
         if args.order is None:
             raise GraphError("--order is required with --in")
-        return [load_universe(ext, args.order)]
-    hi = args.max_order
-    if hi > MAX_INTERNAL_ORDER:
-        raise GraphError(
-            f"internal universes stop at order {MAX_INTERNAL_ORDER}; "
-            "use --in for larger orders"
-        )
-    return [internal_universe(n) for n in range(min_order, hi + 1)]
+        universes = [load_universe(ext, args.order)]
+    else:
+        if args.max_order > MAX_INTERNAL_ORDER:
+            raise GraphError(
+                f"internal universes stop at order {MAX_INTERNAL_ORDER}; "
+                "use --in for larger orders"
+            )
+        universes = [internal_universe(n) for n in range(min_order, args.max_order + 1)]
+    # a report over no graph would read as verified
+    if not any(universes):
+        raise GraphError(f"nothing to check: {ext} has no graph" if ext else
+                         f"nothing to check: --max-order is below {min_order}")
+    return universes
 
 
 def _cmd_verify(args) -> int:
@@ -241,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="index values for graph6 input")
     p.add_argument("--in", default=None, help="graph6 file (default stdin)")
-    p.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL, help="zero tolerance")
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_ZERO_TOL, help="zero tolerance")
     _add_format_out(p)
     p.set_defaults(func=_cmd_index)
 
@@ -252,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="negative witnesses listed per order (>= 0)")
     p.add_argument("--witness-out", default=None,
                    help="dump negative witnesses as graph6 lines")
-    p.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL, help="zero tolerance")
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_ZERO_TOL, help="zero tolerance")
     _add_format_out(p)
     p.set_defaults(func=_cmd_scan)
 
@@ -271,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="expected order of the external universe")
     p.add_argument("--trials", type=int, default=10_000, help="p2 trials")
     p.add_argument("--seed", type=int, default=0, help="p2 RNG seed")
-    p.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL, help="zero tolerance")
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_ZERO_TOL, help="zero tolerance")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_verify)
 

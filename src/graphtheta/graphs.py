@@ -53,12 +53,6 @@ class Graph:
     degrees: tuple[int, ...]
     m: int
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 

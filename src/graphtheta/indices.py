@@ -81,10 +81,14 @@ class Sign(Enum):
 
 
 def sums_from_degree_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[float, float]:
-    """Compensated (abc, abs) sums over a stream of edge degree pairs."""
+    """Compensated (abc, abs) sums over a stream of edge degree pairs.
+
+    The terms are abc_edge and abs_edge written inline, without their
+    degree check: this is the per-tree scoring loop of the census.
+    """
     pairs = list(pairs)
-    abc = math.fsum(abc_edge(a, b) for a, b in pairs)
-    abs_ = math.fsum(abs_edge(a, b) for a, b in pairs)
+    abc = math.fsum(math.sqrt((a + b - 2) / (a * b)) for a, b in pairs)
+    abs_ = math.fsum(math.sqrt((a + b - 2) / (a + b)) for a, b in pairs)
     return abc, abs_
 
 
@@ -104,8 +108,8 @@ def index_report(g: Graph) -> IndexReport:
 
 
 def sign_of_gap(gap: float, tol: float = DEFAULT_ZERO_TOL) -> Sign:
-    if tol <= 0:
-        raise GraphError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:  # also false for NaN
+        raise GraphError(f"tolerance must be finite and positive, got {tol}")
     if abs(gap) <= tol:
         return Sign.ZERO_WITHIN_TOL
     return Sign.POSITIVE if gap > 0 else Sign.NEGATIVE

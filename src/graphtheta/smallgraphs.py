@@ -54,17 +54,9 @@ def _connected_reps(n: int) -> tuple[Graph, ...]:
     return tuple(g for _, g in sorted(seen.items()))
 
 
-def enumerate_connected(n: int) -> list[Graph]:
-    """All connected graphs of order n up to isomorphism, sorted by
-    canonical key.  Supported for 1 <= n <= 7."""
-    if not 1 <= n <= MAX_INTERNAL_ORDER:
-        raise GraphError(
-            f"internal enumeration supports 1 <= n <= {MAX_INTERNAL_ORDER}, got {n}"
-        )
-    return list(_connected_reps(n))
-
-
 def internal_universe(n: int) -> GraphUniverse:
+    """All connected graphs of order n up to isomorphism, sorted by
+    canonical key.  Supported for 1 <= n <= MAX_INTERNAL_ORDER."""
     if not 1 <= n <= MAX_INTERNAL_ORDER:
         raise GraphError(
             f"internal enumeration supports 1 <= n <= {MAX_INTERNAL_ORDER}, got {n}"

@@ -9,6 +9,7 @@ pendent-count hypotheses (t2, t3).
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -168,7 +169,8 @@ def _scan(
     if workers == 1:
         partials = [_scan_partition(jobs[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the executor may fork all its processes at once: no more than CPUs
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             partials = list(pool.map(_scan_partition, jobs))
     return _Scan(
         positive=sum(p.positive for p in partials),

@@ -1,4 +1,4 @@
-"""Pure-Python free-tree enumeration kernel.
+"""Isomorphism-free enumeration of free trees.
 
 Free trees of a given order are generated through canonical level
 sequences (depth-first depth lists of rooted trees, root depth 0).
@@ -8,16 +8,18 @@ centroid-rooted sequences so every free tree appears exactly once
 (Wright-Richmond-Odlyzko-McKay).  Correctness is anchored to a
 brute-force generate-and-dedup oracle in the test suite rather than to
 trust in the algorithm.
-
-This module mirrors the API of the compiled ``_speedups`` extension;
-:mod:`graphtheta.treegen` picks one of the two at import time.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterator
+from itertools import islice
+from typing import IO, Iterator
 
+from .graphs import Graph, from_edge_list
+from .graph6 import to_graph6
+from .indices import sums_from_degree_pairs
+
+# Which kernel runs; perfbench's set-up imports and records it.
 BACKEND = "python"
 
 
@@ -87,8 +89,8 @@ def _advance_to_free(seq: list[int] | None) -> list[int] | None:
 def free_tree_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """Yield the canonical level sequence of every free tree of order n.
 
-    Sequences are depth lists (root depth 0), emitted in a fixed order
-    independent of the backend.
+    Sequences are depth lists (root depth 0), emitted in a fixed order:
+    lexicographically decreasing, which is ascending graph6 order.
     """
     if n < 1:
         raise ValueError(f"tree order must be >= 1, got {n}")
@@ -135,7 +137,43 @@ def degree_pairs(seq: tuple[int, ...]) -> list[tuple[int, int]]:
 
 def abc_abs_sums(seq: tuple[int, ...]) -> tuple[float, float]:
     """Compensated (ABC, ABS) sums of the tree encoded by ``seq``."""
-    pairs = degree_pairs(seq)
-    abc = math.fsum(math.sqrt((a + b - 2) / (a * b)) for a, b in pairs)
-    abs_ = math.fsum(math.sqrt((a + b - 2) / (a + b)) for a, b in pairs)
-    return abc, abs_
+    return sums_from_degree_pairs(degree_pairs(seq))
+
+
+def sequence_to_graph(seq: tuple[int, ...]) -> Graph:
+    """Materialize the tree encoded by a 0-based depth sequence."""
+    par = parent_array(seq)
+    return from_edge_list(len(seq), [(par[i], i) for i in range(1, len(seq))])
+
+
+def enumerate_trees(n: int) -> Iterator[Graph]:
+    """Every free tree of order n exactly once, deterministic order."""
+    for seq in free_tree_sequences(n):
+        yield sequence_to_graph(seq)
+
+
+def count_trees(n: int) -> int:
+    """Number of free trees of order n, without materializing graphs."""
+    return sum(1 for _ in free_tree_sequences(n))
+
+
+def partitioned_sequences(n: int, parts: int, part: int) -> Iterator[tuple[int, ...]]:
+    """One slice of the canonical stream (every ``parts``-th sequence).
+
+    The slices for part = 0..parts-1 are disjoint and their union is
+    exactly ``free_tree_sequences(n)``.
+    """
+    if parts < 1:
+        raise ValueError(f"parts must be >= 1, got {parts}")
+    if not 0 <= part < parts:
+        raise ValueError(f"part must be in [0,{parts})")
+    return islice(free_tree_sequences(n), part, None, parts)
+
+
+def write_graph6_stream(n: int, out: IO[str]) -> int:
+    """Dump the tree stream as graph6 lines; returns the line count."""
+    count = 0
+    for g in enumerate_trees(n):
+        out.write(to_graph6(g) + "\n")
+        count += 1
+    return count

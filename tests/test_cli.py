@@ -158,6 +158,16 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "t1", "--max-order", "9")
         assert code == 2 and "order" in err
 
+    def test_max_order_below_statement_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "t1", "--max-order", "4")
+        assert code == 2 and "nothing to check" in err and out == ""
+
+    def test_empty_external_universe_exit_2(self, capsys, tmp_path):
+        inp = tmp_path / "empty.g6"
+        inp.write_text("# no graphs\n")
+        code, out, err = run(capsys, "verify", "t2", "--in", str(inp), "--order", "6")
+        assert code == 2 and "nothing to check" in err and out == ""
+
 
 class TestEnum:
     def test_trees(self, capsys):
@@ -228,3 +238,17 @@ def test_flags_a_subcommand_never_reads_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+@pytest.mark.parametrize("argv", [
+    ("index",),
+    ("scan", "11"),
+    ("verify", "t1", "--max-order", "5"),
+])
+def test_tol_not_finite_and_positive_is_rejected(capsys, argv, tol):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--tol: must be finite and > 0" in captured.err

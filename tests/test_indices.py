@@ -151,8 +151,9 @@ class TestSignOfGap:
         assert sign_of_gap(-1e-3, 1e-9) is Sign.NEGATIVE
 
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(GraphError):
-            sign_of_gap(0.1, 0.0)
+        for tol in (0.0, -1e-9, math.nan, math.inf):
+            with pytest.raises(GraphError):
+                sign_of_gap(0.1, tol)
 
 
 def test_extended_precision_matches_double():

@@ -5,7 +5,7 @@ import pytest
 from graphtheta.canon import canonical_key
 from graphtheta.graphs import GraphError, from_edge_list, is_connected
 from graphtheta.graph6 import to_graph6
-from graphtheta.smallgraphs import enumerate_connected, internal_universe, load_universe
+from graphtheta.smallgraphs import internal_universe, load_universe
 from graphtheta.treegen import enumerate_trees
 
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
@@ -25,12 +25,12 @@ def brute_force_connected(n):
 
 def test_counts_match_published_sequence():
     for n, expected in enumerate(CONNECTED_COUNTS, start=1):
-        assert len(enumerate_connected(n)) == expected
+        assert len(internal_universe(n)) == expected
 
 
 def test_agrees_with_edge_subset_brute_force():
     for n in range(1, 6):
-        fast = [canonical_key(g) for g in enumerate_connected(n)]
+        fast = [canonical_key(g) for g in internal_universe(n)]
         slow = [canonical_key(g) for g in brute_force_connected(n)]
         assert fast == slow
 
@@ -38,7 +38,7 @@ def test_agrees_with_edge_subset_brute_force():
 def test_all_emitted_graphs_connected_and_distinct():
     for n in range(1, 7):
         keys = set()
-        for g in enumerate_connected(n):
+        for g in internal_universe(n):
             assert g.n == n and is_connected(g)
             keys.add(canonical_key(g))
         assert len(keys) == CONNECTED_COUNTS[n - 1]
@@ -46,9 +46,9 @@ def test_all_emitted_graphs_connected_and_distinct():
 
 def test_order_bounds():
     with pytest.raises(GraphError):
-        enumerate_connected(8)
+        internal_universe(8)
     with pytest.raises(GraphError):
-        enumerate_connected(0)
+        internal_universe(0)
 
 
 class TestLoadUniverse:

@@ -33,6 +33,31 @@ class TestClassifyTrees:
         rec = survey.classify_trees(12, witness_cap=2)
         assert rec.negative == 6 and len(rec.negative_witnesses) == 2
 
+    def test_pool_has_no_more_processes_than_cpus(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            """Records the pool size asked for and runs the jobs here."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(survey, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(survey.os, "cpu_count", lambda: 4)
+        one = survey.classify_trees(12)
+        assert survey.classify_trees(12, workers=8) == one
+        assert survey.classify_trees(12, workers=3) == one
+        assert sizes == [4, 3]
+
 
 @functools.cache
 def ranked_by_abs_gap(n):

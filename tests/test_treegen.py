@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from graphtheta import treegen
@@ -13,7 +11,6 @@ from graphtheta.treegen import (
     partitioned_sequences,
     sequence_to_graph,
 )
-from graphtheta.treegen import _pure
 
 TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741]
 
@@ -103,20 +100,6 @@ def test_abc_abs_sums_match_reports():
         r = index_report(sequence_to_graph(seq))
         assert abc == pytest.approx(r.abc, abs=1e-13)
         assert abs_ == pytest.approx(r.abs, abs=1e-13)
-
-
-def test_backends_agree_if_extension_built():
-    speedups = pytest.importorskip("graphtheta.treegen._speedups")
-    for n in range(1, 13):
-        assert list(speedups.free_tree_sequences(n)) == list(
-            _pure.free_tree_sequences(n)
-        )
-    for seq in _pure.free_tree_sequences(11):
-        assert speedups.degree_pairs(seq) == _pure.degree_pairs(seq)
-        ca, cb = speedups.abc_abs_sums(seq)
-        pa, pb = _pure.abc_abs_sums(seq)
-        assert math.isclose(ca, pa, abs_tol=1e-14)
-        assert math.isclose(cb, pb, abs_tol=1e-14)
 
 
 def test_graph6_stream(tmp_path):
