@@ -15,7 +15,6 @@ from .graphs import (
     from_edge_list,
     is_connected,
     min_degree,
-    pendent_vertices,
     subdivide_at_degree2,
 )
 from .canon import canonical_key
@@ -23,12 +22,7 @@ from .graph6 import parse_graph6, to_graph6
 from .indices import (
     IndexReport,
     Sign,
-    abc_edge,
-    abs_edge,
-    edge_margin,
     index_report,
-    randic_edge,
-    sc_edge,
     sign_of_gap,
 )
 
@@ -43,19 +37,13 @@ __all__ = [
     "Sign",
     "VertexOutOfRange",
     "__version__",
-    "abc_edge",
-    "abs_edge",
     "canonical_key",
     "classify_shape",
-    "edge_margin",
     "from_edge_list",
     "index_report",
     "is_connected",
     "min_degree",
     "parse_graph6",
-    "pendent_vertices",
-    "randic_edge",
-    "sc_edge",
     "sign_of_gap",
     "subdivide_at_degree2",
     "to_graph6",

@@ -25,7 +25,7 @@ from contextlib import ExitStack, contextmanager, suppress
 from typing import IO, Iterator, Sequence
 
 from . import __version__, survey, treegen
-from .graphs import GraphError, is_connected
+from .graphs import GraphError
 from .graph6 import parse_graph6, to_graph6
 from .indices import DEFAULT_ZERO_TOL, index_report, sign_of_gap
 from .smallgraphs import MAX_INTERNAL_ORDER, internal_universe, load_universe
@@ -133,8 +133,6 @@ def _cmd_index(args) -> int:
                 continue
             try:
                 g = parse_graph6(line)
-                if not is_connected(g):
-                    raise GraphError("graph is not connected")
                 r = index_report(g)
             except GraphError as exc:
                 print(f"line {lineno}: {exc}", file=sys.stderr)
@@ -207,14 +205,15 @@ def _universes_for(args, min_order: int) -> list:
 
 def _cmd_verify(args) -> int:
     if args.statement == "p2":
+        # without --tol, p2 keeps the default of its verifier's signature
+        kwargs = {} if args.tol is None else {"tol": args.tol}
         report = survey.verify_subdivision_invariance(
-            trials=args.trials, seed=args.seed, tol=1e-12
+            trials=args.trials, seed=args.seed, **kwargs
         )
     else:
         statement = survey.STATEMENTS[args.statement]
-        tol = args.tol if statement.tol is None else statement.tol
         report = survey.verify_statement(
-            statement, _universes_for(args, statement.min_order), tol
+            statement, _universes_for(args, statement.min_order), args.tol
         )
     with ExitStack() as stack:
         out = _open_out(stack, args.out)
@@ -285,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="expected order of the external universe")
     p.add_argument("--trials", type=int, default=10_000, help="p2 trials")
     p.add_argument("--seed", type=int, default=0, help="p2 RNG seed")
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_ZERO_TOL, help="zero tolerance")
+    p.add_argument("--tol", type=_tolerance, default=None,
+                   help="zero tolerance (default: the statement's own)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_verify)
 

@@ -36,7 +36,6 @@ class DisconnectedGraphError(GraphError):
 class Shape(Enum):
     PATH = "path"
     CYCLE = "cycle"
-    STAR = "star"
     OTHER = "other"
 
 
@@ -113,11 +112,6 @@ def is_connected(g: Graph) -> bool:
     return count == g.n
 
 
-def pendent_vertices(g: Graph) -> list[int]:
-    """Vertices of degree one, ascending."""
-    return [v for v in range(g.n) if g.degrees[v] == 1]
-
-
 def min_degree(g: Graph) -> int:
     return min(g.degrees)
 
@@ -148,7 +142,7 @@ def subdivide_at_degree2(g: Graph, x: int, e: tuple[int, int]) -> Graph:
 
 
 def classify_shape(g: Graph) -> Shape:
-    """Classify a connected graph as path, cycle, star, or other."""
+    """Classify a connected graph as path, cycle, or other."""
     if not is_connected(g):
         raise DisconnectedGraphError("shape classification needs a connected graph")
     if g.n <= 2:
@@ -160,6 +154,4 @@ def classify_shape(g: Graph) -> Shape:
         return Shape.CYCLE
     if counts.get(1) == 2 and counts.get(2, 0) == g.n - 2:
         return Shape.PATH
-    if counts.get(1) == g.n - 1 and counts.get(g.n - 1) == 1:
-        return Shape.STAR
     return Shape.OTHER

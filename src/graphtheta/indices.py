@@ -1,8 +1,11 @@
 """Degree-based topological indices and the ABC-ABS gap.
 
-Per-edge contributions take the degree pair (d_u, d_v) so they can be
-evaluated without a Graph at hand (the tree census works directly on
-degree pairs extracted from level sequences).
+Each index is a sum over the edges of a term in the degree pair
+(d_u, d_v): Randic 1/sqrt(d_u*d_v), sum-connectivity 1/sqrt(d_u+d_v),
+ABC sqrt((d_u+d_v-2)/(d_u*d_v)) and ABS sqrt((d_u+d_v-2)/(d_u+d_v)).
+Each term is written once: ABC and ABS in ``sums_from_degree_pairs``,
+which the tree census runs on degree pairs without a Graph, and R and
+SC in ``index_report``.
 
 Whole-graph values are accumulated with ``math.fsum`` (exactly rounded
 compensated summation): the surveys turn on the sign of gaps as small
@@ -21,46 +24,6 @@ import mpmath
 from .graphs import Graph, DisconnectedGraphError, GraphError, is_connected
 
 DEFAULT_ZERO_TOL = 1e-9
-
-
-def _check_degrees(du: int, dv: int) -> None:
-    if du < 1 or dv < 1:
-        raise GraphError(f"degrees must be positive, got ({du},{dv})")
-
-
-def randic_edge(du: int, dv: int) -> float:
-    """Randic (product-connectivity) contribution 1/sqrt(d_u*d_v)."""
-    _check_degrees(du, dv)
-    return 1.0 / math.sqrt(du * dv)
-
-
-def sc_edge(du: int, dv: int) -> float:
-    """Sum-connectivity contribution 1/sqrt(d_u+d_v)."""
-    _check_degrees(du, dv)
-    return 1.0 / math.sqrt(du + dv)
-
-
-def abc_edge(du: int, dv: int) -> float:
-    """Atom-bond-connectivity contribution sqrt((d_u+d_v-2)/(d_u*d_v))."""
-    _check_degrees(du, dv)
-    return math.sqrt((du + dv - 2) / (du * dv))
-
-
-def abs_edge(du: int, dv: int) -> float:
-    """Atom-bond sum-connectivity contribution sqrt((d_u+d_v-2)/(d_u+d_v))."""
-    _check_degrees(du, dv)
-    return math.sqrt((du + dv - 2) / (du + dv))
-
-
-def edge_margin(x: int, y: int) -> float:
-    """abs_edge(x,y) - abc_edge(x,y) for y >= x >= 1, y >= 2.
-
-    Strictly increasing in each argument over integer degrees; negative
-    exactly when x = 1.
-    """
-    if not (1 <= x <= y and y >= 2):
-        raise GraphError(f"edge_margin needs y >= x >= 1 and y >= 2, got ({x},{y})")
-    return abs_edge(x, y) - abc_edge(x, y)
 
 
 @dataclass(frozen=True)
@@ -83,8 +46,8 @@ class Sign(Enum):
 def sums_from_degree_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[float, float]:
     """Compensated (abc, abs) sums over a stream of edge degree pairs.
 
-    The terms are abc_edge and abs_edge written inline, without their
-    degree check: this is the per-tree scoring loop of the census.
+    Degrees must be positive; they are not checked, since this is the
+    per-tree scoring loop of the census.
     """
     pairs = list(pairs)
     abc = math.fsum(math.sqrt((a + b - 2) / (a * b)) for a, b in pairs)
@@ -95,12 +58,12 @@ def sums_from_degree_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[float, flo
 def index_report(g: Graph) -> IndexReport:
     """Evaluate R, SC, ABC, ABS and the gap on a connected graph."""
     if not is_connected(g):
-        raise DisconnectedGraphError("index_report needs a connected graph")
+        raise DisconnectedGraphError("graph is not connected")
     pairs = list(g.edge_degree_pairs())
     abc, abs_ = sums_from_degree_pairs(pairs)
     return IndexReport(
-        randic=math.fsum(randic_edge(a, b) for a, b in pairs),
-        sum_connectivity=math.fsum(sc_edge(a, b) for a, b in pairs),
+        randic=math.fsum(1.0 / math.sqrt(a * b) for a, b in pairs),
+        sum_connectivity=math.fsum(1.0 / math.sqrt(a + b) for a, b in pairs),
         abc=abc,
         abs=abs_,
         gap=abc - abs_,

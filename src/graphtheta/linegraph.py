@@ -1,8 +1,7 @@
-"""Line-graph construction, recognition, and pendent-path queries."""
+"""Line-graph construction and recognition."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import Graph, GraphError, from_edge_list, is_connected
@@ -30,15 +29,6 @@ def line_graph(k: Graph) -> Graph:
     return from_edge_list(len(edges), set(out))
 
 
-@dataclass(frozen=True)
-class RecognitionResult:
-    is_line_graph: bool
-    witness: tuple[int, ...] | None  # violating vertex set when False
-
-    def __bool__(self) -> bool:
-        return self.is_line_graph
-
-
 def _triangles(g: Graph) -> list[tuple[int, int, int]]:
     return [
         (a, b, c)
@@ -56,7 +46,7 @@ def _is_odd_triangle(g: Graph, tri: tuple[int, int, int]) -> bool:
     return False
 
 
-def is_line_graph(g: Graph, max_order: int = RECOGNITION_MAX_ORDER) -> RecognitionResult:
+def is_line_graph(g: Graph, max_order: int = RECOGNITION_MAX_ORDER) -> bool:
     """Recognize line graphs by the claw / odd-triangle criterion.
 
     ``g`` is a line graph iff it has no induced star on 4 vertices and
@@ -72,7 +62,7 @@ def is_line_graph(g: Graph, max_order: int = RECOGNITION_MAX_ORDER) -> Recogniti
     for v in range(g.n):
         for a, b, c in combinations(g.adj[v], 3):
             if not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c)):
-                return RecognitionResult(False, tuple(sorted((v, a, b, c))))
+                return False
     # odd triangle pairs sharing an edge
     tris = _triangles(g)
     odd = [t for t in tris if _is_odd_triangle(g, t)]
@@ -82,59 +72,5 @@ def is_line_graph(g: Graph, max_order: int = RECOGNITION_MAX_ORDER) -> Recogniti
             continue
         if all(g.has_edge(a, b) for a, b in combinations(union, 2)):
             continue
-        return RecognitionResult(False, tuple(union))
-    return RecognitionResult(True, None)
-
-
-@dataclass(frozen=True)
-class PendentPath:
-    """Maximal path from a leaf through degree-2 vertices to a
-    branching vertex."""
-
-    vertices: tuple[int, ...]  # leaf first, attach vertex last
-    attach_vertex: int
-    length: int  # edge count
-
-    def __post_init__(self):
-        if len(self.vertices) < 2:
-            raise GraphError("pendent path needs at least two vertices")
-
-
-def pendent_paths(g: Graph) -> list[PendentPath]:
-    """All maximal pendent paths, sorted by leaf vertex id.
-
-    Rejects graphs without a branching vertex (paths and cycles have
-    no pendent paths in this sense).
-    """
-    if not is_connected(g):
-        raise GraphError("pendent-path detection needs a connected graph")
-    if max(g.degrees) < 3:
-        raise GraphError("graph has no branching vertex")
-    paths = []
-    for leaf in range(g.n):
-        if g.degrees[leaf] != 1:
-            continue
-        vertices = [leaf]
-        prev, cur = leaf, g.adj[leaf][0]
-        while g.degrees[cur] == 2:
-            vertices.append(cur)
-            nxt = g.adj[cur][0] if g.adj[cur][0] != prev else g.adj[cur][1]
-            prev, cur = cur, nxt
-        vertices.append(cur)
-        paths.append(
-            PendentPath(
-                vertices=tuple(vertices),
-                attach_vertex=cur,
-                length=len(vertices) - 1,
-            )
-        )
-    return paths
-
-
-def adjacent_pendent_pairs(g: Graph) -> int:
-    """Number of unordered pairs of pendent paths sharing their attach
-    vertex."""
-    counts: dict[int, int] = {}
-    for p in pendent_paths(g):
-        counts[p.attach_vertex] = counts.get(p.attach_vertex, 0) + 1
-    return sum(c * (c - 1) // 2 for c in counts.values())
+        return False
+    return True

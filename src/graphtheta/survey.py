@@ -288,7 +288,7 @@ class Statement:
     conclusion: Callable[[Graph, float, float], bool]  # (graph, gap, tol)
     min_order: int  # smallest internal universe order the CLI checks
     reports_margin: bool  # report the smallest -gap over the hypothesis graphs
-    tol: float | None = None  # fixed CLI tolerance; None reads --tol
+    tol: float  # zero tolerance when the caller gives none
 
 
 def _min_degree2(g: Graph) -> bool:
@@ -336,9 +336,12 @@ STATEMENTS = {
         Statement("p1", _min_degree2, None, _zero_exactly_on_cycles, 1, False, 1e-12),
         # line_graph is looked up per call, so a wrapper installed on
         # survey.line_graph (perfbench/tracer.py) sees every call
-        Statement("t1", _line_graph_root, lambda k: line_graph(k), _gap_negative, 5, True),
-        Statement("t2", bounded_pendents_no_degree2, None, _gap_negative, 1, True),
-        Statement("t3", bounded_pendents_isolated_degree2, None, _gap_negative, 1, True),
+        Statement("t1", _line_graph_root, lambda k: line_graph(k), _gap_negative, 5, True,
+                  DEFAULT_ZERO_TOL),
+        Statement("t2", bounded_pendents_no_degree2, None, _gap_negative, 1, True,
+                  DEFAULT_ZERO_TOL),
+        Statement("t3", bounded_pendents_isolated_degree2, None, _gap_negative, 1, True,
+                  DEFAULT_ZERO_TOL),
     )
 }
 
@@ -346,9 +349,12 @@ STATEMENTS = {
 def verify_statement(
     statement: Statement,
     universes: GraphUniverse | Sequence[GraphUniverse],
-    tol: float,
+    tol: float | None = None,
 ) -> VerificationReport:
-    """Check ``statement`` on every graph of ``universes``."""
+    """Check ``statement`` on every graph of ``universes`` at ``tol``
+    (None: the statement's own tolerance)."""
+    if tol is None:
+        tol = statement.tol
     if isinstance(universes, GraphUniverse):
         universes = [universes]
     t0 = time.perf_counter()
@@ -380,7 +386,7 @@ def verify_statement(
 
 def verify_min_degree2(
     universes: GraphUniverse | Sequence[GraphUniverse],
-    tol: float = 1e-12,
+    tol: float | None = None,
 ) -> VerificationReport:
     """p1: min degree >= 2 forces gap <= 0, zero exactly on cycles."""
     return verify_statement(STATEMENTS["p1"], universes, tol)
@@ -388,19 +394,19 @@ def verify_min_degree2(
 
 def verify_line_graphs(
     universes: GraphUniverse | Sequence[GraphUniverse],
-    tol: float = DEFAULT_ZERO_TOL,
+    tol: float | None = None,
 ) -> VerificationReport:
     """t1: the line graph of any connected root of order >= 5 other
     than a path or cycle has ABS > ABC (gap strictly negative)."""
     return verify_statement(STATEMENTS["t1"], universes, tol)
 
 
-def verify_no_degree2_bound(universes, tol: float = DEFAULT_ZERO_TOL) -> VerificationReport:
+def verify_no_degree2_bound(universes, tol: float | None = None) -> VerificationReport:
     """t2: the no-degree-2 / bounded-pendent hypothesis forces ABS > ABC."""
     return verify_statement(STATEMENTS["t2"], universes, tol)
 
 
-def verify_isolated_degree2_bound(universes, tol: float = DEFAULT_ZERO_TOL) -> VerificationReport:
+def verify_isolated_degree2_bound(universes, tol: float | None = None) -> VerificationReport:
     """t3: the isolated-degree-2 / bounded-pendent hypothesis forces
     ABS > ABC."""
     return verify_statement(STATEMENTS["t3"], universes, tol)

@@ -27,3 +27,13 @@ def test_setup_py_build_imports(tmp_path):
     backend, count, path = proc.stdout.split()
     assert (backend, count) == ("python", "106")
     assert Path(path) == lib / "graphtheta" / "treegen.py"
+
+
+def test_star_import_resolves_every_public_name():
+    # a stale __all__ entry would only fail for `from graphtheta import *` users
+    import graphtheta
+
+    namespace = {}
+    exec("from graphtheta import *", namespace)
+    assert set(graphtheta.__all__) <= namespace.keys()
+    assert len(graphtheta.__all__) == len(set(graphtheta.__all__))

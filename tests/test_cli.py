@@ -54,6 +54,14 @@ class TestIndex:
         assert "line 2" in err
         assert len(out.splitlines()) == 3  # schema + header + 1 good row
 
+    def test_disconnected_line_exit_2(self, capsys, tmp_path):
+        inp = tmp_path / "split.g6"
+        inp.write_text("C?\nA_\n")  # 4 isolated vertices, then K_2
+        code, out, err = run(capsys, "index", "--in", str(inp))
+        assert code == 2
+        assert err == "line 1: graph is not connected\n"
+        assert out.splitlines()[2:] == ["A_,2,1,1,0.707106781,0,0,0,zero"]
+
     def test_json_format(self, capsys, tmp_path):
         inp = tmp_path / "p5.g6"
         inp.write_text(to_graph6(path_graph(5)) + "\n")
@@ -130,6 +138,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "p1", "--max-order", "5")
         assert code == 0
         assert json.loads(out)["conclusion_failures"] == []
+
+    def test_p1_reads_tol(self, capsys):
+        # at tol 100 every gap is "zero", so each non-cycle is a counterexample
+        code, out, err = run(capsys, "verify", "p1", "--max-order", "4", "--tol", "100")
+        assert code == 1
+        assert json.loads(out)["conclusion_failures"] == ["Cv", "C~"]
+        assert "counterexample: Cv" in err and "counterexample: C~" in err
+
+    def test_p2_reads_tol(self, capsys):
+        # at tol 1e-300, rounding differences between the two gaps count
+        code, out, _ = run(capsys, "verify", "p2", "--trials", "300", "--seed", "9",
+                           "--tol", "1e-300")
+        assert code == 1 and json.loads(out)["conclusion_failures"]
 
     def test_p2_reproducible(self, capsys):
         code1, out1, _ = run(capsys, "verify", "p2", "--trials", "300", "--seed", "9")

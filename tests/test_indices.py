@@ -5,13 +5,8 @@ import pytest
 from graphtheta.graphs import DisconnectedGraphError, GraphError, from_edge_list
 from graphtheta.indices import (
     Sign,
-    abc_edge,
-    abs_edge,
-    edge_margin,
     gap_extended_precision,
     index_report,
-    randic_edge,
-    sc_edge,
     sign_of_gap,
     sums_from_degree_pairs,
 )
@@ -20,6 +15,21 @@ from conftest import cycle_graph, path_graph, star_graph
 
 # gap of every path P_n, n >= 3: sqrt(2) - 2/sqrt(3), independent of n
 PATH_GAP = 0.2595130239938436
+
+
+def abc_edge(a, b):
+    """The ABC term of one edge, as the census computes it."""
+    return sums_from_degree_pairs([(a, b)])[0]
+
+
+def abs_edge(a, b):
+    """The ABS term of one edge, as the census computes it."""
+    return sums_from_degree_pairs([(a, b)])[1]
+
+
+def margin(x, y):
+    """ABS - ABC of one edge with end degrees x and y."""
+    return abs_edge(x, y) - abc_edge(x, y)
 
 
 class TestEdgeFunctions:
@@ -34,14 +44,17 @@ class TestEdgeFunctions:
         assert abs_edge(1, 2) == pytest.approx(1 / math.sqrt(3), abs=1e-15)
 
     def test_randic_and_sc(self):
-        assert randic_edge(2, 2) == pytest.approx(0.5, abs=1e-15)
-        assert sc_edge(2, 2) == pytest.approx(0.5, abs=1e-15)
-        assert randic_edge(1, 4) == pytest.approx(0.5, abs=1e-15)
-
-    def test_rejects_nonpositive_degree(self):
-        for fn in (abc_edge, abs_edge, randic_edge, sc_edge):
-            with pytest.raises(GraphError):
-                fn(0, 3)
+        # closed forms: K_2, C_n (every term 1/2), K_{1,4} (four (1,4) edges)
+        r = index_report(from_edge_list(2, [(0, 1)]))
+        assert r.randic == 1.0
+        assert r.sum_connectivity == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        for n in (3, 6, 9):
+            r = index_report(cycle_graph(n))
+            assert r.randic == pytest.approx(n / 2, abs=1e-12)
+            assert r.sum_connectivity == pytest.approx(n / 2, abs=1e-12)
+        r = index_report(star_graph(4))
+        assert r.randic == pytest.approx(2.0, abs=1e-15)
+        assert r.sum_connectivity == pytest.approx(4 / math.sqrt(5), abs=1e-15)
 
     def test_product_vs_sum_kernel(self):
         # min degree >= 2 forces d_u*d_v >= d_u+d_v, so abc <= abs,
@@ -67,33 +80,27 @@ class TestEdgeMargin:
         ],
     )
     def test_reference_values(self, x, y, expected):
-        assert edge_margin(x, y) == pytest.approx(expected, abs=5e-6)
+        assert margin(x, y) == pytest.approx(expected, abs=5e-6)
 
     def test_negative_iff_pendent(self):
         for y in range(2, 51):
-            assert edge_margin(1, y) < 0
+            assert margin(1, y) < 0
         for x in range(2, 51):
             for y in range(max(x, 3), 51):
-                assert edge_margin(x, y) > 0 or (x, y) == (2, 2)
-        assert edge_margin(2, 2) == 0.0
+                assert margin(x, y) > 0 or (x, y) == (2, 2)
+        assert margin(2, 2) == 0.0
 
     def test_strictly_increasing_each_argument(self):
         for x in range(1, 50):
             for y in range(max(x, 2), 50):
-                assert edge_margin(x, y + 1) > edge_margin(x, y)
+                assert margin(x, y + 1) > margin(x, y)
                 if x + 1 <= y:
-                    assert edge_margin(x + 1, y) > edge_margin(x, y)
+                    assert margin(x + 1, y) > margin(x, y)
 
     def test_pendent_plus_heavy_pair_positive(self):
         # margin(1,y) + margin(y-1,y) > 0 for y >= 4
         for y in range(4, 51):
-            assert edge_margin(1, y) + edge_margin(y - 1, y) > 0
-
-    def test_domain_enforced(self):
-        with pytest.raises(GraphError):
-            edge_margin(3, 2)
-        with pytest.raises(GraphError):
-            edge_margin(1, 1)
+            assert margin(1, y) + margin(y - 1, y) > 0
 
 
 class TestIndexReport:
