@@ -183,6 +183,23 @@ def _cmd_near_ties(args) -> int:
     return 0
 
 
+DEFAULT_MAX_ORDER = 6  # of the internal universes verify checks
+
+
+def _reject_unread_verify_flags(args) -> None:
+    """Raise ValueError on a flag given to ``verify`` that its statement
+    would not read."""
+    ext = getattr(args, "in")
+    if args.statement == "p2":
+        where, unread = "verify p2", ("in", "order", "max_order")
+    else:
+        where = f"verify {args.statement}" + (" with --in" if ext else "")
+        unread = ("trials", "seed", "max_order" if ext else "order")
+    given = ["--" + a.replace("_", "-") for a in unread if getattr(args, a) is not None]
+    if given:
+        raise ValueError(f"{where} does not read {', '.join(given)}")
+
+
 def _universes_for(args, min_order: int) -> list:
     ext = getattr(args, "in")
     if ext:
@@ -190,12 +207,13 @@ def _universes_for(args, min_order: int) -> list:
             raise GraphError("--order is required with --in")
         universes = [load_universe(ext, args.order)]
     else:
-        if args.max_order > MAX_INTERNAL_ORDER:
+        max_order = DEFAULT_MAX_ORDER if args.max_order is None else args.max_order
+        if max_order > MAX_INTERNAL_ORDER:
             raise GraphError(
                 f"internal universes stop at order {MAX_INTERNAL_ORDER}; "
                 "use --in for larger orders"
             )
-        universes = [internal_universe(n) for n in range(min_order, args.max_order + 1)]
+        universes = [internal_universe(n) for n in range(min_order, max_order + 1)]
     # a report over no graph would read as verified
     if not any(universes):
         raise GraphError(f"nothing to check: {ext} has no graph" if ext else
@@ -204,12 +222,12 @@ def _universes_for(args, min_order: int) -> list:
 
 
 def _cmd_verify(args) -> int:
+    _reject_unread_verify_flags(args)
     if args.statement == "p2":
-        # without --tol, p2 keeps the default of its verifier's signature
-        kwargs = {} if args.tol is None else {"tol": args.tol}
-        report = survey.verify_subdivision_invariance(
-            trials=args.trials, seed=args.seed, **kwargs
-        )
+        # p2 gets only the flags given; the rest keep its verifier's defaults
+        report = survey.verify_subdivision_invariance(**{
+            k: getattr(args, k) for k in ("trials", "seed", "tol") if getattr(args, k) is not None
+        })
     else:
         statement = survey.STATEMENTS[args.statement]
         report = survey.verify_statement(
@@ -277,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a statement over a universe")
     p.add_argument("statement", choices=sorted({*survey.STATEMENTS, "p2"}))
-    p.add_argument("--max-order", type=int, default=6,
-                   help="largest internal universe order")
+    p.add_argument("--max-order", type=int, default=None,
+                   help=f"largest internal universe order (default {DEFAULT_MAX_ORDER})")
     p.add_argument("--in", default=None, help="external graph6 universe")
     p.add_argument("--order", type=int, default=None,
                    help="expected order of the external universe")
-    p.add_argument("--trials", type=int, default=10_000, help="p2 trials")
-    p.add_argument("--seed", type=int, default=0, help="p2 RNG seed")
+    p.add_argument("--trials", type=int, default=None, help="p2 trials")
+    p.add_argument("--seed", type=int, default=None, help="p2 RNG seed")
     p.add_argument("--tol", type=_tolerance, default=None,
                    help="zero tolerance (default: the statement's own)")
     p.add_argument("--out", default=None, help="output path (default stdout)")

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from enum import Enum
 from typing import Iterable
-
-import mpmath
 
 from .graphs import Graph, DisconnectedGraphError, GraphError, is_connected
 
 DEFAULT_ZERO_TOL = 1e-9
+RECHECK_DIGITS = 50  # decimal digits of gap_extended_precision
 
 
 @dataclass(frozen=True)
@@ -78,15 +78,14 @@ def sign_of_gap(gap: float, tol: float = DEFAULT_ZERO_TOL) -> Sign:
     return Sign.POSITIVE if gap > 0 else Sign.NEGATIVE
 
 
-def gap_extended_precision(pairs: Iterable[tuple[int, int]], dps: int = 50) -> mpmath.mpf:
-    """Re-evaluate the ABC - ABS gap at ``dps`` decimal digits.
+def gap_extended_precision(pairs: Iterable[tuple[int, int]]) -> Decimal:
+    """Re-evaluate the ABC - ABS gap at RECHECK_DIGITS decimal digits, with
+    correctly rounded square roots (``Decimal.sqrt``).
 
     Used to confirm that a near-zero double-precision gap is not a
     rounding artifact before it is reported as a true tie.
     """
-    with mpmath.workdps(dps):
-        total = mpmath.mpf(0)
-        for a, b in pairs:
-            e = mpmath.mpf(a + b - 2)
-            total += mpmath.sqrt(e / (a * b)) - mpmath.sqrt(e / (a + b))
-        return total
+    with localcontext() as ctx:  # localcontext(prec=...) needs Python 3.11
+        ctx.prec = RECHECK_DIGITS
+        terms = ((Decimal(a + b - 2), a * b, a + b) for a, b in pairs)
+        return sum(((e / p).sqrt() - (e / s).sqrt() for e, p, s in terms), Decimal(0))

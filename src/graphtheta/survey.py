@@ -37,7 +37,8 @@ from .linegraph import line_graph
 from .smallgraphs import GraphUniverse
 
 DEFAULT_WITNESS_CAP = 100
-RECHECK_DPS = 50
+NEGATIVE_SEARCH_MAX_ORDER = 20  # smallest_negative_tree gives up past this order
+P2_MAX_ORDER = 12  # largest order of verify_subdivision_invariance's random graphs
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ class _Scan:
     near: list = field(default_factory=list)
     # (index, sequence) of the first witness_cap negative trees
     witnesses: list = field(default_factory=list)
-    # (index, sequence, gap, gap at RECHECK_DPS digits) of every |gap| <= tol,
+    # (index, sequence, gap, gap_extended_precision) of every |gap| <= tol,
     # kept only when the caller asks (near_zero_candidates)
     rechecked: list = field(default_factory=list)
 
@@ -135,7 +136,7 @@ def _scan_partition(args) -> _Scan:
         sign = sign_of_gap(gap, tol)
         if sign is Sign.ZERO_WITHIN_TOL:
             # re-verify at extended precision before counting as zero
-            hp = gap_extended_precision(treegen.degree_pairs(seq), RECHECK_DPS)
+            hp = gap_extended_precision(treegen.degree_pairs(seq))
             if keep_rechecked:
                 s.rechecked.append((idx, seq, gap, float(hp)))
             if abs(hp) > tol:
@@ -253,13 +254,11 @@ class NegativeTreeResult:
     unique: bool
 
 
-def smallest_negative_tree(
-    tol: float = DEFAULT_ZERO_TOL, max_order: int = 20
-) -> NegativeTreeResult:
+def smallest_negative_tree(tol: float = DEFAULT_ZERO_TOL) -> NegativeTreeResult:
     """Scan orders 3, 4, ... and return the first tree whose census sign
     at ``tol`` is negative (ABC < ABS); among several, the smallest
     graph6 string, which is the first in stream order."""
-    for n in range(3, max_order + 1):
+    for n in range(3, NEGATIVE_SEARCH_MAX_ORDER + 1):
         scan = _scan(n, tol, 1, 1, 1)
         if scan.negative:
             seq = scan.witnesses[0][1]
@@ -271,7 +270,7 @@ def smallest_negative_tree(
                 gap=abc - abs_,
                 unique=scan.negative == 1,
             )
-    raise RuntimeError(f"no negative tree found up to order {max_order}")
+    raise RuntimeError(f"no negative tree found up to order {NEGATIVE_SEARCH_MAX_ORDER}")
 
 
 # --- statement verifiers ----------------------------------------------
@@ -420,7 +419,6 @@ def verify_subdivision_invariance(
     trials: int = 10_000,
     seed: int = 0,
     tol: float = 1e-12,
-    max_order: int = 12,
 ) -> VerificationReport:
     """p2: inserting a vertex on an edge at a degree-2 vertex keeps the
     gap fixed.  Randomized trees and unicyclic graphs, seeded."""
@@ -431,7 +429,7 @@ def verify_subdivision_invariance(
     checked = 0
     failures = []
     while checked < trials:
-        n = rng.randint(3, max_order)
+        n = rng.randint(3, P2_MAX_ORDER)
         edges = _random_tree_edges(rng, n)
         if rng.random() < 0.5:
             non_edges = [

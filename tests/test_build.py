@@ -4,11 +4,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
+# runs the CLI with mpmath unimportable, as on an install with no extra
+NO_MPMATH_CLI = """\
+import sys
+sys.modules["mpmath"] = None
+from graphtheta.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
-def test_setup_py_build_imports(tmp_path):
+
+@pytest.fixture(scope="module")
+def built_lib(tmp_path_factory):
     # perfbench builds the package this way and imports the result
+    tmp_path = tmp_path_factory.mktemp("build")
     source = tmp_path / "source"
     shutil.copytree(ROOT / "src", source / "src",
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
@@ -19,14 +31,35 @@ def test_setup_py_build_imports(tmp_path):
         [sys.executable, "setup.py", "-q", "build", "--build-base", str(tmp_path / "build"),
          "--build-lib", str(lib)],
         cwd=source, check=True, capture_output=True, timeout=300)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import graphtheta.treegen as t; print(t.BACKEND, t.count_trees(10), t.__file__)"],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(lib)},
-        check=True, capture_output=True, text=True, timeout=120)
+    return lib
+
+
+def run_built(lib, argv, **kwargs):
+    return subprocess.run(
+        [sys.executable, *argv], cwd=lib.parent, env={**os.environ, "PYTHONPATH": str(lib)},
+        capture_output=True, text=True, timeout=120, **kwargs)
+
+
+def test_setup_py_build_imports(built_lib):
+    proc = run_built(built_lib, [
+        "-c", "import graphtheta.treegen as t; print(t.BACKEND, t.count_trees(10), t.__file__)"],
+        check=True)
     backend, count, path = proc.stdout.split()
     assert (backend, count) == ("python", "106")
-    assert Path(path) == lib / "graphtheta" / "treegen.py"
+    assert Path(path) == built_lib / "graphtheta" / "treegen.py"
+
+
+def test_built_cli_runs_without_mpmath(built_lib):
+    scan = run_built(built_lib, ["-c", NO_MPMATH_CLI, "scan", "11"])
+    assert scan.returncode == 0, scan.stderr
+    assert ",235,234,1,0," in scan.stdout
+    # at tol 0.02 one tree of order 11 is rechecked at 50 digits and stays zero
+    rechecked = run_built(built_lib, ["-c", NO_MPMATH_CLI, "scan", "11", "--tol", "0.02"])
+    assert rechecked.returncode == 0, rechecked.stderr
+    assert ",235,233,1,1," in rechecked.stdout
+    index = run_built(built_lib, ["-c", NO_MPMATH_CLI, "index"], input="A_\n")
+    assert index.returncode == 0, index.stderr
+    assert "\nA_,2,1," in index.stdout
 
 
 def test_star_import_resolves_every_public_name():

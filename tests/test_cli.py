@@ -183,6 +183,21 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "t1", "--max-order", "4")
         assert code == 2 and "nothing to check" in err and out == ""
 
+    @pytest.mark.parametrize("argv, unread", [
+        ("p2 --in k2.g6 --order 2 --max-order 99", "--in, --order, --max-order"),
+        ("p2 --max-order 5", "--max-order"),
+        ("t1 --max-order 5 --trials 7 --seed 3", "--trials, --seed"),
+        ("p1 --max-order 4 --order 5", "--order"),
+        ("p1 --in k2.g6 --order 2 --max-order 9", "--max-order"),
+        ("t3 --in k2.g6 --order 2 --seed 1", "--seed"),
+    ])
+    def test_unread_flag_exit_2(self, capsys, tmp_path, monkeypatch, argv, unread):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "k2.g6").write_text("A_\n")
+        code, out, err = run(capsys, "verify", *argv.split())
+        assert code == 2 and out == ""
+        assert err.endswith(f"does not read {unread}\n")
+
     def test_empty_external_universe_exit_2(self, capsys, tmp_path):
         inp = tmp_path / "empty.g6"
         inp.write_text("# no graphs\n")

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -167,3 +168,18 @@ def test_extended_precision_matches_double():
     g = path_graph(9)
     hp = gap_extended_precision(g.edge_degree_pairs())
     assert float(hp) == pytest.approx(index_report(g).gap, abs=1e-14)
+
+
+def test_extended_precision_matches_mpmath_at_60_digits():
+    # seeded random degree-pair lists against an independent oracle
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20240817)
+    with mpmath.workdps(60):
+        for _ in range(500):
+            pairs = [(rng.randint(1, 60), rng.randint(1, 60))
+                     for _ in range(rng.randint(1, 30))]
+            ref = mpmath.fsum(
+                mpmath.sqrt(mpmath.mpf(a + b - 2) / (a * b))
+                - mpmath.sqrt(mpmath.mpf(a + b - 2) / (a + b)) for a, b in pairs)
+            hp = gap_extended_precision(pairs)
+            assert abs(mpmath.mpf(str(hp)) - ref) < 1e-45, pairs

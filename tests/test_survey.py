@@ -156,3 +156,38 @@ class TestVerifiers:
 
 def test_near_zero_candidates_empty_below_threshold():
     assert survey.near_zero_candidates(12, threshold=1e-6) == []
+
+
+class TestRecheck:
+    """The 50-digit recheck of every |gap| <= tol, end to end.  The
+    expected values were recorded when the recheck ran on mpmath."""
+
+    # in double precision, 13 trees of order 16 share this |gap|; one lies below it
+    TOL_16 = 9.699402605711782e-05
+    # graph6 -> (gap, rechecked gap) as float.hex(), for every |gap| <= TOL_16
+    CANDIDATES_16 = {
+        **dict.fromkeys([
+            "OhC_I?@_??_@?@?C?AC??", "OhC_IA??G?_@?G?GO???@", "OhC_IA??G?_C?G_???G?@",
+            "OhC`A?@_??_@?@?C??K??", "OhC`A?@_??_@?@?CO???@", "OhC`AA??G?_@?G??o???@",
+            "OhC`AA??G?_C?@_???G?@", "OhCa?C@_??_@?C?CO???@", "OhCa?E??G?_@?G?GO???@",
+            "OhCa?E??G?_C?G_???G?@", "OhD?K?@?GA?G_???_?G?C", "OhDAC?@?GA?@_???_?G?C",
+            "OhDC?C@?_?o??@??_?_?G",
+        ], ("0x1.96d28ade60000p-14", "0x1.96d28ade6758ep-14")),
+        "OhHAC?@?S??@_?_?O?C??": ("0x1.5e34e59960000p-14", "0x1.5e34e599611aap-14"),
+    }
+
+    def test_census_counts_rechecked_signs(self):
+        # the 13 trees at |gap| == tol lie above it at 50 digits, so the
+        # recheck moves them out of zero
+        r = survey.classify_trees(16, tol=self.TOL_16)
+        assert (r.positive, r.negative, r.zero) == (17027, 2292, 1)
+
+    def test_near_zero_order_11(self):
+        assert survey.near_zero_candidates(11, threshold=0.02) == [
+            ("JkE?K?@_C??", 0.01878490648964437, 0.018784906489643108)]
+
+    def test_near_zero_order_16_bit_for_bit(self):
+        found = survey.near_zero_candidates(16, threshold=self.TOL_16)
+        assert [g6 for g6, _, _ in found] == sorted(self.CANDIDATES_16)
+        assert {g6: (gap.hex(), hp.hex()) for g6, gap, hp in found} == self.CANDIDATES_16
+        assert sum(abs(hp) > self.TOL_16 for _, _, hp in found) == 13
