@@ -27,7 +27,7 @@ from typing import IO, Iterator, Sequence
 from . import __version__, survey, treegen
 from .graphs import GraphError
 from .graph6 import parse_graph6, to_graph6
-from .indices import DEFAULT_ZERO_TOL, index_report, sign_of_gap
+from .indices import DEFAULT_ZERO_TOL, certified_sign, index_report
 from .smallgraphs import MAX_INTERNAL_ORDER, internal_universe, load_universe
 
 
@@ -139,7 +139,7 @@ def _cmd_index(args) -> int:
                 status = 2
                 continue
             values = (line, g.n, g.m, r.randic, r.sum_connectivity, r.abc, r.abs, r.gap,
-                      sign_of_gap(r.gap, args.tol).value)
+                      certified_sign(r.gap, g.edge_degree_pairs(), args.tol).value)
             rows.append(dict(zip(INDEX_COLUMNS, values)))
         _write_rows(_open_out(stack, args.out), args.format, "index-v1", INDEX_COLUMNS, rows)
     return status

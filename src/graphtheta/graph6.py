@@ -35,9 +35,9 @@ def to_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
+    text = text.removeprefix(">>graph6<<")
     if not text:
         raise Graph6Error("empty graph6 string")
-    text = text.removeprefix(">>graph6<<")
     header = ord(text[0])
     if header < 63 or header > 126:
         raise Graph6Error(f"invalid header byte {header}")

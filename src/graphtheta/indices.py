@@ -4,8 +4,8 @@ Each index is a sum over the edges of a term in the degree pair
 (d_u, d_v): Randic 1/sqrt(d_u*d_v), sum-connectivity 1/sqrt(d_u+d_v),
 ABC sqrt((d_u+d_v-2)/(d_u*d_v)) and ABS sqrt((d_u+d_v-2)/(d_u+d_v)).
 Each term is written once: ABC and ABS in ``sums_from_degree_pairs``,
-which the tree census runs on degree pairs without a Graph, and R and
-SC in ``index_report``.
+which the tree census reads through ``term_tables`` without a Graph,
+and R and SC in ``index_report``.
 
 Whole-graph values are accumulated with ``math.fsum`` (exactly rounded
 compensated summation): the surveys turn on the sign of gaps as small
@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from enum import Enum
+from functools import cache
 from typing import Iterable
 
 from .graphs import Graph, DisconnectedGraphError, GraphError, is_connected
@@ -55,6 +56,18 @@ def sums_from_degree_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[float, flo
     return abc, abs_
 
 
+@cache
+def term_tables(n: int) -> tuple[list[list[float]], list[list[float]]]:
+    """The ABC and the ABS term of one edge between degrees a and b, as
+    tables [a][b] for degrees below n, each from ``sums_from_degree_pairs``
+    on that one pair.  A sum of these terms under ``math.fsum`` has the
+    bits of ``sums_from_degree_pairs`` on the same pairs, in any order,
+    since fsum is exactly rounded."""
+    rows = [[sums_from_degree_pairs([(a, b)]) if a and b else (0.0, 0.0) for b in range(n)]
+            for a in range(n)]
+    return [[t[0] for t in row] for row in rows], [[t[1] for t in row] for row in rows]
+
+
 def index_report(g: Graph) -> IndexReport:
     """Evaluate R, SC, ABC, ABS and the gap on a connected graph."""
     if not is_connected(g):
@@ -76,6 +89,24 @@ def sign_of_gap(gap: float, tol: float = DEFAULT_ZERO_TOL) -> Sign:
     if abs(gap) <= tol:
         return Sign.ZERO_WITHIN_TOL
     return Sign.POSITIVE if gap > 0 else Sign.NEGATIVE
+
+
+def certified_sign(
+    gap: float, pairs: Iterable[tuple[int, int]], tol: float = DEFAULT_ZERO_TOL
+) -> Sign:
+    """The sign of ``gap``, the double-precision ABC - ABS gap of the
+    degree pairs ``pairs``, at zero tolerance ``tol``.
+
+    Outside the band |gap| <= tol the double decides.  Inside it, the gap
+    is re-evaluated at RECHECK_DIGITS digits, and only a gap still within
+    tol there is zero.  ``pairs`` is read only in that case.
+    """
+    sign = sign_of_gap(gap, tol)
+    if sign is Sign.ZERO_WITHIN_TOL:
+        hp = gap_extended_precision(pairs)
+        if abs(hp) > tol:
+            sign = Sign.POSITIVE if hp > 0 else Sign.NEGATIVE
+    return sign
 
 
 def gap_extended_precision(pairs: Iterable[tuple[int, int]]) -> Decimal:

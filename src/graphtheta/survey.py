@@ -9,14 +9,16 @@ pendent-count hypotheses (t2, t3).
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from . import treegen
+from . import treeclasses, treegen
 from .graphs import (
     Graph,
     Shape,
@@ -29,9 +31,10 @@ from .graph6 import to_graph6
 from .indices import (
     DEFAULT_ZERO_TOL,
     Sign,
+    certified_sign,
     gap_extended_precision,
     index_report,
-    sign_of_gap,
+    term_tables,
 )
 from .linegraph import line_graph
 from .smallgraphs import GraphUniverse
@@ -87,111 +90,142 @@ class VerificationReport:
 # --- tree census ------------------------------------------------------
 
 @dataclass
-class _Scan:
-    """What one pass over the tree stream keeps, per partition or merged.
+class _Census:
+    """What the class census keeps, per part or merged.
 
-    Trees are held as level sequences with their stream index; graph6
-    strings are made only for the trees a view finally reports.
-
-    The stream is in ascending graph6 order, so among trees of equal
-    |gap| the lower stream index has the smaller graph6 string.  It runs
-    through level sequences in decreasing lexicographic order; where two
-    first differ, the later one gives that vertex an earlier parent,
-    which sets an earlier graph6 bit (checked by
-    tests/test_treegen.py::test_stream_in_ascending_graph6_order).
+    Classes are ``treeclasses`` packed ints.  Trees are made only for the
+    classes a view finally reports, and graph6 only for those trees.
     """
 
-    positive: int = 0
-    negative: int = 0
-    zero: int = 0
-    # (|gap|, index, sequence, abc, abs) of the near_k smallest, ascending
-    near: list = field(default_factory=list)
-    # (index, sequence) of the first witness_cap negative trees
-    witnesses: list = field(default_factory=list)
-    # (index, sequence, gap, gap_extended_precision) of every |gap| <= tol,
+    signs: Counter = field(default_factory=Counter)  # Sign -> trees
+    # class -> [|gap|, trees, abc, abs] of every class whose |gap| is at
+    # most that of the near_k-th tree, ranked by |gap|
+    near: dict = field(default_factory=dict)
+    # class -> (gap, gap_extended_precision) of every |gap| <= tol,
     # kept only when the caller asks (near_zero_candidates)
-    rechecked: list = field(default_factory=list)
+    band: dict = field(default_factory=dict)
+
+    def add(self, other: "_Census") -> None:
+        self.signs += other.signs
+        for cls, (a, trees, abc, abs_) in other.near.items():
+            self.add_near(cls, a, trees, abc, abs_)
+        self.band.update(other.band)
+
+    def add_near(self, cls: int, a: float, trees: int, abc: float, abs_: float) -> None:
+        if cls in self.near:  # one class can come from several fold units
+            self.near[cls][1] += trees
+        else:
+            self.near[cls] = [a, trees, abc, abs_]
+
+    def trim(self, k: int) -> float:
+        """Drop the classes ranked after the k-th tree; return that
+        tree's |gap| (inf while fewer than k trees are kept)."""
+        trees = 0
+        for a, count, _, _ in sorted(self.near.values()):
+            trees += count
+            if trees >= k:
+                for cls in [c for c, v in self.near.items() if v[0] > a]:
+                    del self.near[cls]
+                return a
+        return math.inf
 
 
-def _scan_partition(args) -> _Scan:
-    """Score every ``parts``-th tree of order n, from stream index ``part``.
+def _scan_partition(args) -> _Census:
+    """Count and score the classes of order n in every ``parts``-th fold
+    unit (``treeclasses.Tables.units``), from unit ``part``.
 
-    This is the only loop over the tree stream in this module; every
-    census view reads its result.
+    This is the census pool's entry point.  One fold is live at a time:
+    each class is scored as it comes, with one certified sign, and
+    dropped.  The merge of the near classes stays exact: a part keeps
+    every class whose |gap| is at most that of the part's own near_k-th
+    tree, which is never below the merged near_k-th tree's |gap|.
     """
-    n, parts, part, tol, witness_cap, near_k, keep_rechecked = args
-    s = _Scan()
-    bound = float("inf")  # |gap| of the near_k-th tree kept so far
-    idx = part
-    for seq in treegen.partitioned_sequences(n, parts, part):
-        abc, abs_ = treegen.abc_abs_sums(seq)
-        gap = abc - abs_
-        a = abs(gap)
-        if a < bound:  # a later tree tied with the near_k-th ranks after it
-            s.near.append((a, idx, seq, abc, abs_))
-            if len(s.near) == 2 * near_k:
-                s.near.sort()
-                del s.near[near_k:]
-                bound = s.near[-1][0]
-        sign = sign_of_gap(gap, tol)
-        if sign is Sign.ZERO_WITHIN_TOL:
-            # re-verify at extended precision before counting as zero
-            hp = gap_extended_precision(treegen.degree_pairs(seq))
-            if keep_rechecked:
-                s.rechecked.append((idx, seq, gap, float(hp)))
-            if abs(hp) > tol:
-                sign = Sign.POSITIVE if hp > 0 else Sign.NEGATIVE
-            else:
-                s.zero += 1
-        if sign is Sign.POSITIVE:
-            s.positive += 1
-        elif sign is Sign.NEGATIVE:
-            s.negative += 1
-            if len(s.witnesses) < witness_cap:
-                s.witnesses.append((idx, seq))
-        idx += parts
-    s.near.sort()
-    del s.near[near_k:]
-    return s
+    n, parts, part, tol, near_k, keep_band = args
+    tables = treeclasses.Tables(n)
+    abc_terms, abs_terms = term_tables(n)
+    c = _Census()
+    bound = math.inf  # |gap| of the near_k-th tree kept so far
+    for unit in tables.units[part::parts]:
+        for cls, trees in tables.classes(unit).items():
+            pairs = tables.pairs(cls)
+            abc = math.fsum([abc_terms[a][b] for a, b in pairs])
+            abs_ = math.fsum([abs_terms[a][b] for a, b in pairs])
+            gap = abc - abs_
+            c.signs[certified_sign(gap, pairs, tol)] += trees
+            a = abs(gap)
+            if a <= bound:
+                c.add_near(cls, a, trees, abc, abs_)
+                if len(c.near) >= 2 * near_k:
+                    bound = c.trim(near_k)
+            if keep_band and a <= tol and cls not in c.band:
+                c.band[cls] = (gap, gap_extended_precision(pairs))
+    c.trim(near_k)
+    return c
 
 
-def _scan(
-    n: int, tol: float, workers: int, witness_cap: int, near_k: int,
-    keep_rechecked: bool = False,
-) -> _Scan:
-    """One pass over all free trees of order n.
+def _lazy_pairs(seq: tuple[int, ...]):
+    """The degree pairs of ``seq``, made only if they are read."""
+    yield from treegen.degree_pairs(seq)
 
-    Partitions are index-strided slices of the deterministic stream and
-    the merge orders everything by stream index, so the result does not
-    depend on the worker count.
+
+def _witnesses(n: int, tol: float, cap: int) -> list[tuple[int, ...]]:
+    """The first ``cap`` trees of order n, in stream order, whose census
+    sign at ``tol`` is negative.  The stream stops at the cap-th (and is
+    not started for a cap of 0)."""
+    found: list[tuple[int, ...]] = []
+    if cap:
+        for seq in treegen.free_tree_sequences(n):
+            abc, abs_ = treegen.abc_abs_sums(seq)
+            if certified_sign(abc - abs_, _lazy_pairs(seq), tol) is Sign.NEGATIVE:
+                found.append(seq)
+                if len(found) == cap:
+                    break
+    return found
+
+
+def _census(
+    n: int, tol: float, workers: int, near_k: int, keep_band: bool = False,
+    witness_cap: int = 0,
+) -> tuple[_Census, list[tuple[int, ...]]]:
+    """The class census of order n, and its first ``witness_cap``
+    negative trees in stream order.
+
+    With several workers, the pool's parts take the fold units in turn
+    while this process runs the witness pass.  The merge is keyed by
+    class, so the result does not depend on the worker count.
     """
-    jobs = [(n, workers, part, tol, witness_cap, near_k, keep_rechecked)
-            for part in range(workers)]
+    jobs = [(n, workers, part, tol, near_k, keep_band) for part in range(workers)]
     if workers == 1:
         partials = [_scan_partition(jobs[0])]
+        witnesses = _witnesses(n, tol, witness_cap)
     else:
         # the executor may fork all its processes at once: no more than CPUs
         with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            partials = list(pool.map(_scan_partition, jobs))
-    return _Scan(
-        positive=sum(p.positive for p in partials),
-        negative=sum(p.negative for p in partials),
-        zero=sum(p.zero for p in partials),
-        near=sorted(c for p in partials for c in p.near)[:near_k],
-        witnesses=sorted(w for p in partials for w in p.witnesses)[:witness_cap],
-        rechecked=sorted(r for p in partials for r in p.rechecked),
-    )
+            results = pool.map(_scan_partition, jobs)  # submitted here, read below
+            witnesses = _witnesses(n, tol, witness_cap)
+            partials = list(results)
+    census = _Census()
+    for p in partials:
+        census.add(p)
+    census.trim(near_k)
+    return census, witnesses
 
 
 def _graph6(seq: tuple[int, ...]) -> str:
     return to_graph6(treegen.sequence_to_graph(seq))
 
 
-def _near_ties(scan: _Scan) -> list[TieRecord]:
-    return [
-        TieRecord(graph6=_graph6(seq), abc=abc, abs=abs_, abs_gap=a)
-        for a, _, seq, abc, abs_ in scan.near
-    ]
+def _near_ties(n: int, census: _Census, k: int) -> list[TieRecord]:
+    """The k trees of the census's near classes with the smallest |gap|;
+    equal gaps in stream order, which is ascending graph6 order
+    (tests/test_treegen.py::test_stream_in_ascending_graph6_order)."""
+    tables = treeclasses.Tables(n)
+    rows = [(a, seq, abc, abs_) for cls, (a, _, abc, abs_) in census.near.items()
+            for seq in tables.expand(cls)]
+    rows.sort(key=lambda r: r[1], reverse=True)  # the stream's order
+    rows.sort(key=lambda r: r[0])
+    return [TieRecord(graph6=_graph6(seq), abc=abc, abs=abs_, abs_gap=a)
+            for a, seq, abc, abs_ in rows[:k]]
 
 
 def classify_trees(
@@ -210,18 +244,18 @@ def classify_trees(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if witness_cap < 0:
         raise ValueError(f"witness cap must be >= 0, got {witness_cap}")
-    scan = _scan(n, tol, workers, witness_cap, 1)
-    best = _near_ties(scan)[0]
+    census, witnesses = _census(n, tol, workers, 1, witness_cap=witness_cap)
+    best = _near_ties(n, census, 1)[0]
     return ClassificationRecord(
         order=n,
-        total=scan.positive + scan.negative + scan.zero,
-        positive=scan.positive,
-        negative=scan.negative,
-        zero=scan.zero,
+        total=census.signs.total(),
+        positive=census.signs[Sign.POSITIVE],
+        negative=census.signs[Sign.NEGATIVE],
+        zero=census.signs[Sign.ZERO_WITHIN_TOL],
         tol=tol,
         min_abs_gap=best.abs_gap,
         min_abs_gap_graph6=best.graph6,
-        negative_witnesses=tuple(_graph6(seq) for _, seq in scan.witnesses),
+        negative_witnesses=tuple(_graph6(seq) for seq in witnesses),
         witness_cap=witness_cap,
     )
 
@@ -233,16 +267,19 @@ def find_near_ties(n: int, top_k: int) -> list[TieRecord]:
         raise ValueError(f"near-tie search needs order >= 3, got {n}")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    return _near_ties(_scan(n, DEFAULT_ZERO_TOL, 1, 0, top_k))
+    return _near_ties(n, _census(n, DEFAULT_ZERO_TOL, 1, top_k)[0], top_k)
 
 
 def near_zero_candidates(
     n: int, threshold: float = 1e-6
 ) -> list[tuple[str, float, float]]:
     """Trees of order n with |gap| <= threshold, with the gap re-evaluated
-    at extended precision: (graph6, gap, gap_extended)."""
-    scan = _scan(n, threshold, 1, 0, 1, keep_rechecked=True)
-    return [(_graph6(seq), gap, hp) for _, seq, gap, hp in scan.rechecked]
+    at extended precision: (graph6, gap, gap_extended), in stream order."""
+    census, _ = _census(n, threshold, 1, 1, keep_band=True)
+    tables = treeclasses.Tables(n)
+    rows = sorted(((seq, gap, hp) for cls, (gap, hp) in census.band.items()
+                   for seq in tables.expand(cls)), reverse=True)
+    return [(_graph6(seq), gap, float(hp)) for seq, gap, hp in rows]
 
 
 @dataclass(frozen=True)
@@ -259,16 +296,15 @@ def smallest_negative_tree(tol: float = DEFAULT_ZERO_TOL) -> NegativeTreeResult:
     at ``tol`` is negative (ABC < ABS); among several, the smallest
     graph6 string, which is the first in stream order."""
     for n in range(3, NEGATIVE_SEARCH_MAX_ORDER + 1):
-        scan = _scan(n, tol, 1, 1, 1)
-        if scan.negative:
-            seq = scan.witnesses[0][1]
-            abc, abs_ = treegen.abc_abs_sums(seq)
+        found = _witnesses(n, tol, 2)
+        if found:
+            abc, abs_ = treegen.abc_abs_sums(found[0])
             return NegativeTreeResult(
                 order=n,
-                graph=treegen.sequence_to_graph(seq),
-                graph6=_graph6(seq),
+                graph=treegen.sequence_to_graph(found[0]),
+                graph6=_graph6(found[0]),
                 gap=abc - abs_,
-                unique=scan.negative == 1,
+                unique=len(found) == 1,
             )
     raise RuntimeError(f"no negative tree found up to order {NEGATIVE_SEARCH_MAX_ORDER}")
 
@@ -284,7 +320,8 @@ class Statement:
     name: str
     hypothesis: Callable[[Graph], bool]
     transform: Callable[[Graph], Graph] | None
-    conclusion: Callable[[Graph, float, float], bool]  # (graph, gap, tol)
+    # (graph, transformed graph, gap of the transformed graph, tol)
+    conclusion: Callable[[Graph, Graph, float, float], bool]
     min_order: int  # smallest internal universe order the CLI checks
     reports_margin: bool  # report the smallest -gap over the hypothesis graphs
     tol: float  # zero tolerance when the caller gives none
@@ -294,7 +331,7 @@ def _min_degree2(g: Graph) -> bool:
     return g.n >= 3 and min_degree(g) >= 2
 
 
-def _zero_exactly_on_cycles(g: Graph, gap: float, tol: float) -> bool:
+def _zero_exactly_on_cycles(g: Graph, h: Graph, gap: float, tol: float) -> bool:
     return gap <= tol and (abs(gap) <= tol) == (classify_shape(g) is Shape.CYCLE)
 
 
@@ -302,8 +339,8 @@ def _line_graph_root(k: Graph) -> bool:
     return k.n >= 5 and classify_shape(k) not in (Shape.PATH, Shape.CYCLE)
 
 
-def _gap_negative(g: Graph, gap: float, tol: float) -> bool:
-    return gap < -tol
+def _gap_negative(g: Graph, h: Graph, gap: float, tol: float) -> bool:
+    return certified_sign(gap, h.edge_degree_pairs(), tol) is Sign.NEGATIVE
 
 
 def bounded_pendents_no_degree2(g: Graph) -> bool:
@@ -370,7 +407,7 @@ def verify_statement(
             gap = index_report(h).gap
             if statement.reports_margin and (min_margin is None or -gap < min_margin):
                 min_margin = -gap
-            if not statement.conclusion(g, gap, tol):
+            if not statement.conclusion(g, h, gap, tol):
                 failures.append(to_graph6(g))
     return VerificationReport(
         statement=statement.name,

@@ -4,20 +4,21 @@ Free trees of a given order are generated through canonical level
 sequences (depth-first depth lists of rooted trees, root depth 0).
 The successor step is the classic constant-amortized-time scheme:
 rooted-tree successors in the style of Beyer-Hedetniemi, restricted to
-centroid-rooted sequences so every free tree appears exactly once
-(Wright-Richmond-Odlyzko-McKay).  Correctness is anchored to a
-brute-force generate-and-dedup oracle in the test suite rather than to
-trust in the algorithm.
+sequences rooted at a center (the middle vertex of a longest path; of
+two centers, the one that ``_accepts`` picks) so every free tree
+appears exactly once (Wright-Richmond-Odlyzko-McKay 1986).  Correctness
+is anchored to a brute-force generate-and-dedup oracle in the test
+suite rather than to trust in the algorithm.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from math import fsum
 from typing import IO, Iterator
 
 from .graphs import Graph, from_edge_list
 from .graph6 import to_graph6
-from .indices import sums_from_degree_pairs
+from .indices import term_tables
 
 # Which kernel runs; perfbench's set-up imports and records it.
 BACKEND = "python"
@@ -27,7 +28,7 @@ def _rooted_successor(seq: list[int], p: int | None = None) -> list[int] | None:
     """Next canonical rooted-tree level sequence, or None at the end.
 
     ``p`` may pin the regeneration point (used when jumping over
-    sequences that are not centroid-rooted).
+    sequences that are not rooted at a center).
     """
     if p is None:
         p = len(seq) - 1
@@ -58,23 +59,26 @@ def _split(seq: list[int]) -> tuple[list[int], list[int]]:
     return [seq[i] - 1 for i in range(1, m)], [0] + seq[m:]
 
 
-def _advance_to_free(seq: list[int] | None) -> list[int] | None:
-    """Advance to the nearest centroid-rooted (free-canonical) sequence.
+def _accepts(first: list[int], rest: list[int]) -> bool:
+    """The stream's acceptance rule, on a rooted sequence split by
+    ``_split``: the first subtree of the root is lower than the rest of
+    the tree, or as high and smaller, or as large and not
+    lexicographically later."""
+    fh = max(first)
+    rh = max(rest)
+    return fh < rh or (fh == rh and (
+        len(first) < len(rest) or (len(first) == len(rest) and first <= rest)))
 
-    A rooted sequence encodes a free tree canonically when the first
-    subtree of the root is no higher than the rest of the tree, and on
-    equal heights is no larger, and on equal sizes not lexicographically
-    later.
+
+def _advance_to_free(seq: list[int] | None) -> list[int] | None:
+    """Advance to the nearest sequence that ``_accepts``: one rooted at
+    a center of its free tree (of two centers, the one whose own side of
+    the central edge is the larger, by size and then lexicographically),
+    which encodes that free tree canonically.
     """
     while seq is not None:
         first, rest = _split(seq)
-        fh = max(first)
-        rh = max(rest)
-        if fh < rh:
-            return seq
-        if fh == rh and (
-            len(first) < len(rest) or (len(first) == len(rest) and first <= rest)
-        ):
+        if _accepts(first, rest):
             return seq
         p = len(first)
         nxt = _rooted_successor(seq, p)
@@ -115,13 +119,11 @@ def free_tree_sequences(n: int) -> Iterator[tuple[int, ...]]:
 def parent_array(seq: tuple[int, ...]) -> list[int]:
     """Parent of each vertex in a level sequence (-1 for the root)."""
     par = [-1] * len(seq)
-    stack = [0]
-    for i in range(1, len(seq)):
-        d = seq[i]
-        while seq[stack[-1]] >= d:
-            stack.pop()
-        par[i] = stack[-1]
-        stack.append(i)
+    last = [0] * len(seq)  # the latest vertex seen at each depth
+    for v in range(1, len(seq)):
+        d = seq[v]
+        par[v] = last[d - 1]
+        last[d] = v
     return par
 
 
@@ -136,8 +138,19 @@ def degree_pairs(seq: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 def abc_abs_sums(seq: tuple[int, ...]) -> tuple[float, float]:
-    """Compensated (ABC, ABS) sums of the tree encoded by ``seq``."""
-    return sums_from_degree_pairs(degree_pairs(seq))
+    """Compensated (ABC, ABS) sums of the tree encoded by ``seq``.
+
+    The terms come from ``term_tables``, so the sums have the bits of
+    ``sums_from_degree_pairs(degree_pairs(seq))``.
+    """
+    par = parent_array(seq)
+    deg = [1] * len(seq)
+    deg[0] = 0
+    for p in par[1:]:
+        deg[p] += 1
+    abc, abs_ = term_tables(len(seq))
+    return (fsum([abc[deg[v]][deg[par[v]]] for v in range(1, len(seq))]),
+            fsum([abs_[deg[v]][deg[par[v]]] for v in range(1, len(seq))]))
 
 
 def sequence_to_graph(seq: tuple[int, ...]) -> Graph:
@@ -155,19 +168,6 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
 def count_trees(n: int) -> int:
     """Number of free trees of order n, without materializing graphs."""
     return sum(1 for _ in free_tree_sequences(n))
-
-
-def partitioned_sequences(n: int, parts: int, part: int) -> Iterator[tuple[int, ...]]:
-    """One slice of the canonical stream (every ``parts``-th sequence).
-
-    The slices for part = 0..parts-1 are disjoint and their union is
-    exactly ``free_tree_sequences(n)``.
-    """
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    if not 0 <= part < parts:
-        raise ValueError(f"part must be in [0,{parts})")
-    return islice(free_tree_sequences(n), part, None, parts)
 
 
 def write_graph6_stream(n: int, out: IO[str]) -> int:

@@ -54,6 +54,23 @@ class TestIndex:
         assert "line 2" in err
         assert len(out.splitlines()) == 3  # schema + header + 1 good row
 
+    def test_graph6_prefix_only_exit_2(self, capsys, tmp_path):
+        inp = tmp_path / "prefix.g6"
+        inp.write_text(">>graph6<<\nA_\n")
+        code, out, err = run(capsys, "index", "--in", str(inp))
+        assert code == 2
+        assert err == "line 1: empty graph6 string\n"
+        assert len(out.splitlines()) == 3  # schema + header + the A_ row
+
+    def test_in_band_sign_is_rechecked(self, capsys, tmp_path):
+        # |gap| equals tol in double precision but exceeds it at 50 digits,
+        # which is how scan 16 at this tol counts the tree
+        inp = tmp_path / "t16.g6"
+        inp.write_text("OhC_I?@_??_@?@?C?AC??\n")
+        code, out, _ = run(capsys, "index", "--in", str(inp), "--tol", "9.699402605711782e-05")
+        assert code == 0
+        assert out.splitlines()[-1].split(",")[-1] == "positive"
+
     def test_disconnected_line_exit_2(self, capsys, tmp_path):
         inp = tmp_path / "split.g6"
         inp.write_text("C?\nA_\n")  # 4 isolated vertices, then K_2

@@ -38,6 +38,11 @@ def test_empty_string_rejected():
         parse_graph6("")
 
 
+def test_prefix_without_body_rejected():
+    with pytest.raises(Graph6Error, match="empty graph6 string"):
+        parse_graph6(">>graph6<<")
+
+
 def test_trailing_garbage_rejected():
     with pytest.raises(Graph6Error):
         parse_graph6("A_X")

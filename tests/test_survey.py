@@ -5,7 +5,14 @@ import pytest
 from graphtheta import survey, treegen
 from graphtheta.graph6 import parse_graph6, to_graph6
 from graphtheta.graphs import classify_shape, Shape
-from graphtheta.indices import index_report
+from graphtheta.indices import (
+    DEFAULT_ZERO_TOL,
+    Sign,
+    gap_extended_precision,
+    index_report,
+    sign_of_gap,
+    sums_from_degree_pairs,
+)
 from graphtheta.smallgraphs import internal_universe
 
 from conftest import complete_graph, cycle_graph
@@ -57,6 +64,62 @@ class TestClassifyTrees:
         assert survey.classify_trees(12, workers=8) == one
         assert survey.classify_trees(12, workers=3) == one
         assert sizes == [4, 3]
+
+
+@functools.cache
+def reference_census(n, tol=DEFAULT_ZERO_TOL):
+    """The census of order n made tree by tree, as it was made before it
+    counted degree-pair classes: every tree scored from its own degree
+    pairs, an in-band gap rechecked at 50 digits, the minimum |gap| and
+    the witnesses taken first in stream order."""
+    signs = {sign: 0 for sign in Sign}
+    best = None
+    witnesses = []
+    for seq in treegen.free_tree_sequences(n):
+        abc, abs_ = sums_from_degree_pairs(treegen.degree_pairs(seq))
+        gap = abc - abs_
+        sign = sign_of_gap(gap, tol)
+        if sign is Sign.ZERO_WITHIN_TOL:
+            hp = gap_extended_precision(treegen.degree_pairs(seq))
+            if abs(hp) > tol:
+                sign = Sign.POSITIVE if hp > 0 else Sign.NEGATIVE
+        signs[sign] += 1
+        if sign is Sign.NEGATIVE and len(witnesses) < survey.DEFAULT_WITNESS_CAP:
+            witnesses.append(to_graph6(treegen.sequence_to_graph(seq)))
+        if best is None or abs(gap) < best[0]:
+            best = (abs(gap), seq)
+    return survey.ClassificationRecord(
+        order=n,
+        total=sum(signs.values()),
+        positive=signs[Sign.POSITIVE],
+        negative=signs[Sign.NEGATIVE],
+        zero=signs[Sign.ZERO_WITHIN_TOL],
+        tol=tol,
+        min_abs_gap=best[0],
+        min_abs_gap_graph6=to_graph6(treegen.sequence_to_graph(best[1])),
+        negative_witnesses=tuple(witnesses),
+        witness_cap=survey.DEFAULT_WITNESS_CAP,
+    )
+
+
+class TestClassCensusMatchesStream:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_orders_3_to_17(self, workers):
+        for n in range(3, 18):
+            assert survey.classify_trees(n, workers=workers) == reference_census(n)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_rechecked_band_at_order_16(self, workers):
+        tol = TestRecheck.TOL_16
+        assert survey.classify_trees(16, tol=tol, workers=workers) == reference_census(16, tol)
+
+    def test_no_stream_without_witnesses(self, monkeypatch):
+        def no_stream(n):
+            raise AssertionError("the tree stream was started")
+
+        monkeypatch.setattr(survey.treegen, "free_tree_sequences", no_stream)
+        rec = survey.classify_trees(12, witness_cap=0)
+        assert rec.negative == 6 and rec.negative_witnesses == ()
 
 
 @functools.cache

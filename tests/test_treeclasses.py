@@ -1,0 +1,58 @@
+"""The class census against the tree stream it replaces."""
+
+from collections import Counter, defaultdict
+
+import pytest
+
+from graphtheta import treegen
+from graphtheta.treeclasses import Tables
+
+# OEIS A000055, free trees of order n = 1..20
+A000055 = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320,
+           48629, 123867, 317955, 823065]
+
+
+def class_of(seq):
+    return tuple(sorted(tuple(sorted(p)) for p in treegen.degree_pairs(seq)))
+
+
+def census(tables):
+    """class (as sorted degree pairs) -> number of trees, over every unit."""
+    counts = Counter()
+    for unit in tables.units:
+        for cls, trees in tables.classes(unit).items():
+            counts[tuple(tables.pairs(cls))] += trees
+    return counts
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_class_counts_match_stream(n):
+    assert census(Tables(n)) == Counter(map(class_of, treegen.free_tree_sequences(n)))
+
+
+def test_totals_match_a000055():
+    for n, expected in enumerate(A000055, start=1):
+        tables = Tables(n)
+        assert sum(sum(tables.classes(u).values()) for u in tables.units) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_expand_gives_the_streams_sequences(n):
+    by_class = defaultdict(list)
+    for seq in treegen.free_tree_sequences(n):
+        by_class[class_of(seq)].append(seq)
+    tables = Tables(n)
+    classes = {cls for unit in tables.units for cls in tables.classes(unit)}
+    assert len(classes) == len(by_class)
+    for cls in classes:
+        assert tables.expand(cls) == by_class[tuple(tables.pairs(cls))]
+
+
+def test_classes_of_order_17():
+    tables = Tables(17)
+    assert len({cls for unit in tables.units for cls in tables.classes(unit)}) == 7778
+
+
+def test_rejects_order_below_one():
+    with pytest.raises(ValueError):
+        Tables(0)

@@ -8,7 +8,7 @@ from graphtheta.treegen import (
     count_trees,
     enumerate_trees,
     free_tree_sequences,
-    partitioned_sequences,
+    parent_array,
     sequence_to_graph,
 )
 
@@ -68,19 +68,26 @@ def test_stream_in_ascending_graph6_order():
         assert codes == sorted(codes)
 
 
-def test_partitioned_single_part_is_identity():
-    assert list(partitioned_sequences(8, 1, 0)) == list(free_tree_sequences(8))
-
-
-def test_partitioned_union_and_disjointness():
-    n, parts = 9, 4
-    seen = []
-    for part in range(parts):
-        chunk = list(partitioned_sequences(n, parts, part))
-        seen.extend(chunk)
-    assert len(seen) == count_trees(n)
-    assert len(set(seen)) == len(seen)
-    assert sorted(seen) == sorted(free_tree_sequences(n))
+def test_stream_roots_at_a_center():
+    # a center is a vertex of least eccentricity
+    for n in range(1, 15):
+        for seq in free_tree_sequences(n):
+            par = parent_array(seq)
+            adj = [[] for _ in seq]
+            for v in range(1, n):
+                adj[v].append(par[v])
+                adj[par[v]].append(v)
+            ecc = []
+            for src in range(n):
+                dist = {src: 0}
+                todo = [src]
+                for v in todo:
+                    for w in adj[v]:
+                        if w not in dist:
+                            dist[w] = dist[v] + 1
+                            todo.append(w)
+                ecc.append(max(dist.values()))
+            assert ecc[0] == min(ecc), (n, seq)
 
 
 def test_degree_pairs_match_graphs():
@@ -100,6 +107,15 @@ def test_abc_abs_sums_match_reports():
         r = index_report(sequence_to_graph(seq))
         assert abc == pytest.approx(r.abc, abs=1e-13)
         assert abs_ == pytest.approx(r.abs, abs=1e-13)
+
+
+def test_abc_abs_sums_bits_match_the_formula():
+    # the census scores trees from a term table; fsum makes it exact
+    from graphtheta.indices import sums_from_degree_pairs
+
+    for n in range(1, 14):
+        for seq in free_tree_sequences(n):
+            assert treegen.abc_abs_sums(seq) == sums_from_degree_pairs(treegen.degree_pairs(seq))
 
 
 def test_graph6_stream(tmp_path):
