@@ -11,38 +11,37 @@ The search extends orderings position by position, keeping every
 partial ordering that attains the minimal bit prefix.  Ties (and thus
 the number of live partials) only survive along automorphism-like
 symmetry, so the search stays small for the orders handled here.
+
+The orderings that survive to the end are exactly those that attain
+the key, and they form one coset of the automorphism group: if ``p``
+attains it, so does ``q`` iff ``v -> q[i]`` for ``v = p[i]`` is an
+automorphism.  So :func:`canonical_search` yields Aut(G) at no extra
+cost, one automorphism per surviving ordering.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .graphs import Graph, GraphError
 
 DEFAULT_MAX_ORDER = 10
 
 
-def canonical_key(g: Graph, max_order: int = DEFAULT_MAX_ORDER) -> bytes:
-    """Canonical byte string: equal keys iff isomorphic graphs.
-
-    Only supported for small orders (default bound 10); raises
-    :class:`GraphError` above the bound.
-    """
-    n = g.n
-    if n > max_order:
-        raise GraphError(f"canonical_key supports order <= {max_order}, got {n}")
+def canonical_search(
+    masks: Sequence[int], degrees: Sequence[int]
+) -> tuple[bytes, list[tuple[int, ...]]]:
+    """The canonical key of the graph whose vertex v has neighbor
+    bitmask ``masks[v]`` and degree ``degrees[v]``, and every vertex
+    ordering that attains it (``len`` of which is ``|Aut(G)|``)."""
+    n = len(masks)
     if n == 1:
-        return bytes([1])
-
-    masks = [0] * n
-    for u in range(n):
-        for v in g.adj[u]:
-            masks[u] |= 1 << v
-
-    # Position i must hold a vertex of the i-th smallest degree.
-    order = sorted(range(n), key=lambda v: g.degrees[v])
-    slot_degree = [g.degrees[v] for v in order]
+        return bytes([1]), [(0,)]
     by_degree: dict[int, list[int]] = {}
     for v in range(n):
-        by_degree.setdefault(g.degrees[v], []).append(v)
+        by_degree.setdefault(degrees[v], []).append(v)
+    # Position i must hold a vertex of the i-th smallest degree.
+    slot_degree = sorted(degrees)
 
     # partials: orderings sharing the identical minimal bit prefix
     partials: list[tuple[int, ...]] = [()]
@@ -68,4 +67,17 @@ def canonical_key(g: Graph, max_order: int = DEFAULT_MAX_ORDER) -> bytes:
         partials = extended
         key_bits = (key_bits << pos) | best  # row at position pos has pos bits
     total_bits = n * (n - 1) // 2
-    return bytes([n]) + key_bits.to_bytes((total_bits + 7) // 8 or 1, "big")
+    key = bytes([n]) + key_bits.to_bytes((total_bits + 7) // 8 or 1, "big")
+    return key, partials
+
+
+def canonical_key(g: Graph, max_order: int = DEFAULT_MAX_ORDER) -> bytes:
+    """Canonical byte string: equal keys iff isomorphic graphs.
+
+    Only supported for small orders (default bound 10); raises
+    :class:`GraphError` above the bound.
+    """
+    if g.n > max_order:
+        raise GraphError(f"canonical_key supports order <= {max_order}, got {g.n}")
+    masks = [sum(1 << v for v in nbrs) for nbrs in g.adj]
+    return canonical_search(masks, g.degrees)[0]

@@ -20,7 +20,6 @@ import math
 import os
 import stat
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack, contextmanager, suppress
 from typing import IO, Iterator, Sequence
 
@@ -320,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, ValueError, OSError, BrokenProcessPool) as exc:
+    except (GraphError, ValueError, OSError) as exc:  # a dead worker: ChildProcessError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

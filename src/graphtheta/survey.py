@@ -14,7 +14,6 @@ import os
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -190,20 +189,31 @@ def _census(
     """The class census of order n, and its first ``witness_cap``
     negative trees in stream order.
 
+    With one worker the census comes first, so the witness pass stops
+    at the last negative tree (and is not started when there is none).
     With several workers, the pool's parts take the fold units in turn
-    while this process runs the witness pass.  The merge is keyed by
-    class, so the result does not depend on the worker count.
+    while this process runs the witness pass, up to the cap.  The merge
+    is keyed by class, so the result does not depend on the worker
+    count.  A pool worker that dies raises ChildProcessError.
     """
     jobs = [(n, workers, part, tol, near_k, keep_band) for part in range(workers)]
     if workers == 1:
         partials = [_scan_partition(jobs[0])]
-        witnesses = _witnesses(n, tol, witness_cap)
+        negatives = partials[0].signs[Sign.NEGATIVE]
+        witnesses = _witnesses(n, tol, min(witness_cap, negatives))
     else:
+        # imported here: only a pool needs multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         # the executor may fork all its processes at once: no more than CPUs
-        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            results = pool.map(_scan_partition, jobs)  # submitted here, read below
-            witnesses = _witnesses(n, tol, witness_cap)
-            partials = list(results)
+        try:
+            with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+                results = pool.map(_scan_partition, jobs)  # submitted here, read below
+                witnesses = _witnesses(n, tol, witness_cap)
+                partials = list(results)
+        except BrokenProcessPool as exc:
+            raise ChildProcessError(f"a census worker died: {exc}") from exc
     census = _Census()
     for p in partials:
         census.add(p)

@@ -1,12 +1,14 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
+from networkx.algorithms import isomorphism
 
-from graphtheta.canon import canonical_key
+from graphtheta.canon import canonical_key, canonical_search
 from graphtheta.graphs import GraphError, from_edge_list, is_connected
 
-from conftest import cycle_graph, path_graph, star_graph
+from conftest import complete_graph, cycle_graph, path_graph, star_graph
 
 
 def relabel(g, perm):
@@ -51,3 +53,43 @@ def test_order_bound_enforced():
     with pytest.raises(GraphError):
         canonical_key(path_graph(11))
     assert canonical_key(path_graph(11), max_order=11)
+
+
+def _search(g):
+    return canonical_search([sum(1 << v for v in nbrs) for nbrs in g.adj], list(g.degrees))
+
+
+def _key_under(g, ordering):
+    """The key's byte string of g with its vertices listed in ``ordering``."""
+    bits = 0
+    for pos, v in enumerate(ordering):
+        for u in ordering[:pos]:
+            bits = bits << 1 | g.has_edge(v, u)
+    total = g.n * (g.n - 1) // 2
+    return bytes([g.n]) + bits.to_bytes((total + 7) // 8, "big")
+
+
+def _automorphism_count(g):
+    nxg = nx.Graph(list(g.edges()))
+    nxg.add_nodes_from(range(g.n))
+    return sum(1 for _ in isomorphism.GraphMatcher(nxg, nxg).isomorphisms_iter())
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(7), cycle_graph(7), path_graph(7), star_graph(6)],
+    ids=["K7", "C7", "P7", "K1_6"],
+)
+def test_search_orderings_count_automorphisms(g):
+    key, orderings = _search(g)
+    assert key == canonical_key(g)
+    assert len(orderings) == _automorphism_count(g)
+
+
+def test_search_orderings_count_automorphisms_up_to_order_6(universes_1_to_6):
+    for universe in universes_1_to_6:
+        for g in universe:
+            key, orderings = _search(g)
+            assert len(orderings) == len(set(orderings)) == _automorphism_count(g)
+            if g.n > 1:
+                assert {_key_under(g, q) for q in orderings} == {key}

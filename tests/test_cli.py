@@ -1,10 +1,13 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import graphtheta
 from graphtheta import survey
 from graphtheta.cli import main
 from graphtheta.graph6 import to_graph6
@@ -141,6 +144,14 @@ class TestScan:
         monkeypatch.setattr(survey, "_scan_partition", _partition_1_dies)
         code, out, err = run(capsys, "scan", "9", "--workers", "2")
         assert code == 2 and err.startswith("error: ") and out == ""
+
+    def test_cli_import_loads_no_multiprocessing(self):
+        # only a census with --workers > 1 starts a pool
+        src = os.path.dirname(os.path.dirname(graphtheta.__file__))
+        code = "import sys, graphtheta.cli; sys.exit('multiprocessing' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestNearTies:

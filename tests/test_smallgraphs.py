@@ -1,3 +1,5 @@
+import hashlib
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -9,6 +11,27 @@ from graphtheta.smallgraphs import internal_universe, load_universe
 from graphtheta.treegen import enumerate_trees
 
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
+# sha256 over canonical_key of every internal representative, orders 1..7
+# in universe order, as recorded from the generate-and-dedup build
+UNIVERSE_KEYS_SHA256 = "1e51995c4cab85eddca41c4164a2620b81b14313c468ae39dad024803f0b2414"
+
+
+@cache
+def generate_and_dedup(n):
+    """Reference build: every representative of order n-1 with every
+    nonempty neighbor set of a new vertex, first by size, then
+    lexicographically; the first graph of each key is kept, and the
+    result is sorted by key."""
+    if n == 1:
+        return (from_edge_list(1, []),)
+    seen = {}
+    for base in generate_and_dedup(n - 1):
+        edges = list(base.edges())
+        for r in range(1, n):
+            for subset in combinations(range(n - 1), r):
+                g = from_edge_list(n, edges + [(v, n - 1) for v in subset])
+                seen.setdefault(canonical_key(g), g)
+    return tuple(g for _, g in sorted(seen.items()))
 
 
 def brute_force_connected(n):
@@ -33,6 +56,19 @@ def test_agrees_with_edge_subset_brute_force():
         fast = [canonical_key(g) for g in internal_universe(n)]
         slow = [canonical_key(g) for g in brute_force_connected(n)]
         assert fast == slow
+
+
+def test_same_graphs_in_same_order_as_generate_and_dedup():
+    for n in range(1, 8):
+        assert internal_universe(n).graphs == generate_and_dedup(n)
+
+
+def test_key_bytes_pinned():
+    h = hashlib.sha256()
+    for n in range(1, 8):
+        for g in internal_universe(n):
+            h.update(canonical_key(g))
+    assert h.hexdigest() == UNIVERSE_KEYS_SHA256
 
 
 def test_all_emitted_graphs_connected_and_distinct():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 
 import pytest
@@ -58,7 +59,7 @@ class TestClassifyTrees:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(survey, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(survey.os, "cpu_count", lambda: 4)
         one = survey.classify_trees(12)
         assert survey.classify_trees(12, workers=8) == one
@@ -120,6 +121,14 @@ class TestClassCensusMatchesStream:
         monkeypatch.setattr(survey.treegen, "free_tree_sequences", no_stream)
         rec = survey.classify_trees(12, witness_cap=0)
         assert rec.negative == 6 and rec.negative_witnesses == ()
+
+    def test_no_stream_without_negative_trees(self, monkeypatch):
+        def no_stream(n):
+            raise AssertionError("the tree stream was started")
+
+        monkeypatch.setattr(survey.treegen, "free_tree_sequences", no_stream)
+        rec = survey.classify_trees(10)
+        assert rec.negative == 0 and rec.negative_witnesses == ()
 
 
 @functools.cache
