@@ -72,8 +72,4 @@ def parse_graph6(text: str) -> Graph:
     # bits past the triangle must be zero padding
     if bitpos and chunk & ((1 << bitpos) - 1):
         raise Graph6Error("padding bits set beyond the adjacency triangle")
-    for extra in range(k, nchars):
-        c = ord(body[extra]) - 63
-        if c:
-            raise Graph6Error("padding bits set beyond the adjacency triangle")
     return from_edge_list(n, edges)

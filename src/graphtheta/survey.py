@@ -100,15 +100,11 @@ class _Census:
     # class -> [|gap|, trees, abc, abs] of every class whose |gap| is at
     # most that of the near_k-th tree, ranked by |gap|
     near: dict = field(default_factory=dict)
-    # class -> (gap, gap_extended_precision) of every |gap| <= tol,
-    # kept only when the caller asks (near_zero_candidates)
-    band: dict = field(default_factory=dict)
 
     def add(self, other: "_Census") -> None:
         self.signs += other.signs
         for cls, (a, trees, abc, abs_) in other.near.items():
             self.add_near(cls, a, trees, abc, abs_)
-        self.band.update(other.band)
 
     def add_near(self, cls: int, a: float, trees: int, abc: float, abs_: float) -> None:
         if cls in self.near:  # one class can come from several fold units
@@ -129,6 +125,18 @@ class _Census:
         return math.inf
 
 
+def _scored(tables: treeclasses.Tables, units: list[int]):
+    """(class, trees, degree pairs, abc, abs) for every class of the
+    given fold units, one fold live at a time.  A class is yielded once
+    per fold unit it comes from."""
+    abc_terms, abs_terms = term_tables(tables.n)
+    for unit in units:
+        for cls, trees in tables.classes(unit).items():
+            pairs = tables.pairs(cls)
+            yield (cls, trees, pairs, math.fsum([abc_terms[a][b] for a, b in pairs]),
+                   math.fsum([abs_terms[a][b] for a, b in pairs]))
+
+
 def _scan_partition(args) -> _Census:
     """Count and score the classes of order n in every ``parts``-th fold
     unit (``treeclasses.Tables.units``), from unit ``part``.
@@ -139,25 +147,18 @@ def _scan_partition(args) -> _Census:
     every class whose |gap| is at most that of the part's own near_k-th
     tree, which is never below the merged near_k-th tree's |gap|.
     """
-    n, parts, part, tol, near_k, keep_band = args
+    n, parts, part, tol, near_k = args
     tables = treeclasses.Tables(n)
-    abc_terms, abs_terms = term_tables(n)
     c = _Census()
     bound = math.inf  # |gap| of the near_k-th tree kept so far
-    for unit in tables.units[part::parts]:
-        for cls, trees in tables.classes(unit).items():
-            pairs = tables.pairs(cls)
-            abc = math.fsum([abc_terms[a][b] for a, b in pairs])
-            abs_ = math.fsum([abs_terms[a][b] for a, b in pairs])
-            gap = abc - abs_
-            c.signs[certified_sign(gap, pairs, tol)] += trees
-            a = abs(gap)
-            if a <= bound:
-                c.add_near(cls, a, trees, abc, abs_)
-                if len(c.near) >= 2 * near_k:
-                    bound = c.trim(near_k)
-            if keep_band and a <= tol and cls not in c.band:
-                c.band[cls] = (gap, gap_extended_precision(pairs))
+    for cls, trees, pairs, abc, abs_ in _scored(tables, tables.units[part::parts]):
+        gap = abc - abs_
+        c.signs[certified_sign(gap, pairs, tol)] += trees
+        a = abs(gap)
+        if a <= bound:
+            c.add_near(cls, a, trees, abc, abs_)
+            if len(c.near) >= 2 * near_k:
+                bound = c.trim(near_k)
     c.trim(near_k)
     return c
 
@@ -183,8 +184,7 @@ def _witnesses(n: int, tol: float, cap: int) -> list[tuple[int, ...]]:
 
 
 def _census(
-    n: int, tol: float, workers: int, near_k: int, keep_band: bool = False,
-    witness_cap: int = 0,
+    n: int, tol: float, workers: int, near_k: int, witness_cap: int = 0,
 ) -> tuple[_Census, list[tuple[int, ...]]]:
     """The class census of order n, and its first ``witness_cap``
     negative trees in stream order.
@@ -196,7 +196,7 @@ def _census(
     is keyed by class, so the result does not depend on the worker
     count.  A pool worker that dies raises ChildProcessError.
     """
-    jobs = [(n, workers, part, tol, near_k, keep_band) for part in range(workers)]
+    jobs = [(n, workers, part, tol, near_k) for part in range(workers)]
     if workers == 1:
         partials = [_scan_partition(jobs[0])]
         negatives = partials[0].signs[Sign.NEGATIVE]
@@ -285,9 +285,14 @@ def near_zero_candidates(
 ) -> list[tuple[str, float, float]]:
     """Trees of order n with |gap| <= threshold, with the gap re-evaluated
     at extended precision: (graph6, gap, gap_extended), in stream order."""
-    census, _ = _census(n, threshold, 1, 1, keep_band=True)
+    if not 0 < threshold < math.inf:  # also false for NaN
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
     tables = treeclasses.Tables(n)
-    rows = sorted(((seq, gap, hp) for cls, (gap, hp) in census.band.items()
+    band = {}  # class -> (gap, gap_extended_precision)
+    for cls, _, pairs, abc, abs_ in _scored(tables, tables.units):
+        if abs(abc - abs_) <= threshold and cls not in band:
+            band[cls] = (abc - abs_, gap_extended_precision(pairs))
+    rows = sorted(((seq, gap, hp) for cls, (gap, hp) in band.items()
                    for seq in tables.expand(cls)), reverse=True)
     return [(_graph6(seq), gap, float(hp)) for seq, gap, hp in rows]
 
@@ -301,12 +306,14 @@ class NegativeTreeResult:
     unique: bool
 
 
-def smallest_negative_tree(tol: float = DEFAULT_ZERO_TOL) -> NegativeTreeResult:
-    """Scan orders 3, 4, ... and return the first tree whose census sign
-    at ``tol`` is negative (ABC < ABS); among several, the smallest
-    graph6 string, which is the first in stream order."""
+def smallest_negative_tree() -> NegativeTreeResult:
+    """Census orders 3, 4, ... and return the first tree whose census
+    sign is negative (ABC < ABS); among several, the smallest graph6
+    string, which is the first in stream order.  The tree stream is
+    started only at the first order whose census counts a negative
+    tree."""
     for n in range(3, NEGATIVE_SEARCH_MAX_ORDER + 1):
-        found = _witnesses(n, tol, 2)
+        census, found = _census(n, DEFAULT_ZERO_TOL, 1, 1, witness_cap=1)
         if found:
             abc, abs_ = treegen.abc_abs_sums(found[0])
             return NegativeTreeResult(
@@ -314,7 +321,7 @@ def smallest_negative_tree(tol: float = DEFAULT_ZERO_TOL) -> NegativeTreeResult:
                 graph=treegen.sequence_to_graph(found[0]),
                 graph6=_graph6(found[0]),
                 gap=abc - abs_,
-                unique=len(found) == 1,
+                unique=census.signs[Sign.NEGATIVE] == 1,
             )
     raise RuntimeError(f"no negative tree found up to order {NEGATIVE_SEARCH_MAX_ORDER}")
 

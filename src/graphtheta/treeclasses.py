@@ -31,7 +31,9 @@ centroid (Polya 1937; Otter 1948; Harary-Palmer 1973, ch. 3-4):
 score and drop them one fold at a time, or split the units between
 processes.  ``Tables.expand(cls)`` lists the trees of one class as the
 canonical level sequences that ``treegen.free_tree_sequences`` gives
-them, in stream order.
+them, in stream order.  It roots each tree at every centroid, one root
+degree at a time with branches of at most n/2 vertices, so a tree with
+two centroids is made twice and kept once by its stream form.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, product
 from typing import Iterator
 
-from .treegen import _accepts, _split, parent_array
+from .treegen import stream_form
 
 BICENTROID = -1  # the unit of the trees with two centroids
 
@@ -237,74 +239,17 @@ class Tables:
 
     def expand(self, cls: int) -> list[tuple[int, ...]]:
         """The trees of a class as the stream's canonical level
-        sequences, in stream order."""
-        trees = []
-        cands = self._candidates(self.branch)
-        for unit in self.units:
-            if unit == BICENTROID:
-                trees += self._expand_bicentroidal(cls)
-            else:
-                for picks in self._children(cands, unit, unit, self.n - 1, cls):
-                    trees += [_join(children) for children in self._combine(cands, picks)]
-        return sorted((_stream_form(seq) for seq in trees), reverse=True)
+        sequences, in stream order.
 
-    def _expand_bicentroidal(self, cls: int) -> list[tuple[int, ...]]:
-        """Trees of the class made of two halves (d1, x1) <= (d2, x2)."""
-        s = self.half
-        out = []
-        for (d1, size), poly in self.planted.items():
-            for x1 in poly if size == s else ():
-                for d2 in range(d1, s + 1):
-                    e = self._edge[d1][d2]
-                    x2 = cls - x1 - e  # a class only if no field went below 0
-                    if not e or (d2, x2) < (d1, x1) or x2 not in self.planted.get((d2, s), ()):
-                        continue
-                    a, b = self._planted_trees(d1, s, x1), self._planted_trees(d2, s, x2)
-                    pairs = (combinations_with_replacement(a, 2) if (d1, x1) == (d2, x2)
-                             else product(a, b))
-                    out += [t1 + tuple(v + 1 for v in t2) for t1, t2 in pairs]
-        return out
+        Each tree is listed from every centroid: a root of any degree
+        whose branches have at most n/2 vertices.  Both rootings of a
+        tree with two centroids have one stream form."""
+        cands = self._candidates(self.half)
+        return sorted({stream_form(_join(children)) for d in range(self.n)
+                       for picks in self._children(cands, d, d, self.n - 1, cls)
+                       for children in self._combine(cands, picks)}, reverse=True)
 
 
 def _join(children: list[tuple[int, ...]]) -> tuple[int, ...]:
     """A root over the given subtrees (each rooted at depth 0)."""
     return (0, *(v + 1 for child in children for v in child))
-
-
-def _stream_form(seq: tuple[int, ...]) -> tuple[int, ...]:
-    """The level sequence that the free-tree stream gives the tree of
-    ``seq``: the canonical sequence rooted at a center (of two centers,
-    the rooting that the stream's acceptance rule takes)."""
-    par = parent_array(seq)
-    adj: list[list[int]] = [[] for _ in seq]
-    for v in range(1, len(seq)):
-        adj[v].append(par[v])
-        adj[par[v]].append(v)
-
-    def farthest(src: int) -> list[int]:
-        """The path from src to a vertex farthest from it."""
-        prev = {src: src}
-        order = [src]
-        for v in order:
-            for w in adj[v]:
-                if w not in prev:
-                    prev[w] = v
-                    order.append(w)
-        path = [order[-1]]
-        while path[-1] != src:
-            path.append(prev[path[-1]])
-        return path
-
-    path = farthest(farthest(0)[0])
-    diam = len(path) - 1
-    centers = {path[diam // 2], path[(diam + 1) // 2]}
-
-    def canonical(v: int, parent: int, depth: int) -> list[int]:
-        subs = sorted((canonical(w, v, depth + 1) for w in adj[v] if w != parent),
-                      reverse=True)
-        return [depth, *(x for sub in subs for x in sub)]
-
-    forms = [canonical(c, -1, 0) for c in centers]
-    if len(forms) == 2:
-        forms = [f for f in forms if _accepts(*_split(f))]
-    return tuple(forms[0])

@@ -70,6 +70,45 @@ def _accepts(first: list[int], rest: list[int]) -> bool:
         len(first) < len(rest) or (len(first) == len(rest) and first <= rest)))
 
 
+def stream_form(seq: tuple[int, ...]) -> tuple[int, ...]:
+    """The level sequence that ``free_tree_sequences`` gives the tree of
+    ``seq``: the canonical sequence rooted at a center (of two centers,
+    the rooting that ``_accepts`` takes)."""
+    par = parent_array(seq)
+    adj: list[list[int]] = [[] for _ in seq]
+    for v in range(1, len(seq)):
+        adj[v].append(par[v])
+        adj[par[v]].append(v)
+
+    def farthest(src: int) -> list[int]:
+        """The path from src to a vertex farthest from it."""
+        prev = {src: src}
+        order = [src]
+        for v in order:
+            for w in adj[v]:
+                if w not in prev:
+                    prev[w] = v
+                    order.append(w)
+        path = [order[-1]]
+        while path[-1] != src:
+            path.append(prev[path[-1]])
+        return path
+
+    path = farthest(farthest(0)[0])
+    diam = len(path) - 1
+    centers = {path[diam // 2], path[(diam + 1) // 2]}
+
+    def canonical(v: int, parent: int, depth: int) -> list[int]:
+        subs = sorted((canonical(w, v, depth + 1) for w in adj[v] if w != parent),
+                      reverse=True)
+        return [depth, *(x for sub in subs for x in sub)]
+
+    forms = [canonical(c, -1, 0) for c in centers]
+    if len(forms) == 2:
+        forms = [f for f in forms if _accepts(*_split(f))]
+    return tuple(forms[0])
+
+
 def _advance_to_free(seq: list[int] | None) -> list[int] | None:
     """Advance to the nearest sequence that ``_accepts``: one rooted at
     a center of its free tree (of two centers, the one whose own side of

@@ -1,5 +1,6 @@
 import concurrent.futures
 import functools
+import math
 
 import pytest
 
@@ -177,6 +178,19 @@ class TestSmallestNegativeTree:
         assert 2 in res.graph.degrees
         assert classify_shape(res.graph) is Shape.OTHER
 
+    def test_streams_only_order_11(self, monkeypatch):
+        # orders 3..10 have no negative tree, and their censuses say so
+        orders = []
+        stream = survey.treegen.free_tree_sequences
+
+        def counted(n):
+            orders.append(n)
+            return stream(n)
+
+        monkeypatch.setattr(survey.treegen, "free_tree_sequences", counted)
+        assert survey.smallest_negative_tree().order == 11
+        assert orders == [11]
+
 
 class TestVerifiers:
     def test_min_degree2_clean_up_to_6(self, universes_1_to_6):
@@ -228,6 +242,12 @@ class TestVerifiers:
 
 def test_near_zero_candidates_empty_below_threshold():
     assert survey.near_zero_candidates(12, threshold=1e-6) == []
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
+def test_near_zero_candidates_rejects_threshold(threshold):
+    with pytest.raises(ValueError):
+        survey.near_zero_candidates(8, threshold=threshold)
 
 
 class TestRecheck:
