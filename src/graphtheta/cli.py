@@ -25,7 +25,7 @@ from typing import IO, Iterator, Sequence
 
 from . import __version__, survey, treegen
 from .graphs import GraphError
-from .graph6 import parse_graph6, to_graph6
+from .graph6 import graph6_lines, parse_graph6, to_graph6
 from .indices import DEFAULT_ZERO_TOL, certified_sign, index_report
 from .smallgraphs import MAX_INTERNAL_ORDER, internal_universe, load_universe
 
@@ -93,10 +93,10 @@ def _open_out(stack: ExitStack, path: str | None):
     return stack.enter_context(_atomic_output(path))
 
 
-def _input_lines(stack: ExitStack, path: str | None):
+def _input_bytes(stack: ExitStack, path: str | None) -> IO[bytes]:
     if path is None or path == "-":
-        return sys.stdin
-    return stack.enter_context(open(path, encoding="ascii"))
+        return sys.stdin.buffer
+    return stack.enter_context(open(path, "rb"))
 
 
 def _write_rows(
@@ -126,10 +126,7 @@ def _cmd_index(args) -> int:
     status = 0
     rows = []
     with ExitStack() as stack:
-        for lineno, line in enumerate(_input_lines(stack, getattr(args, "in")), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in graph6_lines(_input_bytes(stack, getattr(args, "in"))):
             try:
                 g = parse_graph6(line)
                 r = index_report(g)

@@ -43,8 +43,12 @@ class Shape(Enum):
 class Graph:
     """Simple undirected graph with cached degrees.
 
-    Construct through :func:`from_edge_list`; the dataclass itself does
-    not re-validate its invariants.
+    Construct through :func:`from_edge_list`, which validates the edges
+    and then hands sorted neighbor lists to ``_from_adjacency``, the
+    trusted tail that builds the tuples, degrees and ``m``.  Codecs that
+    produce valid, sorted lists by construction (``parse_graph6``,
+    ``treegen.sequence_to_graph``) call ``_from_adjacency`` directly; the
+    dataclass itself does not re-validate its invariants.
     """
 
     n: int
@@ -89,9 +93,15 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise DuplicateEdgeError(f"duplicate edge ({u},{v})")
         neigh[u].add(v)
         neigh[v].add(u)
-    adj = tuple(tuple(sorted(s)) for s in neigh)
-    degrees = tuple(len(a) for a in adj)
-    return Graph(n=n, adj=adj, degrees=degrees, m=sum(degrees) // 2)
+    return _from_adjacency(n, [sorted(s) for s in neigh])
+
+
+def _from_adjacency(n: int, adj: list[list[int]]) -> Graph:
+    """The Graph of ``n`` neighbor lists that are already valid: in range,
+    symmetric, free of loops and repeats, and each sorted ascending.
+    Nothing is checked."""
+    degrees = tuple(map(len, adj))
+    return Graph(n=n, adj=tuple(map(tuple, adj)), degrees=degrees, m=sum(degrees) // 2)
 
 
 def is_connected(g: Graph) -> bool:

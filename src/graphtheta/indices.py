@@ -3,9 +3,9 @@
 Each index is a sum over the edges of a term in the degree pair
 (d_u, d_v): Randic 1/sqrt(d_u*d_v), sum-connectivity 1/sqrt(d_u+d_v),
 ABC sqrt((d_u+d_v-2)/(d_u*d_v)) and ABS sqrt((d_u+d_v-2)/(d_u+d_v)).
-Each term is written once: ABC and ABS in ``sums_from_degree_pairs``,
-which the tree census reads through ``term_tables`` without a Graph,
-and R and SC in ``index_report``.
+Each term is written once, in ``_edge_terms``, a cached function of the
+degree pair that ``index_report``, ``sums_from_degree_pairs`` and the
+tree census's ``term_tables`` all read.
 
 Whole-graph values are accumulated with ``math.fsum`` (exactly rounded
 compensated summation): the surveys turn on the sign of gaps as small
@@ -44,43 +44,40 @@ class Sign(Enum):
     ZERO_WITHIN_TOL = "zero"
 
 
+@cache
+def _edge_terms(a: int, b: int) -> tuple[float, float, float, float]:
+    """The R, SC, ABC and ABS terms of one edge between degrees a and b."""
+    return (1.0 / math.sqrt(a * b), 1.0 / math.sqrt(a + b),
+            math.sqrt((a + b - 2) / (a * b)), math.sqrt((a + b - 2) / (a + b)))
+
+
 def sums_from_degree_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[float, float]:
     """Compensated (abc, abs) sums over a stream of edge degree pairs.
 
-    Degrees must be positive; they are not checked, since this is the
-    per-tree scoring loop of the census.
+    Degrees must be positive; they are not checked.
     """
-    pairs = list(pairs)
-    abc = math.fsum(math.sqrt((a + b - 2) / (a * b)) for a, b in pairs)
-    abs_ = math.fsum(math.sqrt((a + b - 2) / (a + b)) for a, b in pairs)
-    return abc, abs_
+    terms = [_edge_terms(a, b) for a, b in pairs]
+    return math.fsum([t[2] for t in terms]), math.fsum([t[3] for t in terms])
 
 
 @cache
 def term_tables(n: int) -> tuple[list[list[float]], list[list[float]]]:
     """The ABC and the ABS term of one edge between degrees a and b, as
-    tables [a][b] for degrees below n, each from ``sums_from_degree_pairs``
-    on that one pair.  A sum of these terms under ``math.fsum`` has the
-    bits of ``sums_from_degree_pairs`` on the same pairs, in any order,
-    since fsum is exactly rounded."""
-    rows = [[sums_from_degree_pairs([(a, b)]) if a and b else (0.0, 0.0) for b in range(n)]
-            for a in range(n)]
-    return [[t[0] for t in row] for row in rows], [[t[1] for t in row] for row in rows]
+    tables [a][b] for degrees below n.  A sum of these terms under
+    ``math.fsum`` has the bits of ``sums_from_degree_pairs`` on the same
+    pairs, in any order, since fsum is exactly rounded."""
+    return ([[_edge_terms(a, b)[2] if a and b else 0.0 for b in range(n)] for a in range(n)],
+            [[_edge_terms(a, b)[3] if a and b else 0.0 for b in range(n)] for a in range(n)])
 
 
 def index_report(g: Graph) -> IndexReport:
     """Evaluate R, SC, ABC, ABS and the gap on a connected graph."""
     if not is_connected(g):
         raise DisconnectedGraphError("graph is not connected")
-    pairs = list(g.edge_degree_pairs())
-    abc, abs_ = sums_from_degree_pairs(pairs)
-    return IndexReport(
-        randic=math.fsum(1.0 / math.sqrt(a * b) for a, b in pairs),
-        sum_connectivity=math.fsum(1.0 / math.sqrt(a + b) for a, b in pairs),
-        abc=abc,
-        abs=abs_,
-        gap=abc - abs_,
-    )
+    deg = g.degrees
+    terms = [_edge_terms(deg[u], deg[v]) for u in range(g.n) for v in g.adj[u] if v > u]
+    randic, sc, abc, abs_ = map(math.fsum, zip(*terms)) if terms else (0.0,) * 4
+    return IndexReport(randic=randic, sum_connectivity=sc, abc=abc, abs=abs_, gap=abc - abs_)
 
 
 def sign_of_gap(gap: float, tol: float = DEFAULT_ZERO_TOL) -> Sign:

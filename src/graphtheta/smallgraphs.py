@@ -28,7 +28,7 @@ from itertools import combinations
 
 from .canon import canonical_search
 from .graphs import Graph, GraphError, from_edge_list, is_connected
-from .graph6 import parse_graph6
+from .graph6 import graph6_lines, parse_graph6
 
 MAX_INTERNAL_ORDER = 7
 
@@ -102,11 +102,8 @@ def load_universe(path: str, expect_order: int) -> GraphUniverse:
     """Read a graph6 file (one graph per line, '#' comments ignored),
     validating order and connectivity of every graph."""
     graphs = []
-    with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    with open(path, "rb") as fh:
+        for lineno, line in graph6_lines(fh):
             try:
                 g = parse_graph6(line)
             except GraphError as exc:

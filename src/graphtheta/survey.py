@@ -221,10 +221,6 @@ def _census(
     return census, witnesses
 
 
-def _graph6(seq: tuple[int, ...]) -> str:
-    return to_graph6(treegen.sequence_to_graph(seq))
-
-
 def _near_ties(n: int, census: _Census, k: int) -> list[TieRecord]:
     """The k trees of the census's near classes with the smallest |gap|;
     equal gaps in stream order, which is ascending graph6 order
@@ -234,7 +230,7 @@ def _near_ties(n: int, census: _Census, k: int) -> list[TieRecord]:
             for seq in tables.expand(cls)]
     rows.sort(key=lambda r: r[1], reverse=True)  # the stream's order
     rows.sort(key=lambda r: r[0])
-    return [TieRecord(graph6=_graph6(seq), abc=abc, abs=abs_, abs_gap=a)
+    return [TieRecord(graph6=treegen.sequence_to_graph6(seq), abc=abc, abs=abs_, abs_gap=a)
             for a, seq, abc, abs_ in rows[:k]]
 
 
@@ -265,7 +261,7 @@ def classify_trees(
         tol=tol,
         min_abs_gap=best.abs_gap,
         min_abs_gap_graph6=best.graph6,
-        negative_witnesses=tuple(_graph6(seq) for seq in witnesses),
+        negative_witnesses=tuple(treegen.sequence_to_graph6(seq) for seq in witnesses),
         witness_cap=witness_cap,
     )
 
@@ -294,7 +290,7 @@ def near_zero_candidates(
             band[cls] = (abc - abs_, gap_extended_precision(pairs))
     rows = sorted(((seq, gap, hp) for cls, (gap, hp) in band.items()
                    for seq in tables.expand(cls)), reverse=True)
-    return [(_graph6(seq), gap, float(hp)) for seq, gap, hp in rows]
+    return [(treegen.sequence_to_graph6(seq), gap, float(hp)) for seq, gap, hp in rows]
 
 
 @dataclass(frozen=True)
@@ -319,7 +315,7 @@ def smallest_negative_tree() -> NegativeTreeResult:
             return NegativeTreeResult(
                 order=n,
                 graph=treegen.sequence_to_graph(found[0]),
-                graph6=_graph6(found[0]),
+                graph6=treegen.sequence_to_graph6(found[0]),
                 gap=abc - abs_,
                 unique=census.signs[Sign.NEGATIVE] == 1,
             )

@@ -38,6 +38,7 @@ two centroids is made twice and kept once by its stream form.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations_with_replacement, product
 from typing import Iterator
 
@@ -117,6 +118,7 @@ class Tables:
         self.planted: dict[tuple[int, int], Poly] = {}
         self._planted_tables()
         self._trees: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
+        self._cands: dict[tuple[int, int], tuple[list[tuple[int, int, int]], list[int]]] = {}
 
     def _layer(self, d_parent: int, sigma: int) -> Poly:
         q: Poly = {}
@@ -187,35 +189,44 @@ class Tables:
     # --- listing the trees of a class ---------------------------------
 
     def _children(
-        self, cands: list[tuple[int, int, int]], d_parent: int, k: int, t: int, rest: int,
-        start: int = 0,
+        self, cands: list[tuple[int, int, int]], sizes: list[int], d_parent: int,
+        k: int, t: int, rest: int, start: int = 0,
     ) -> Iterator[list[int]]:
         """Nondecreasing index lists into ``cands`` (planted classes
-        (s, d, cls), sorted by s descending) of k children of total size t
-        whose classes plus edges to the parent add up to ``rest``."""
+        (s, d, cls) whose root has an edge to a parent of degree d_parent,
+        sorted by s descending; ``sizes`` holds each -s) of k children of
+        total size t whose classes plus edges to the parent add up to
+        ``rest``."""
         if k == 0:
             if t == 0 and rest == 0:
                 yield []
             return
         guard = self._guard
-        for i in range(start, len(cands)):
+        edge = self._edge[d_parent]
+        # the first candidate that leaves each of the other k-1 children a vertex
+        for i in range(max(start, bisect_left(sizes, k - 1 - t)), len(cands)):
             s, d, cls = cands[i]
             if s * k < t:
                 break
-            e = self._edge[d_parent][d]
-            if s + k - 1 > t or not e:
-                continue
-            x = cls + e
+            x = cls + edge[d]
             if ((rest | guard) - x) & guard != guard:
                 continue  # some edge type would go below zero
-            for tail in self._children(cands, d_parent, k - 1, t - s, rest - x, i):
+            for tail in self._children(cands, sizes, d_parent, k - 1, t - s, rest - x, i):
                 yield [i, *tail]
 
-    def _candidates(self, s_max: int) -> list[tuple[int, int, int]]:
-        """The planted classes (s, d, cls) of at most s_max vertices, in
-        descending order."""
-        return sorted(((s, d, cls) for (d, s), poly in self.planted.items() if s <= s_max
-                       for cls in poly), reverse=True)
+    def _candidates(
+        self, s_max: int, d_parent: int
+    ) -> tuple[list[tuple[int, int, int]], list[int]]:
+        """The planted classes (s, d, cls) of at most s_max vertices whose
+        root has an edge to a parent of degree d_parent, in descending
+        order, and the list of their -s (ascending, for ``bisect``)."""
+        key = (s_max, d_parent)
+        if key not in self._cands:
+            cands = sorted(((s, d, cls) for (d, s), poly in self.planted.items()
+                            if s <= s_max and self._edge[d_parent][d] for cls in poly),
+                           reverse=True)
+            self._cands[key] = cands, [-s for s, _, _ in cands]
+        return self._cands[key]
 
     def _combine(self, cands, picks: list[int]) -> Iterator[list[tuple[int, ...]]]:
         """Every multiset of trees for a multiset of child classes."""
@@ -231,9 +242,9 @@ class Tables:
         """Level sequences (root depth 0) of the planted trees of a class."""
         key = (d, s, cls)
         if key not in self._trees:
-            cands = self._candidates(s - 1)
+            cands, sizes = self._candidates(s - 1, d)
             self._trees[key] = [_join(children)
-                                for picks in self._children(cands, d, d - 1, s - 1, cls)
+                                for picks in self._children(cands, sizes, d, d - 1, s - 1, cls)
                                 for children in self._combine(cands, picks)]
         return self._trees[key]
 
@@ -244,10 +255,13 @@ class Tables:
         Each tree is listed from every centroid: a root of any degree
         whose branches have at most n/2 vertices.  Both rootings of a
         tree with two centroids have one stream form."""
-        cands = self._candidates(self.half)
-        return sorted({stream_form(_join(children)) for d in range(self.n)
-                       for picks in self._children(cands, d, d, self.n - 1, cls)
-                       for children in self._combine(cands, picks)}, reverse=True)
+        trees = set()
+        for d in range(self.n):
+            cands, sizes = self._candidates(self.half, d)
+            trees.update(stream_form(_join(children))
+                         for picks in self._children(cands, sizes, d, d, self.n - 1, cls)
+                         for children in self._combine(cands, picks))
+        return sorted(trees, reverse=True)
 
 
 def _join(children: list[tuple[int, ...]]) -> tuple[int, ...]:

@@ -16,8 +16,8 @@ from __future__ import annotations
 from math import fsum
 from typing import IO, Iterator
 
-from .graphs import Graph, from_edge_list
-from .graph6 import to_graph6
+from .graphs import Graph, _from_adjacency
+from .graph6 import edges_to_graph6
 from .indices import term_tables
 
 # Which kernel runs; perfbench's set-up imports and records it.
@@ -74,11 +74,7 @@ def stream_form(seq: tuple[int, ...]) -> tuple[int, ...]:
     """The level sequence that ``free_tree_sequences`` gives the tree of
     ``seq``: the canonical sequence rooted at a center (of two centers,
     the rooting that ``_accepts`` takes)."""
-    par = parent_array(seq)
-    adj: list[list[int]] = [[] for _ in seq]
-    for v in range(1, len(seq)):
-        adj[v].append(par[v])
-        adj[par[v]].append(v)
+    adj = sequence_to_graph(seq).adj
 
     def farthest(src: int) -> list[int]:
         """The path from src to a vertex farthest from it."""
@@ -195,24 +191,25 @@ def abc_abs_sums(seq: tuple[int, ...]) -> tuple[float, float]:
 def sequence_to_graph(seq: tuple[int, ...]) -> Graph:
     """Materialize the tree encoded by a 0-based depth sequence."""
     par = parent_array(seq)
-    return from_edge_list(len(seq), [(par[i], i) for i in range(1, len(seq))])
+    adj: list[list[int]] = [[] for _ in seq]
+    # a parent's index is below its child's, so every list grows sorted
+    for v in range(1, len(seq)):
+        adj[v].append(par[v])
+        adj[par[v]].append(v)
+    return _from_adjacency(len(seq), adj)
 
 
-def enumerate_trees(n: int) -> Iterator[Graph]:
-    """Every free tree of order n exactly once, deterministic order."""
-    for seq in free_tree_sequences(n):
-        yield sequence_to_graph(seq)
-
-
-def count_trees(n: int) -> int:
-    """Number of free trees of order n, without materializing graphs."""
-    return sum(1 for _ in free_tree_sequences(n))
+def sequence_to_graph6(seq: tuple[int, ...]) -> str:
+    """The graph6 string of the tree encoded by a depth sequence, made
+    from its parent edges without a Graph."""
+    par = parent_array(seq)
+    return edges_to_graph6(len(seq), zip(par[1:], range(1, len(seq))))
 
 
 def write_graph6_stream(n: int, out: IO[str]) -> int:
     """Dump the tree stream as graph6 lines; returns the line count."""
     count = 0
-    for g in enumerate_trees(n):
-        out.write(to_graph6(g) + "\n")
+    for seq in free_tree_sequences(n):
+        out.write(sequence_to_graph6(seq) + "\n")
         count += 1
     return count

@@ -11,7 +11,7 @@ import graphtheta
 from graphtheta import survey
 from graphtheta.cli import main
 from graphtheta.graph6 import to_graph6
-from graphtheta.treegen import enumerate_trees
+from graphtheta.treegen import free_tree_sequences, sequence_to_graph
 
 from conftest import cycle_graph, path_graph
 
@@ -64,6 +64,14 @@ class TestIndex:
         assert code == 2
         assert err == "line 1: empty graph6 string\n"
         assert len(out.splitlines()) == 3  # schema + header + the A_ row
+
+    def test_non_ascii_line_is_one_bad_line(self, capsys, tmp_path):
+        inp = tmp_path / "latin.g6"
+        inp.write_bytes(b"A_\nBw\n\xe9\nBw\n")
+        code, out, err = run(capsys, "index", "--in", str(inp))
+        assert code == 2
+        assert err == "line 3: invalid header byte 233\n"
+        assert [r.split(",")[0] for r in out.splitlines()[2:]] == ["A_", "Bw", "Bw"]
 
     def test_in_band_sign_is_rechecked(self, capsys, tmp_path):
         # |gap| equals tol in double precision but exceeds it at 50 digits,
@@ -226,6 +234,13 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.endswith(f"does not read {unread}\n")
 
+    def test_non_ascii_external_line_exit_2(self, capsys, tmp_path):
+        inp = tmp_path / "latin.g6"
+        inp.write_bytes(b"Bw\nB\xe9\n")
+        code, out, err = run(capsys, "verify", "t1", "--in", str(inp), "--order", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: {inp}:2: invalid body byte at index 0\n"
+
     def test_empty_external_universe_exit_2(self, capsys, tmp_path):
         inp = tmp_path / "empty.g6"
         inp.write_text("# no graphs\n")
@@ -288,7 +303,7 @@ class TestEnum:
         out_path = tmp_path / "t7.g6"
         code, _, _ = run(capsys, "enum", "trees", "7", "--out", str(out_path))
         assert code == 0
-        expected = [to_graph6(g) for g in enumerate_trees(7)]
+        expected = [to_graph6(sequence_to_graph(s)) for s in free_tree_sequences(7)]
         assert out_path.read_text().splitlines() == expected
 
 

@@ -8,7 +8,7 @@ from graphtheta.canon import canonical_key
 from graphtheta.graphs import GraphError, from_edge_list, is_connected
 from graphtheta.graph6 import to_graph6
 from graphtheta.smallgraphs import internal_universe, load_universe
-from graphtheta.treegen import enumerate_trees
+from graphtheta.treegen import free_tree_sequences, sequence_to_graph
 
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
 # sha256 over canonical_key of every internal representative, orders 1..7
@@ -92,7 +92,7 @@ class TestLoadUniverse:
         path = tmp_path / "t7.g6"
         path.write_text(
             "# seventh-order trees\n"
-            + "".join(to_graph6(g) + "\n" for g in enumerate_trees(7))
+            + "".join(to_graph6(sequence_to_graph(s)) + "\n" for s in free_tree_sequences(7))
         )
         u = load_universe(str(path), expect_order=7)
         assert len(u) == 11 and u.order == 7
@@ -112,6 +112,12 @@ class TestLoadUniverse:
         path = tmp_path / "bad.g6"
         path.write_text("A_\nA_XYZ\n")
         with pytest.raises(GraphError, match=":2"):
+            load_universe(str(path), expect_order=2)
+
+    def test_non_ascii_byte_reports_line(self, tmp_path):
+        path = tmp_path / "latin.g6"
+        path.write_bytes(b"A_\n\xe9_\n")
+        with pytest.raises(GraphError, match=r"latin\.g6:2: invalid header byte 233$"):
             load_universe(str(path), expect_order=2)
 
     def test_disconnected_rejected(self, tmp_path):

@@ -5,8 +5,6 @@ from graphtheta.canon import canonical_key
 from graphtheta.graphs import from_edge_list, is_connected
 from graphtheta.graph6 import to_graph6
 from graphtheta.treegen import (
-    count_trees,
-    enumerate_trees,
     free_tree_sequences,
     parent_array,
     sequence_to_graph,
@@ -30,21 +28,25 @@ def leaf_augmentation_oracle(n):
     return reps
 
 
+def count(n):
+    return sum(1 for _ in free_tree_sequences(n))
+
+
 def test_counts_1_to_15():
     for n, expected in enumerate(TREE_COUNTS, start=1):
-        assert count_trees(n) == expected
+        assert count(n) == expected
 
 
 def test_trivial_counts():
-    assert count_trees(1) == 1
-    assert count_trees(2) == 1
-    assert count_trees(7) == 11
-    assert count_trees(10) == 106
+    assert count(1) == 1
+    assert count(2) == 1
+    assert count(7) == 11
+    assert count(10) == 106
 
 
 def test_every_emitted_graph_is_a_tree():
     for n in range(1, 11):
-        for g in enumerate_trees(n):
+        for g in map(sequence_to_graph, free_tree_sequences(n)):
             assert g.n == n and g.m == n - 1
             assert is_connected(g)
 
@@ -52,7 +54,7 @@ def test_every_emitted_graph_is_a_tree():
 def test_stream_matches_oracle_graph_for_graph():
     for n in range(1, 10):
         oracle_keys = set(leaf_augmentation_oracle(n))
-        stream_keys = [canonical_key(g) for g in enumerate_trees(n)]
+        stream_keys = [canonical_key(sequence_to_graph(s)) for s in free_tree_sequences(n)]
         assert len(stream_keys) == len(set(stream_keys))  # duplicate-free
         assert set(stream_keys) == oracle_keys
 
@@ -64,7 +66,7 @@ def test_emission_order_deterministic():
 def test_stream_in_ascending_graph6_order():
     # survey breaks ties in |gap| by stream index, relying on this order
     for n in range(1, 15):
-        codes = [to_graph6(g) for g in enumerate_trees(n)]
+        codes = [to_graph6(sequence_to_graph(s)) for s in free_tree_sequences(n)]
         assert codes == sorted(codes)
 
 
