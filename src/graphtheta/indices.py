@@ -3,9 +3,9 @@
 Each index is a sum over the edges of a term in the degree pair
 (d_u, d_v): Randic 1/sqrt(d_u*d_v), sum-connectivity 1/sqrt(d_u+d_v),
 ABC sqrt((d_u+d_v-2)/(d_u*d_v)) and ABS sqrt((d_u+d_v-2)/(d_u+d_v)).
-Each term is written once, in ``_edge_terms``, a cached function of the
-degree pair that ``index_report``, ``sums_from_degree_pairs`` and the
-tree census's ``term_tables`` all read.
+Each term is written once, in ``edge_terms``, a cached function of the
+degree pair that ``index_report`` and the tree census's class scorer
+(``treeclasses.Tables.score``) both read.
 
 Whole-graph values are accumulated with ``math.fsum`` (exactly rounded
 compensated summation): the surveys turn on the sign of gaps as small
@@ -45,29 +45,10 @@ class Sign(Enum):
 
 
 @cache
-def _edge_terms(a: int, b: int) -> tuple[float, float, float, float]:
+def edge_terms(a: int, b: int) -> tuple[float, float, float, float]:
     """The R, SC, ABC and ABS terms of one edge between degrees a and b."""
     return (1.0 / math.sqrt(a * b), 1.0 / math.sqrt(a + b),
             math.sqrt((a + b - 2) / (a * b)), math.sqrt((a + b - 2) / (a + b)))
-
-
-def sums_from_degree_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[float, float]:
-    """Compensated (abc, abs) sums over a stream of edge degree pairs.
-
-    Degrees must be positive; they are not checked.
-    """
-    terms = [_edge_terms(a, b) for a, b in pairs]
-    return math.fsum([t[2] for t in terms]), math.fsum([t[3] for t in terms])
-
-
-@cache
-def term_tables(n: int) -> tuple[list[list[float]], list[list[float]]]:
-    """The ABC and the ABS term of one edge between degrees a and b, as
-    tables [a][b] for degrees below n.  A sum of these terms under
-    ``math.fsum`` has the bits of ``sums_from_degree_pairs`` on the same
-    pairs, in any order, since fsum is exactly rounded."""
-    return ([[_edge_terms(a, b)[2] if a and b else 0.0 for b in range(n)] for a in range(n)],
-            [[_edge_terms(a, b)[3] if a and b else 0.0 for b in range(n)] for a in range(n)])
 
 
 def index_report(g: Graph) -> IndexReport:
@@ -75,7 +56,7 @@ def index_report(g: Graph) -> IndexReport:
     if not is_connected(g):
         raise DisconnectedGraphError("graph is not connected")
     deg = g.degrees
-    terms = [_edge_terms(deg[u], deg[v]) for u in range(g.n) for v in g.adj[u] if v > u]
+    terms = [edge_terms(deg[u], deg[v]) for u in range(g.n) for v in g.adj[u] if v > u]
     randic, sc, abc, abs_ = map(math.fsum, zip(*terms)) if terms else (0.0,) * 4
     return IndexReport(randic=randic, sum_connectivity=sc, abc=abc, abs=abs_, gap=abc - abs_)
 

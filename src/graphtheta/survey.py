@@ -33,7 +33,6 @@ from .indices import (
     certified_sign,
     gap_extended_precision,
     index_report,
-    term_tables,
 )
 from .linegraph import line_graph
 from .smallgraphs import GraphUniverse
@@ -125,16 +124,13 @@ class _Census:
         return math.inf
 
 
-def _scored(tables: treeclasses.Tables, units: list[int]):
-    """(class, trees, degree pairs, abc, abs) for every class of the
+def _scored(tables: treeclasses.Tables, units: list[int], tol: float):
+    """(class, trees, abc, abs, sign at tol) for every class of the
     given fold units, one fold live at a time.  A class is yielded once
     per fold unit it comes from."""
-    abc_terms, abs_terms = term_tables(tables.n)
     for unit in units:
         for cls, trees in tables.classes(unit).items():
-            pairs = tables.pairs(cls)
-            yield (cls, trees, pairs, math.fsum([abc_terms[a][b] for a, b in pairs]),
-                   math.fsum([abs_terms[a][b] for a, b in pairs]))
+            yield (cls, trees, *tables.score(cls, tol))
 
 
 def _scan_partition(args) -> _Census:
@@ -151,10 +147,9 @@ def _scan_partition(args) -> _Census:
     tables = treeclasses.Tables(n)
     c = _Census()
     bound = math.inf  # |gap| of the near_k-th tree kept so far
-    for cls, trees, pairs, abc, abs_ in _scored(tables, tables.units[part::parts]):
-        gap = abc - abs_
-        c.signs[certified_sign(gap, pairs, tol)] += trees
-        a = abs(gap)
+    for cls, trees, abc, abs_, sign in _scored(tables, tables.units[part::parts], tol):
+        c.signs[sign] += trees
+        a = abs(abc - abs_)
         if a <= bound:
             c.add_near(cls, a, trees, abc, abs_)
             if len(c.near) >= 2 * near_k:
@@ -163,20 +158,23 @@ def _scan_partition(args) -> _Census:
     return c
 
 
-def _lazy_pairs(seq: tuple[int, ...]):
-    """The degree pairs of ``seq``, made only if they are read."""
-    yield from treegen.degree_pairs(seq)
-
-
 def _witnesses(n: int, tol: float, cap: int) -> list[tuple[int, ...]]:
     """The first ``cap`` trees of order n, in stream order, whose census
     sign at ``tol`` is negative.  The stream stops at the cap-th (and is
-    not started for a cap of 0)."""
+    not started for a cap of 0).
+
+    A tree is signed by its class: each class met is scored once, and
+    the memo holds only the classes of the streamed prefix."""
     found: list[tuple[int, ...]] = []
     if cap:
+        tables = treeclasses.Tables(n)
+        negative: dict[int, bool] = {}  # class -> its sign is negative
         for seq in treegen.free_tree_sequences(n):
-            abc, abs_ = treegen.abc_abs_sums(seq)
-            if certified_sign(abc - abs_, _lazy_pairs(seq), tol) is Sign.NEGATIVE:
+            cls = tables.class_of(seq)
+            neg = negative.get(cls)
+            if neg is None:
+                neg = negative[cls] = tables.score(cls, tol)[2] is Sign.NEGATIVE
+            if neg:
                 found.append(seq)
                 if len(found) == cap:
                     break
@@ -191,12 +189,14 @@ def _census(
 
     With one worker the census comes first, so the witness pass stops
     at the last negative tree (and is not started when there is none).
-    With several workers, the pool's parts take the fold units in turn
-    while this process runs the witness pass, up to the cap.  The merge
-    is keyed by class, so the result does not depend on the worker
-    count.  A pool worker that dies raises ChildProcessError.
+    With several workers, the pool's parts, one per process and so no
+    more than CPUs, take the fold units in turn while this process runs
+    the witness pass, up to the cap.  The merge is keyed by class, so
+    the result does not depend on the worker count.  A pool worker that
+    dies raises ChildProcessError.
     """
-    jobs = [(n, workers, part, tol, near_k) for part in range(workers)]
+    parts = min(workers, os.cpu_count() or 1)
+    jobs = [(n, parts, part, tol, near_k) for part in range(parts)]
     if workers == 1:
         partials = [_scan_partition(jobs[0])]
         negatives = partials[0].signs[Sign.NEGATIVE]
@@ -208,7 +208,7 @@ def _census(
 
         # the executor may fork all its processes at once: no more than CPUs
         try:
-            with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+            with ProcessPoolExecutor(max_workers=parts) as pool:
                 results = pool.map(_scan_partition, jobs)  # submitted here, read below
                 witnesses = _witnesses(n, tol, witness_cap)
                 partials = list(results)
@@ -285,9 +285,9 @@ def near_zero_candidates(
         raise ValueError(f"threshold must be finite and positive, got {threshold}")
     tables = treeclasses.Tables(n)
     band = {}  # class -> (gap, gap_extended_precision)
-    for cls, _, pairs, abc, abs_ in _scored(tables, tables.units):
+    for cls, _, abc, abs_, _ in _scored(tables, tables.units, DEFAULT_ZERO_TOL):
         if abs(abc - abs_) <= threshold and cls not in band:
-            band[cls] = (abc - abs_, gap_extended_precision(pairs))
+            band[cls] = (abc - abs_, gap_extended_precision(tables.pairs(cls)))
     rows = sorted(((seq, gap, hp) for cls, (gap, hp) in band.items()
                    for seq in tables.expand(cls)), reverse=True)
     return [(treegen.sequence_to_graph6(seq), gap, float(hp)) for seq, gap, hp in rows]
@@ -311,7 +311,8 @@ def smallest_negative_tree() -> NegativeTreeResult:
     for n in range(3, NEGATIVE_SEARCH_MAX_ORDER + 1):
         census, found = _census(n, DEFAULT_ZERO_TOL, 1, 1, witness_cap=1)
         if found:
-            abc, abs_ = treegen.abc_abs_sums(found[0])
+            tables = treeclasses.Tables(n)
+            abc, abs_, _ = tables.score(tables.class_of(found[0]), DEFAULT_ZERO_TOL)
             return NegativeTreeResult(
                 order=n,
                 graph=treegen.sequence_to_graph(found[0]),

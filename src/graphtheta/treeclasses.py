@@ -29,7 +29,10 @@ centroid (Polya 1937; Otter 1948; Harary-Palmer 1973, ch. 3-4):
 
 ``Tables.classes(unit)`` gives the classes of one unit, so a caller can
 score and drop them one fold at a time, or split the units between
-processes.  ``Tables.expand(cls)`` lists the trees of one class as the
+processes.  ``Tables.score(cls, tol)`` is the one class scorer: the ABC
+and ABS sums of a class and their certified sign.  ``Tables.class_of``
+gives the class of one streamed tree, so a tree is signed by its
+class.  ``Tables.expand(cls)`` lists the trees of one class as the
 canonical level sequences that ``treegen.free_tree_sequences`` gives
 them, in stream order.  It roots each tree at every centroid, one root
 degree at a time with branches of at most n/2 vertices, so a tree with
@@ -40,8 +43,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations_with_replacement, product
+from math import fsum
 from typing import Iterator
 
+from .indices import Sign, certified_sign, edge_terms
 from .treegen import stream_form
 
 BICENTROID = -1  # the unit of the trees with two centroids
@@ -110,6 +115,7 @@ class Tables:
         self._edge = [[1 << shift[min(a, b), max(a, b)] if a + b <= n and a and b else 0
                        for b in range(n + 1)] for a in range(n + 1)]
         self._guard = sum(1 << (s + self.width - 1) for s in shift.values())
+        self._terms = [edge_terms(a, b)[2:] for a, b in self.types]  # (ABC, ABS)
         self.half = n // 2  # the largest planted size needed
         self.branch = (n - 1) // 2  # the largest child of a centroid
         self.units = [d for d in range(n) if d * self.branch >= n - 1]
@@ -175,16 +181,51 @@ class Tables:
                     out[x + e] = out.get(x + e, 0) + c // 2
         return out
 
-    def pairs(self, cls: int) -> list[tuple[int, int]]:
-        """The degree pairs of a class, with multiplicity, in type order."""
-        out: list[tuple[int, int]] = []
+    def pairs(self, cls: int) -> Iterator[tuple[int, int]]:
+        """The degree pairs of a class, with multiplicity, in type order,
+        decoded as they are read."""
         mask = (1 << self.width) - 1
         while cls:
             i = ((cls & -cls).bit_length() - 1) // self.width
             c = (cls >> (i * self.width)) & mask
-            out += [self.types[i]] * c
+            yield from [self.types[i]] * c
             cls -= c << (i * self.width)
-        return out
+
+    def class_of(self, seq: tuple[int, ...]) -> int:
+        """The class of the tree of a level sequence of order n."""
+        par = [0] * self.n
+        deg = [1] * self.n
+        deg[0] = 0
+        last = [0] * self.n  # the latest vertex seen at each depth
+        for v in range(1, self.n):
+            d = seq[v]
+            par[v] = p = last[d - 1]
+            last[d] = v
+            deg[p] += 1
+        edge = self._edge
+        return sum([edge[deg[v]][deg[par[v]]] for v in range(1, self.n)])
+
+    def score(self, cls: int, tol: float) -> tuple[float, float, Sign]:
+        """The ABC and ABS sums of a class and the certified sign of
+        their gap at ``tol``.
+
+        Each sum is one ``math.fsum`` over the class's edge terms, which
+        is exactly rounded, so it has the bits of the sum over any tree
+        of the class in any edge order.  The degree pairs are decoded
+        only for the in-band recheck of ``certified_sign``."""
+        abc: list[float] = []
+        abs_: list[float] = []
+        width, terms = self.width, self._terms
+        rest = cls
+        while rest:  # one edge type at a time, from the top field down
+            i = (rest.bit_length() - 1) // width
+            c = rest >> i * width
+            rest -= c << i * width
+            t_abc, t_abs = terms[i]
+            abc += [t_abc] * c
+            abs_ += [t_abs] * c
+        abc_sum, abs_sum = fsum(abc), fsum(abs_)
+        return abc_sum, abs_sum, certified_sign(abc_sum - abs_sum, self.pairs(cls), tol)
 
     # --- listing the trees of a class ---------------------------------
 

@@ -13,12 +13,10 @@ suite rather than to trust in the algorithm.
 
 from __future__ import annotations
 
-from math import fsum
 from typing import IO, Iterator
 
 from .graphs import Graph, _from_adjacency
 from .graph6 import edges_to_graph6
-from .indices import term_tables
 
 # Which kernel runs; perfbench's set-up imports and records it.
 BACKEND = "python"
@@ -45,29 +43,29 @@ def _rooted_successor(seq: list[int], p: int | None = None) -> list[int] | None:
     return nxt
 
 
-def _split(seq: list[int]) -> tuple[list[int], list[int]]:
-    """Split off the root's first subtree.
-
-    Returns (first subtree re-rooted at depth 0, remainder including
-    the root).
-    """
-    m = len(seq)
-    for i in range(2, len(seq)):
-        if seq[i] == 1:
-            m = i
-            break
-    return [seq[i] - 1 for i in range(1, m)], [0] + seq[m:]
+def _first_end(seq: list[int]) -> int:
+    """The end of the root's first subtree: the index of the root's
+    second child, or len(seq) if it has one child."""
+    try:
+        return seq.index(1, 2)
+    except ValueError:
+        return len(seq)
 
 
-def _accepts(first: list[int], rest: list[int]) -> bool:
-    """The stream's acceptance rule, on a rooted sequence split by
-    ``_split``: the first subtree of the root is lower than the rest of
-    the tree, or as high and smaller, or as large and not
-    lexicographically later."""
-    fh = max(first)
-    rh = max(rest)
-    return fh < rh or (fh == rh and (
-        len(first) < len(rest) or (len(first) == len(rest) and first <= rest)))
+def _accepts(seq: list[int], m: int) -> bool:
+    """The stream's acceptance rule, on a rooted sequence whose root's
+    first subtree is seq[1:m]: that subtree (re-rooted at depth 0) is
+    lower than the rest of the tree, or as high and smaller, or as large
+    and not lexicographically later.  The two parts are compared in
+    place; they are built only on a tie of height and size."""
+    first_h = max(seq[1:m]) - 1
+    rest_h = max(seq[m:], default=0)
+    if first_h != rest_h:
+        return first_h < rest_h
+    first_n, rest_n = m - 1, len(seq) - m + 1
+    if first_n != rest_n:
+        return first_n < rest_n
+    return [v - 1 for v in seq[1:m]] <= [0, *seq[m:]]
 
 
 def stream_form(seq: tuple[int, ...]) -> tuple[int, ...]:
@@ -101,7 +99,7 @@ def stream_form(seq: tuple[int, ...]) -> tuple[int, ...]:
 
     forms = [canonical(c, -1, 0) for c in centers]
     if len(forms) == 2:
-        forms = [f for f in forms if _accepts(*_split(f))]
+        forms = [f for f in forms if _accepts(f, _first_end(f))]
     return tuple(forms[0])
 
 
@@ -112,14 +110,12 @@ def _advance_to_free(seq: list[int] | None) -> list[int] | None:
     which encodes that free tree canonically.
     """
     while seq is not None:
-        first, rest = _split(seq)
-        if _accepts(first, rest):
+        m = _first_end(seq)
+        if _accepts(seq, m):
             return seq
-        p = len(first)
-        nxt = _rooted_successor(seq, p)
-        if seq[p] > 2 and nxt is not None:
-            new_first, _ = _split(nxt)
-            h = max(new_first)
+        nxt = _rooted_successor(seq, m - 1)
+        if seq[m - 1] > 2 and nxt is not None:
+            h = max(nxt[1:_first_end(nxt)]) - 1  # the new first subtree's height
             nxt[len(nxt) - h - 1 :] = range(1, h + 2)
         seq = nxt
     return None
@@ -160,32 +156,6 @@ def parent_array(seq: tuple[int, ...]) -> list[int]:
         par[v] = last[d - 1]
         last[d] = v
     return par
-
-
-def degree_pairs(seq: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Degree pairs (d_child, d_parent) of all edges of the encoded tree."""
-    par = parent_array(seq)
-    deg = [0] * len(seq)
-    for i in range(1, len(seq)):
-        deg[i] += 1
-        deg[par[i]] += 1
-    return [(deg[i], deg[par[i]]) for i in range(1, len(seq))]
-
-
-def abc_abs_sums(seq: tuple[int, ...]) -> tuple[float, float]:
-    """Compensated (ABC, ABS) sums of the tree encoded by ``seq``.
-
-    The terms come from ``term_tables``, so the sums have the bits of
-    ``sums_from_degree_pairs(degree_pairs(seq))``.
-    """
-    par = parent_array(seq)
-    deg = [1] * len(seq)
-    deg[0] = 0
-    for p in par[1:]:
-        deg[p] += 1
-    abc, abs_ = term_tables(len(seq))
-    return (fsum([abc[deg[v]][deg[par[v]]] for v in range(1, len(seq))]),
-            fsum([abs_[deg[v]][deg[par[v]]] for v in range(1, len(seq))]))
 
 
 def sequence_to_graph(seq: tuple[int, ...]) -> Graph:

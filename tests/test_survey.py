@@ -4,16 +4,16 @@ import math
 
 import pytest
 
-from graphtheta import survey, treegen
+from graphtheta import survey, treeclasses, treegen
 from graphtheta.graph6 import parse_graph6, to_graph6
 from graphtheta.graphs import classify_shape, Shape
 from graphtheta.indices import (
     DEFAULT_ZERO_TOL,
     Sign,
+    certified_sign,
     gap_extended_precision,
     index_report,
     sign_of_gap,
-    sums_from_degree_pairs,
 )
 from graphtheta.smallgraphs import internal_universe
 
@@ -44,9 +44,11 @@ class TestClassifyTrees:
 
     def test_pool_has_no_more_processes_than_cpus(self, monkeypatch):
         sizes = []
+        job_counts = []
 
         class InProcessPool:
-            """Records the pool size asked for and runs the jobs here."""
+            """Records the pool size and job count asked for and runs the
+            jobs here."""
 
             def __init__(self, max_workers):
                 sizes.append(max_workers)
@@ -58,6 +60,8 @@ class TestClassifyTrees:
                 return False
 
             def map(self, fn, jobs):
+                jobs = list(jobs)
+                job_counts.append(len(jobs))
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
@@ -66,6 +70,7 @@ class TestClassifyTrees:
         assert survey.classify_trees(12, workers=8) == one
         assert survey.classify_trees(12, workers=3) == one
         assert sizes == [4, 3]
+        assert job_counts == [4, 3]  # one part per pool process
 
 
 @functools.cache
@@ -78,11 +83,11 @@ def reference_census(n, tol=DEFAULT_ZERO_TOL):
     best = None
     witnesses = []
     for seq in treegen.free_tree_sequences(n):
-        abc, abs_ = sums_from_degree_pairs(treegen.degree_pairs(seq))
-        gap = abc - abs_
+        g = treegen.sequence_to_graph(seq)
+        gap = index_report(g).gap
         sign = sign_of_gap(gap, tol)
         if sign is Sign.ZERO_WITHIN_TOL:
-            hp = gap_extended_precision(treegen.degree_pairs(seq))
+            hp = gap_extended_precision(g.edge_degree_pairs())
             if abs(hp) > tol:
                 sign = Sign.POSITIVE if hp > 0 else Sign.NEGATIVE
         signs[sign] += 1
@@ -133,13 +138,59 @@ class TestClassCensusMatchesStream:
 
 
 @functools.cache
+def reference_witnesses(n, cap=survey.DEFAULT_WITNESS_CAP, tol=DEFAULT_ZERO_TOL):
+    """The first ``cap`` negative trees of order n in stream order, each
+    tree scored on its own graph."""
+    found = []
+    for seq in treegen.free_tree_sequences(n):
+        g = treegen.sequence_to_graph(seq)
+        if certified_sign(index_report(g).gap, g.edge_degree_pairs(), tol) is Sign.NEGATIVE:
+            found.append(to_graph6(g))
+            if len(found) == cap:
+                break
+    return tuple(found)
+
+
+class TestWitnessPass:
+    def test_each_class_scored_at_most_once(self, monkeypatch):
+        scored = []
+        score = treeclasses.Tables.score
+
+        def counted(self, cls, tol):
+            scored.append(cls)
+            return score(self, cls, tol)
+
+        monkeypatch.setattr(treeclasses.Tables, "score", counted)
+        found = survey._witnesses(16, DEFAULT_ZERO_TOL, survey.DEFAULT_WITNESS_CAP)
+        assert len(found) == survey.DEFAULT_WITNESS_CAP
+        # the classes of the trees streamed up to the last witness
+        tables = treeclasses.Tables(16)
+        met = set()
+        streamed = 0
+        for seq in treegen.free_tree_sequences(16):
+            met.add(tables.class_of(seq))
+            streamed += 1
+            if seq == found[-1]:
+                break
+        assert len(scored) == len(set(scored)) <= len(met) < streamed
+        assert set(scored) == met
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_witnesses_at_order_18_match_tree_by_tree(self, workers):
+        rec = survey.classify_trees(18, workers=workers)
+        assert len(rec.negative_witnesses) == survey.DEFAULT_WITNESS_CAP
+        assert rec.negative_witnesses == reference_witnesses(18)
+
+
+@functools.cache
 def ranked_by_abs_gap(n):
     """Reference ranking: every tree of order n as (|gap|, graph6, abc,
     abs), sorted, with graph6 made for every tree."""
     rows = []
     for seq in treegen.free_tree_sequences(n):
-        abc, abs_ = treegen.abc_abs_sums(seq)
-        rows.append((abs(abc - abs_), to_graph6(treegen.sequence_to_graph(seq)), abc, abs_))
+        g = treegen.sequence_to_graph(seq)
+        r = index_report(g)
+        rows.append((abs(r.abc - r.abs), to_graph6(g), r.abc, r.abs))
     return sorted(rows)
 
 

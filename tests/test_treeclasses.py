@@ -13,7 +13,8 @@ A000055 = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320,
 
 
 def class_of(seq):
-    return tuple(sorted(tuple(sorted(p)) for p in treegen.degree_pairs(seq)))
+    pairs = treegen.sequence_to_graph(seq).edge_degree_pairs()
+    return tuple(sorted(tuple(sorted(p)) for p in pairs))
 
 
 def census(tables):

@@ -1,9 +1,13 @@
+import hashlib
+
 import pytest
 
 from graphtheta import treegen
 from graphtheta.canon import canonical_key
 from graphtheta.graphs import from_edge_list, is_connected
 from graphtheta.graph6 import to_graph6
+from graphtheta.indices import DEFAULT_ZERO_TOL, index_report
+from graphtheta.treeclasses import Tables
 from graphtheta.treegen import (
     free_tree_sequences,
     parent_array,
@@ -63,6 +67,18 @@ def test_emission_order_deterministic():
     assert list(free_tree_sequences(9)) == list(free_tree_sequences(9))
 
 
+def test_stream_of_order_18_is_pinned():
+    # sha256 over the bytes of every sequence in stream order, recorded
+    # from the stream before its acceptance test compared in place
+    h = hashlib.sha256()
+    count = 0
+    for seq in free_tree_sequences(18):
+        h.update(bytes(seq))
+        count += 1
+    assert count == 123867
+    assert h.hexdigest() == "197cd0965db5676a891f02d3921ee0fdaaca6d5198e9ccadd1be18a06c644f54"
+
+
 def test_stream_in_ascending_graph6_order():
     # survey breaks ties in |gap| by stream index, relying on this order
     for n in range(1, 15):
@@ -93,31 +109,32 @@ def test_stream_roots_at_a_center():
 
 
 def test_degree_pairs_match_graphs():
+    # the degree pairs of a streamed tree's class, as the witness pass reads it
     for n in range(2, 10):
+        tables = Tables(n)
         for seq in free_tree_sequences(n):
             g = sequence_to_graph(seq)
-            fast = sorted(tuple(sorted(p)) for p in treegen.degree_pairs(seq))
+            fast = sorted(tuple(sorted(p)) for p in tables.pairs(tables.class_of(seq)))
             slow = sorted(tuple(sorted(p)) for p in g.edge_degree_pairs())
             assert fast == slow
 
 
 def test_abc_abs_sums_match_reports():
-    from graphtheta.indices import index_report
-
+    tables = Tables(10)
     for seq in free_tree_sequences(10):
-        abc, abs_ = treegen.abc_abs_sums(seq)
+        abc, abs_, _ = tables.score(tables.class_of(seq), DEFAULT_ZERO_TOL)
         r = index_report(sequence_to_graph(seq))
         assert abc == pytest.approx(r.abc, abs=1e-13)
         assert abs_ == pytest.approx(r.abs, abs=1e-13)
 
 
 def test_abc_abs_sums_bits_match_the_formula():
-    # the census scores trees from a term table; fsum makes it exact
-    from graphtheta.indices import sums_from_degree_pairs
-
+    # the census scores a tree by its class; fsum makes it exact
     for n in range(1, 14):
+        tables = Tables(n)
         for seq in free_tree_sequences(n):
-            assert treegen.abc_abs_sums(seq) == sums_from_degree_pairs(treegen.degree_pairs(seq))
+            r = index_report(sequence_to_graph(seq))
+            assert tables.score(tables.class_of(seq), DEFAULT_ZERO_TOL)[:2] == (r.abc, r.abs)
 
 
 def test_graph6_stream(tmp_path):
