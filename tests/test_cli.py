@@ -150,6 +150,7 @@ class TestScan:
 
     def test_crashed_worker_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr(survey, "_scan_partition", _partition_1_dies)
+        monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)  # so there is a part 1
         code, out, err = run(capsys, "scan", "9", "--workers", "2")
         assert code == 2 and err.startswith("error: ") and out == ""
 
