@@ -17,7 +17,6 @@ from .graphs import (
     min_degree,
     subdivide_at_degree2,
 )
-from .canon import canonical_key
 from .graph6 import parse_graph6, to_graph6
 from .indices import (
     IndexReport,
@@ -37,7 +36,6 @@ __all__ = [
     "Sign",
     "VertexOutOfRange",
     "__version__",
-    "canonical_key",
     "classify_shape",
     "from_edge_list",
     "index_report",

@@ -23,10 +23,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Graph, GraphError
-
-DEFAULT_MAX_ORDER = 10
-
 
 def canonical_search(
     masks: Sequence[int], degrees: Sequence[int]
@@ -69,15 +65,3 @@ def canonical_search(
     total_bits = n * (n - 1) // 2
     key = bytes([n]) + key_bits.to_bytes((total_bits + 7) // 8 or 1, "big")
     return key, partials
-
-
-def canonical_key(g: Graph, max_order: int = DEFAULT_MAX_ORDER) -> bytes:
-    """Canonical byte string: equal keys iff isomorphic graphs.
-
-    Only supported for small orders (default bound 10); raises
-    :class:`GraphError` above the bound.
-    """
-    if g.n > max_order:
-        raise GraphError(f"canonical_key supports order <= {max_order}, got {g.n}")
-    masks = [sum(1 << v for v in nbrs) for nbrs in g.adj]
-    return canonical_search(masks, g.degrees)[0]

@@ -31,14 +31,12 @@ from .indices import (
     DEFAULT_ZERO_TOL,
     Sign,
     certified_sign,
-    gap_extended_precision,
     index_report,
 )
 from .linegraph import line_graph
 from .smallgraphs import GraphUniverse
 
 DEFAULT_WITNESS_CAP = 100
-NEGATIVE_SEARCH_MAX_ORDER = 20  # smallest_negative_tree gives up past this order
 P2_MAX_ORDER = 12  # largest order of verify_subdivision_invariance's random graphs
 
 
@@ -124,15 +122,6 @@ class _Census:
         return math.inf
 
 
-def _scored(tables: treeclasses.Tables, units: list[int], tol: float):
-    """(class, trees, abc, abs, sign at tol) for every class of the
-    given fold units, one fold live at a time.  A class is yielded once
-    per fold unit it comes from."""
-    for unit in units:
-        for cls, trees in tables.classes(unit).items():
-            yield (cls, trees, *tables.score(cls, tol))
-
-
 def _scan_partition(args) -> _Census:
     """Count and score the classes of order n in every ``parts``-th fold
     unit (``treeclasses.Tables.units``), from unit ``part``.
@@ -147,13 +136,16 @@ def _scan_partition(args) -> _Census:
     tables = treeclasses.Tables(n)
     c = _Census()
     bound = math.inf  # |gap| of the near_k-th tree kept so far
-    for cls, trees, abc, abs_, sign in _scored(tables, tables.units[part::parts], tol):
-        c.signs[sign] += trees
-        a = abs(abc - abs_)
-        if a <= bound:
-            c.add_near(cls, a, trees, abc, abs_)
-            if len(c.near) >= 2 * near_k:
-                bound = c.trim(near_k)
+    for unit in tables.units[part::parts]:
+        # a class is met once per fold unit it comes from
+        for cls, trees in tables.classes(unit).items():
+            abc, abs_, sign = tables.score(cls, tol)
+            c.signs[sign] += trees
+            a = abs(abc - abs_)
+            if a <= bound:
+                c.add_near(cls, a, trees, abc, abs_)
+                if len(c.near) >= 2 * near_k:
+                    bound = c.trim(near_k)
     c.trim(near_k)
     return c
 
@@ -276,53 +268,6 @@ def find_near_ties(n: int, top_k: int) -> list[TieRecord]:
     return _near_ties(n, _census(n, DEFAULT_ZERO_TOL, 1, top_k)[0], top_k)
 
 
-def near_zero_candidates(
-    n: int, threshold: float = 1e-6
-) -> list[tuple[str, float, float]]:
-    """Trees of order n with |gap| <= threshold, with the gap re-evaluated
-    at extended precision: (graph6, gap, gap_extended), in stream order."""
-    if not 0 < threshold < math.inf:  # also false for NaN
-        raise ValueError(f"threshold must be finite and positive, got {threshold}")
-    tables = treeclasses.Tables(n)
-    band = {}  # class -> (gap, gap_extended_precision)
-    for cls, _, abc, abs_, _ in _scored(tables, tables.units, DEFAULT_ZERO_TOL):
-        if abs(abc - abs_) <= threshold and cls not in band:
-            band[cls] = (abc - abs_, gap_extended_precision(tables.pairs(cls)))
-    rows = sorted(((seq, gap, hp) for cls, (gap, hp) in band.items()
-                   for seq in tables.expand(cls)), reverse=True)
-    return [(treegen.sequence_to_graph6(seq), gap, float(hp)) for seq, gap, hp in rows]
-
-
-@dataclass(frozen=True)
-class NegativeTreeResult:
-    order: int
-    graph: Graph
-    graph6: str
-    gap: float
-    unique: bool
-
-
-def smallest_negative_tree() -> NegativeTreeResult:
-    """Census orders 3, 4, ... and return the first tree whose census
-    sign is negative (ABC < ABS); among several, the smallest graph6
-    string, which is the first in stream order.  The tree stream is
-    started only at the first order whose census counts a negative
-    tree."""
-    for n in range(3, NEGATIVE_SEARCH_MAX_ORDER + 1):
-        census, found = _census(n, DEFAULT_ZERO_TOL, 1, 1, witness_cap=1)
-        if found:
-            tables = treeclasses.Tables(n)
-            abc, abs_, _ = tables.score(tables.class_of(found[0]), DEFAULT_ZERO_TOL)
-            return NegativeTreeResult(
-                order=n,
-                graph=treegen.sequence_to_graph(found[0]),
-                graph6=treegen.sequence_to_graph6(found[0]),
-                gap=abc - abs_,
-                unique=census.signs[Sign.NEGATIVE] == 1,
-            )
-    raise RuntimeError(f"no negative tree found up to order {NEGATIVE_SEARCH_MAX_ORDER}")
-
-
 # --- statement verifiers ----------------------------------------------
 
 @dataclass(frozen=True)
@@ -383,13 +328,20 @@ def bounded_pendents_isolated_degree2(g: Graph) -> bool:
 STATEMENTS = {
     s.name: s
     for s in (
+        # p1: min degree >= 2 forces gap <= 0, zero exactly on cycles
         Statement("p1", _min_degree2, None, _zero_exactly_on_cycles, 1, False, 1e-12),
-        # line_graph is looked up per call, so a wrapper installed on
-        # survey.line_graph (perfbench/tracer.py) sees every call
+        # t1: the line graph of a connected root of order >= 5, other than
+        # a path or cycle, has ABS > ABC.  line_graph is looked up per call,
+        # so a wrapper installed on survey.line_graph (perfbench/tracer.py)
+        # sees every call
         Statement("t1", _line_graph_root, lambda k: line_graph(k), _gap_negative, 5, True,
                   DEFAULT_ZERO_TOL),
+        # t2: at most floor(m/2) pendent vertices and no degree-2 vertex
+        # force ABS > ABC
         Statement("t2", bounded_pendents_no_degree2, None, _gap_negative, 1, True,
                   DEFAULT_ZERO_TOL),
+        # t3: at most floor(m/2) pendent vertices and no degree-2 vertex
+        # with a neighbor of degree 2, 3 or 4 force ABS > ABC
         Statement("t3", bounded_pendents_isolated_degree2, None, _gap_negative, 1, True,
                   DEFAULT_ZERO_TOL),
     )
@@ -432,34 +384,6 @@ def verify_statement(
         elapsed=time.perf_counter() - t0,
         min_margin=min_margin,
     )
-
-
-def verify_min_degree2(
-    universes: GraphUniverse | Sequence[GraphUniverse],
-    tol: float | None = None,
-) -> VerificationReport:
-    """p1: min degree >= 2 forces gap <= 0, zero exactly on cycles."""
-    return verify_statement(STATEMENTS["p1"], universes, tol)
-
-
-def verify_line_graphs(
-    universes: GraphUniverse | Sequence[GraphUniverse],
-    tol: float | None = None,
-) -> VerificationReport:
-    """t1: the line graph of any connected root of order >= 5 other
-    than a path or cycle has ABS > ABC (gap strictly negative)."""
-    return verify_statement(STATEMENTS["t1"], universes, tol)
-
-
-def verify_no_degree2_bound(universes, tol: float | None = None) -> VerificationReport:
-    """t2: the no-degree-2 / bounded-pendent hypothesis forces ABS > ABC."""
-    return verify_statement(STATEMENTS["t2"], universes, tol)
-
-
-def verify_isolated_degree2_bound(universes, tol: float | None = None) -> VerificationReport:
-    """t3: the isolated-degree-2 / bounded-pendent hypothesis forces
-    ABS > ABC."""
-    return verify_statement(STATEMENTS["t3"], universes, tol)
 
 
 def _random_tree_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+from graphtheta.canon import canonical_search
 from graphtheta.graphs import Graph, from_edge_list
 
 
@@ -30,6 +33,36 @@ def spider(*leg_lengths: int) -> Graph:
             prev = nxt
             nxt += 1
     return from_edge_list(nxt, edges)
+
+
+def canonical_key(g: Graph) -> bytes:
+    """Canonical byte string of ``g``: equal keys iff isomorphic graphs."""
+    return canonical_search([sum(1 << v for v in nbrs) for nbrs in g.adj], g.degrees)[0]
+
+
+def is_line_graph(g: Graph) -> bool:
+    """Line-graph recognition by the claw / odd-triangle criterion.
+
+    A connected ``g`` is a line graph iff it has no induced star on 4
+    vertices and whenever two odd triangles share an edge, their vertex
+    union induces a complete graph on 4 vertices.  A triangle is odd when
+    some vertex of ``g`` is adjacent to an odd number of its vertices.
+    Brute-force scans, independent of ``line_graph``.
+    """
+    for v in range(g.n):
+        for a, b, c in combinations(g.adj[v], 3):
+            if not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c)):
+                return False
+    odd = [
+        t for t in combinations(range(g.n), 3)
+        if all(g.has_edge(a, b) for a, b in combinations(t, 2))
+        and any(sum(u in g.adj[v] for u in t) % 2 for v in range(g.n))
+    ]
+    for t1, t2 in combinations(odd, 2):
+        union = set(t1) | set(t2)
+        if len(union) == 4 and not all(g.has_edge(a, b) for a, b in combinations(union, 2)):
+            return False
+    return True
 
 
 @pytest.fixture(scope="session")

@@ -7,13 +7,14 @@ import time
 import pytest
 
 from graphtheta import survey
-from graphtheta.canon import canonical_key
 from graphtheta.cli import main as cli_main
 from graphtheta.graph6 import parse_graph6
-from graphtheta.linegraph import is_line_graph, line_graph
+from graphtheta.graphs import Shape, classify_shape
+from graphtheta.indices import index_report
 from graphtheta.smallgraphs import internal_universe
 from graphtheta.treegen import free_tree_sequences, sequence_to_graph
 
+from conftest import canonical_key, is_line_graph
 from test_linegraph import root_search_oracle
 from test_treegen import leaf_augmentation_oracle
 
@@ -58,10 +59,12 @@ def test_criterion_1(census):
 @criterion("2 unique negative tree at order 11")
 def test_criterion_2(census):
     records, _ = census
+    assert all(records[n].negative == 0 for n in range(3, 11))
     assert records[11].negative == 1
-    res = survey.smallest_negative_tree()
-    assert res.order == 11 and res.unique
-    assert 2 in res.graph.degrees
+    g = parse_graph6(records[11].negative_witnesses[0])
+    assert index_report(g).gap < 0
+    assert 2 in g.degrees
+    assert classify_shape(g) is Shape.OTHER
 
 
 @criterion("3 four near-ties at order 15")
@@ -82,15 +85,12 @@ def test_criterion_4(census):
     records, _ = census
     for n, rec in records.items():
         assert rec.zero == 0
-        assert rec.min_abs_gap > 1e-9
-    for n in range(3, 16):
-        for g6, gap, gap_hp in survey.near_zero_candidates(n, threshold=1e-6):
-            assert abs(gap_hp) > 1e-9, (n, g6, gap, gap_hp)
+        assert rec.min_abs_gap > 1e-6, (n, rec.min_abs_gap_graph6)
 
 
 @criterion("5 min-degree-2 bound on all connected graphs of order <= 6")
 def test_criterion_5(universes_1_to_6):
-    report = survey.verify_min_degree2(universes_1_to_6, tol=1e-12)
+    report = survey.verify_statement(survey.STATEMENTS["p1"], universes_1_to_6, tol=1e-12)
     assert report.ok and report.hypothesis_holds > 0
 
 
@@ -103,7 +103,7 @@ def test_criterion_6():
 @criterion("7 line graphs of roots of order 5..7")
 def test_criterion_7(universes_5_to_7):
     t0 = time.perf_counter()
-    report = survey.verify_line_graphs(universes_5_to_7, tol=1e-9)
+    report = survey.verify_statement(survey.STATEMENTS["t1"], universes_5_to_7, tol=1e-9)
     assert report.ok
     assert report.checked == 21 + 112 + 853
     assert report.hypothesis_holds == 19 + 110 + 851
@@ -113,8 +113,8 @@ def test_criterion_7(universes_5_to_7):
 
 @criterion("8 pendent-count hypotheses on order <= 6")
 def test_criterion_8(universes_1_to_6):
-    r2 = survey.verify_no_degree2_bound(universes_1_to_6, tol=1e-9)
-    r3 = survey.verify_isolated_degree2_bound(universes_1_to_6, tol=1e-9)
+    r2 = survey.verify_statement(survey.STATEMENTS["t2"], universes_1_to_6, tol=1e-9)
+    r3 = survey.verify_statement(survey.STATEMENTS["t3"], universes_1_to_6, tol=1e-9)
     assert r2.ok and r2.hypothesis_holds > 0
     assert r3.ok and r3.hypothesis_holds > 0
 

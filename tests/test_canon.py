@@ -5,10 +5,10 @@ import networkx as nx
 import pytest
 from networkx.algorithms import isomorphism
 
-from graphtheta.canon import canonical_key, canonical_search
-from graphtheta.graphs import GraphError, from_edge_list, is_connected
+from graphtheta.canon import canonical_search
+from graphtheta.graphs import from_edge_list, is_connected
 
-from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from conftest import canonical_key, complete_graph, cycle_graph, path_graph, star_graph
 
 
 def relabel(g, perm):
@@ -47,12 +47,6 @@ def test_thousand_random_relabelings(g):
     for _ in range(1000):
         rng.shuffle(perm)
         assert canonical_key(relabel(g, perm)) == key
-
-
-def test_order_bound_enforced():
-    with pytest.raises(GraphError):
-        canonical_key(path_graph(11))
-    assert canonical_key(path_graph(11), max_order=11)
 
 
 def _search(g):

@@ -1,11 +1,10 @@
 import pytest
 
-from graphtheta.canon import canonical_key
 from graphtheta.graphs import GraphError, Shape, classify_shape, from_edge_list
-from graphtheta.linegraph import is_line_graph, line_graph
+from graphtheta.linegraph import line_graph
 from graphtheta.smallgraphs import internal_universe
 
-from conftest import cycle_graph, path_graph, star_graph
+from conftest import canonical_key, cycle_graph, is_line_graph, path_graph, star_graph
 
 
 class TestConstruction:
@@ -48,13 +47,8 @@ class TestRecognition:
     def test_sound_on_constructed_line_graphs(self):
         for n in range(2, 7):
             for k in internal_universe(n):
-                res = is_line_graph(line_graph(k), max_order=15)
+                res = is_line_graph(line_graph(k))
                 assert res, f"rejected line graph of {k}"
-
-    def test_order_bound(self):
-        with pytest.raises(GraphError):
-            is_line_graph(cycle_graph(13))
-        assert is_line_graph(cycle_graph(13), max_order=13)
 
 
 def root_search_oracle(g, roots_by_edge_count):

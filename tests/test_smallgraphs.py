@@ -4,11 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from graphtheta.canon import canonical_key
 from graphtheta.graphs import GraphError, from_edge_list, is_connected
 from graphtheta.graph6 import to_graph6
 from graphtheta.smallgraphs import internal_universe, load_universe
 from graphtheta.treegen import free_tree_sequences, sequence_to_graph
+
+from conftest import canonical_key
 
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
 # sha256 over canonical_key of every internal representative, orders 1..7

@@ -1,6 +1,5 @@
 import concurrent.futures
 import functools
-import math
 
 import pytest
 
@@ -32,7 +31,14 @@ class TestClassifyTrees:
             assert rec.negative == 0 and rec.zero == 0
 
     def test_first_negative_order(self):
-        assert survey.classify_trees(11).negative == 1
+        # orders 3..10 have no negative tree, and order 11 has exactly one
+        assert all(survey.classify_trees(n).negative == 0 for n in range(3, 11))
+        rec = survey.classify_trees(11)
+        assert rec.negative == 1
+        g = parse_graph6(rec.negative_witnesses[0])
+        assert index_report(g).gap < 0
+        assert 2 in g.degrees
+        assert classify_shape(g) is Shape.OTHER
         assert survey.classify_trees(12).negative == 6
 
     def test_worker_count_does_not_change_result(self):
@@ -221,38 +227,20 @@ class TestNearTies:
         assert gaps == sorted(gaps)
 
 
-class TestSmallestNegativeTree:
-    def test_found_at_order_11_unique(self):
-        res = survey.smallest_negative_tree()
-        assert res.order == 11 and res.unique
-        assert res.gap < 0
-        assert 2 in res.graph.degrees
-        assert classify_shape(res.graph) is Shape.OTHER
-
-    def test_streams_only_order_11(self, monkeypatch):
-        # orders 3..10 have no negative tree, and their censuses say so
-        orders = []
-        stream = survey.treegen.free_tree_sequences
-
-        def counted(n):
-            orders.append(n)
-            return stream(n)
-
-        monkeypatch.setattr(survey.treegen, "free_tree_sequences", counted)
-        assert survey.smallest_negative_tree().order == 11
-        assert orders == [11]
+def verify(name, universes):
+    return survey.verify_statement(survey.STATEMENTS[name], universes)
 
 
 class TestVerifiers:
     def test_min_degree2_clean_up_to_6(self, universes_1_to_6):
-        report = survey.verify_min_degree2(universes_1_to_6)
+        report = verify("p1", universes_1_to_6)
         assert report.ok and report.hypothesis_holds > 0
 
     def test_min_degree2_single_cycle(self):
         from graphtheta.smallgraphs import GraphUniverse
 
         u = GraphUniverse(order=7, source="test", graphs=(cycle_graph(7),))
-        report = survey.verify_min_degree2(u)
+        report = verify("p1", u)
         assert report.ok and report.hypothesis_holds == 1
 
     def test_complete_graph_gap_negative(self):
@@ -265,7 +253,7 @@ class TestVerifiers:
         assert again.conclusion_failures == report.conclusion_failures == ()
 
     def test_line_graphs_order5(self):
-        report = survey.verify_line_graphs(internal_universe(5))
+        report = verify("t1", internal_universe(5))
         assert report.ok
         assert report.checked == 21 and report.hypothesis_holds == 19
         assert report.min_margin > 0
@@ -287,18 +275,13 @@ class TestVerifiers:
         assert not survey.bounded_pendents_isolated_degree2(cycle_graph(4))
 
     def test_pendent_bound_verifiers_clean(self, universes_1_to_6):
-        assert survey.verify_no_degree2_bound(universes_1_to_6).ok
-        assert survey.verify_isolated_degree2_bound(universes_1_to_6).ok
+        assert verify("t2", universes_1_to_6).ok
+        assert verify("t3", universes_1_to_6).ok
 
 
-def test_near_zero_candidates_empty_below_threshold():
-    assert survey.near_zero_candidates(12, threshold=1e-6) == []
-
-
-@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
-def test_near_zero_candidates_rejects_threshold(threshold):
-    with pytest.raises(ValueError):
-        survey.near_zero_candidates(8, threshold=threshold)
+def rechecked(g6):
+    """The gap of the graph6 string ``g6`` at 50 digits, as a double."""
+    return float(gap_extended_precision(parse_graph6(g6).edge_degree_pairs()))
 
 
 class TestRecheck:
@@ -326,11 +309,16 @@ class TestRecheck:
         assert (r.positive, r.negative, r.zero) == (17027, 2292, 1)
 
     def test_near_zero_order_11(self):
-        assert survey.near_zero_candidates(11, threshold=0.02) == [
-            ("JkE?K?@_C??", 0.01878490648964437, 0.018784906489643108)]
+        # the one tree of order 11 with |gap| <= 0.02
+        first, second = survey.find_near_ties(11, 2)
+        assert second.abs_gap > 0.02
+        assert (first.graph6, first.abc - first.abs, rechecked(first.graph6)) == (
+            "JkE?K?@_C??", 0.01878490648964437, 0.018784906489643108)
 
     def test_near_zero_order_16_bit_for_bit(self):
-        found = survey.near_zero_candidates(16, threshold=self.TOL_16)
-        assert [g6 for g6, _, _ in found] == sorted(self.CANDIDATES_16)
-        assert {g6: (gap.hex(), hp.hex()) for g6, gap, hp in found} == self.CANDIDATES_16
-        assert sum(abs(hp) > self.TOL_16 for _, _, hp in found) == 13
+        k = len(self.CANDIDATES_16)
+        ties = survey.find_near_ties(16, k + 1)
+        assert ties[k].abs_gap > self.TOL_16  # so ties[:k] are every |gap| <= TOL_16
+        found = {t.graph6: (t.abc - t.abs, rechecked(t.graph6)) for t in ties[:k]}
+        assert {g6: (gap.hex(), hp.hex()) for g6, (gap, hp) in found.items()} == self.CANDIDATES_16
+        assert sum(abs(hp) > self.TOL_16 for _, hp in found.values()) == 13

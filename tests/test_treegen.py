@@ -3,7 +3,6 @@ import hashlib
 import pytest
 
 from graphtheta import treegen
-from graphtheta.canon import canonical_key
 from graphtheta.graphs import from_edge_list, is_connected
 from graphtheta.graph6 import to_graph6
 from graphtheta.indices import DEFAULT_ZERO_TOL, index_report
@@ -13,6 +12,8 @@ from graphtheta.treegen import (
     parent_array,
     sequence_to_graph,
 )
+
+from conftest import canonical_key
 
 TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741]
 
