@@ -31,14 +31,7 @@ class TestClassifyTrees:
             assert rec.negative == 0 and rec.zero == 0
 
     def test_first_negative_order(self):
-        # orders 3..10 have no negative tree, and order 11 has exactly one
-        assert all(survey.classify_trees(n).negative == 0 for n in range(3, 11))
-        rec = survey.classify_trees(11)
-        assert rec.negative == 1
-        g = parse_graph6(rec.negative_witnesses[0])
-        assert index_report(g).gap < 0
-        assert 2 in g.degrees
-        assert classify_shape(g) is Shape.OTHER
+        assert survey.classify_trees(11).negative == 1
         assert survey.classify_trees(12).negative == 6
 
     def test_worker_count_does_not_change_result(self):
@@ -225,6 +218,18 @@ class TestNearTies:
         ties = survey.find_near_ties(11, 5)
         gaps = [t.abs_gap for t in ties]
         assert gaps == sorted(gaps)
+
+
+class TestSmallestNegativeTree:
+    def test_found_at_order_11_unique(self):
+        # orders 3..10 have no negative tree, and order 11 has exactly one
+        assert all(survey.classify_trees(n).negative == 0 for n in range(3, 11))
+        rec = survey.classify_trees(11)
+        assert rec.negative == 1
+        g = parse_graph6(rec.negative_witnesses[0])
+        assert index_report(g).gap < 0
+        assert 2 in g.degrees
+        assert classify_shape(g) is Shape.OTHER
 
 
 def verify(name, universes):
