@@ -45,9 +45,10 @@ class Graph:
 
     Construct through :func:`from_edge_list`, which validates the edges
     and then hands sorted neighbor lists to ``_from_adjacency``, the
-    trusted tail that builds the tuples, degrees and ``m``.  Codecs that
-    produce valid, sorted lists by construction (``parse_graph6``,
-    ``treegen.sequence_to_graph``) call ``_from_adjacency`` directly; the
+    trusted tail that builds the tuples, degrees and ``m``.  Code that
+    produces valid, sorted lists by construction (``parse_graph6``,
+    ``treegen.sequence_to_graph``, ``linegraph.line_graph``,
+    :func:`subdivide_at_degree2`) calls ``_from_adjacency`` directly; the
     dataclass itself does not re-validate its invariants.
     """
 
@@ -144,11 +145,15 @@ def subdivide_at_degree2(g: Graph, x: int, e: tuple[int, int]) -> Graph:
         raise GraphError(f"edge {e} not incident to vertex {x}")
     if not g.has_edge(x, w):
         raise GraphError(f"{e} is not an edge of the graph")
+    # y is the largest vertex, so appending it keeps each list sorted
     y = g.n
-    edges = [(u, v) for u, v in g.edges() if (u, v) != (min(x, w), max(x, w))]
-    edges.append((x, y))
-    edges.append((y, w))
-    return from_edge_list(g.n + 1, edges)
+    adj = [list(nbrs) for nbrs in g.adj]
+    adj[x].remove(w)
+    adj[x].append(y)
+    adj[w].remove(x)
+    adj[w].append(y)
+    adj.append(sorted((x, w)))
+    return _from_adjacency(y + 1, adj)
 
 
 def classify_shape(g: Graph) -> Shape:

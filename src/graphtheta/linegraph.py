@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graphs import Graph, GraphError, from_edge_list
+from .graphs import Graph, GraphError, _from_adjacency
 
 
 def line_graph(k: Graph) -> Graph:
@@ -13,13 +13,14 @@ def line_graph(k: Graph) -> Graph:
     if k.m < 1:
         raise GraphError("line graph of an edgeless graph is undefined here")
     edges = list(k.edges())
-    index = {e: i for i, e in enumerate(edges)}
-    out = []
+    index = {}
     for i, (u, v) in enumerate(edges):
-        for w in (u, v):
-            for x in k.adj[w]:
-                e2 = (w, x) if w < x else (x, w)
-                j = index[e2]
-                if j > i:
-                    out.append((i, j))
-    return from_edge_list(len(edges), set(out))
+        index[u, v] = index[v, u] = i
+    adj = []
+    for u, v in edges:
+        # the edges at u other than uv, then those at v: no repeats
+        nbrs = [index[u, x] for x in k.adj[u] if x != v]
+        nbrs += [index[v, x] for x in k.adj[v] if x != u]
+        nbrs.sort()
+        adj.append(nbrs)
+    return _from_adjacency(len(edges), adj)

@@ -12,10 +12,13 @@ so each base tries only the set that comes first in its orbit, in the
 generation order (by size, then lexicographically).  That first
 member is also what a search over every set would reach first, so the
 representative of each class is the same labelled graph either way.
-The orbits come from the key search itself: the orderings that attain
-a base's key form one coset of Aut(base) (:mod:`graphtheta.canon`).
-Candidates are searched on adjacency bitmasks, and a ``Graph`` is made
-only for each representative.
+Every candidate gets only :func:`~graphtheta.canon.canonical_key`,
+whose search skips the symmetric orderings of twin vertices.  The
+orbits come from one :func:`~graphtheta.canon.canonical_search` per
+class below the top order: the orderings that attain a class's key
+form one coset of its automorphism group.  Candidates are searched on
+adjacency bitmasks, and a ``Graph`` is made only for each
+representative.
 
 Larger orders are ingested from external graph6 files.
 """
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .canon import canonical_search
+from .canon import canonical_key, canonical_search
 from .graphs import Graph, GraphError, from_edge_list, is_connected
 from .graph6 import graph6_lines, parse_graph6
 
@@ -48,9 +51,11 @@ class GraphUniverse:
         return iter(self.graphs)
 
 
-def _automorphisms(orderings: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """Aut(G) as vertex maps, from the orderings that attain G's key:
-    ``orderings[0][i] -> q[i]`` for each ordering ``q``."""
+def _automorphisms(masks: list[int], degrees: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Aut(G) as vertex maps, from the orderings that attain G's key
+    (:func:`canonical_search`): ``orderings[0][i] -> q[i]`` for each
+    ordering ``q``."""
+    orderings = canonical_search(masks, degrees)[1]
     first = orderings[0]
     slot = {v: i for i, v in enumerate(first)}
     return tuple(tuple(q[slot[v]] for v in range(len(first))) for q in orderings)
@@ -62,28 +67,33 @@ def _connected_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]
     automorphisms (kept only below MAX_INTERNAL_ORDER: the orders that
     a larger one is grown from)."""
     if n == 1:
-        return ((from_edge_list(1, []), ((0,),)),)
+        return ((from_edge_list(1, []), _automorphisms([0], [0])),)
     seen: dict[bytes, tuple[Graph, tuple[tuple[int, ...], ...]]] = {}
     new = 1 << (n - 1)
+    # the new vertex's neighbor sets in generation order, with their masks
+    subsets = [
+        (subset, sum(1 << v for v in subset))
+        for r in range(1, n)
+        for subset in combinations(range(n - 1), r)
+    ]
     for base, auts in _connected_classes(n - 1):
         edges = list(base.edges())
         base_masks = [sum(1 << v for v in nbrs) for nbrs in base.adj]
         tried: set[int] = set()  # the orbits met so far, as neighbor bitmasks
-        for r in range(1, n):
-            for subset in combinations(range(n - 1), r):
-                if sum(1 << v for v in subset) in tried:
-                    continue
+        for subset, subset_mask in subsets:
+            if subset_mask in tried:
+                continue
+            if len(auts) > 1:  # else each orbit is one set, met once
                 tried.update(sum(1 << a[v] for v in subset) for a in auts)
-                masks = base_masks + [0]
-                degrees = list(base.degrees) + [r]
-                for v in subset:
-                    masks[v] |= new
-                    masks[n - 1] |= 1 << v
-                    degrees[v] += 1
-                key, orderings = canonical_search(masks, degrees)
-                if key not in seen:
-                    g = from_edge_list(n, edges + [(v, n - 1) for v in subset])
-                    seen[key] = (g, _automorphisms(orderings) if n < MAX_INTERNAL_ORDER else ())
+            masks = base_masks + [subset_mask]
+            degrees = list(base.degrees) + [len(subset)]
+            for v in subset:
+                masks[v] |= new
+                degrees[v] += 1
+            key = canonical_key(masks, degrees)
+            if key not in seen:
+                g = from_edge_list(n, edges + [(v, n - 1) for v in subset])
+                seen[key] = (g, _automorphisms(masks, degrees) if n < MAX_INTERNAL_ORDER else ())
     return tuple(c for _, c in sorted(seen.items()))
 
 

@@ -407,11 +407,9 @@ def verify_subdivision_invariance(
         n = rng.randint(3, P2_MAX_ORDER)
         edges = _random_tree_edges(rng, n)
         if rng.random() < 0.5:
+            tree = set(edges)  # each edge is (parent, child), parent < child
             non_edges = [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if (u, v) not in edges and (v, u) not in edges
+                (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree
             ]
             if non_edges:
                 edges.append(rng.choice(non_edges))

@@ -109,6 +109,22 @@ class TestSubdivide:
         assert h.n == g.n + 1 and h.m == g.m + 1
         assert sorted(h.degrees) == sorted(g.degrees + (2,))
 
+    @given(st.lists(st.integers(0, 100), min_size=2, max_size=12), st.data())
+    def test_matches_edge_list_build(self, parents, data):
+        n = len(parents) + 1
+        edges = [(p % (i + 1), i + 1) for i, p in enumerate(parents)]
+        # a tree, or with the edge (0, n - 1) often a unicyclic graph
+        edges.append(data.draw(st.sampled_from([(0, n - 1), (0, 1)])))
+        g = from_edge_list(n, set(edges))
+        deg2 = [v for v in range(n) if g.degrees[v] == 2]
+        if not deg2:
+            return
+        x = data.draw(st.sampled_from(deg2))
+        w = data.draw(st.sampled_from(list(g.adj[x])))
+        a, b = min(x, w), max(x, w)
+        rest = [e for e in g.edges() if e != (a, b)]
+        assert subdivide_at_degree2(g, x, (w, x)) == from_edge_list(n + 1, rest + [(x, n), (w, n)])
+
 
 class TestClassifyShape:
     def test_small(self):

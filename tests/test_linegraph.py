@@ -1,6 +1,10 @@
+import random
+from itertools import combinations
+
+import networkx as nx
 import pytest
 
-from graphtheta.graphs import GraphError, Shape, classify_shape, from_edge_list
+from graphtheta.graphs import GraphError, Shape, classify_shape, from_edge_list, is_connected
 from graphtheta.linegraph import line_graph
 from graphtheta.smallgraphs import internal_universe
 
@@ -35,6 +39,27 @@ class TestConstruction:
                 assert lg.m == sum(d * (d - 1) // 2 for d in k.degrees)
                 for i, (u, v) in enumerate(k.edges()):
                     assert lg.degrees[i] == k.degrees[u] + k.degrees[v] - 2
+
+
+    def test_matches_networkx(self):
+        # internal universes and a seeded set of connected order-10 graphs
+        graphs = [k for n in range(2, 8) for k in internal_universe(n)]
+        rng = random.Random(10)
+        while len(graphs) < 853 + 50:
+            p = rng.uniform(0.25, 0.8)
+            k = from_edge_list(10, [e for e in combinations(range(10), 2) if rng.random() < p])
+            if is_connected(k):
+                graphs.append(k)
+        for k in graphs:
+            lg = line_graph(k)
+            nx_lg = nx.line_graph(nx.Graph(list(k.edges())))
+            index = {e: i for i, e in enumerate(k.edges())}
+            expected = sorted(
+                tuple(sorted((index[tuple(sorted(a))], index[tuple(sorted(b))])))
+                for a, b in nx_lg.edges()
+            )
+            assert lg.n == nx_lg.number_of_nodes() == k.m
+            assert sorted(lg.edges()) == expected
 
 
 class TestRecognition:

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from graphtheta import canon, smallgraphs
 from graphtheta.graphs import GraphError, from_edge_list, is_connected
 from graphtheta.graph6 import to_graph6
 from graphtheta.smallgraphs import internal_universe, load_universe
@@ -135,3 +136,29 @@ def _two_edges():
 def test_internal_universe_wrapper():
     u = internal_universe(4)
     assert u.order == 4 and len(u) == 6 and u.source == "internal"
+
+
+def test_build_work_counts(monkeypatch):
+    # one key per candidate; one search per class of orders 1..6, for the
+    # automorphisms that the next order is grown with
+    keys, searches = [], []
+
+    def counted_key(masks, degrees):
+        keys.append(canon.canonical_key(masks, degrees))
+        return keys[-1]
+
+    def counted_search(masks, degrees):
+        searches.append(len(masks))
+        return canon.canonical_search(masks, degrees)
+
+    monkeypatch.setattr(smallgraphs, "canonical_key", counted_key)
+    monkeypatch.setattr(smallgraphs, "canonical_search", counted_search)
+    smallgraphs._connected_classes.cache_clear()
+    try:
+        graphs = [g for n in range(1, 8) for g in internal_universe(n)]
+    finally:
+        smallgraphs._connected_classes.cache_clear()
+    assert len(keys) == 4159
+    assert len(set(keys)) == len(graphs) - 1 == 995  # order 1 needs no key
+    assert len(searches) == sum(CONNECTED_COUNTS[:6]) == 143
+    assert max(searches) == 6

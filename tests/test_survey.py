@@ -1,5 +1,6 @@
 import concurrent.futures
 import functools
+import hashlib
 
 import pytest
 
@@ -232,6 +233,10 @@ class TestSmallestNegativeTree:
         assert classify_shape(g) is Shape.OTHER
 
 
+# sha256 of the "gap.hex() subdivided.hex()" lines of verify p2, seed 1, 300 trials
+P2_GAPS_SHA256 = "1a417570c6618ef9693e768a8426b1385ad5c44b0b5d708f8ae3d4db7e9b6fbb"
+
+
 def verify(name, universes):
     return survey.verify_statement(survey.STATEMENTS[name], universes)
 
@@ -256,6 +261,27 @@ class TestVerifiers:
         assert report.ok and report.checked == 500
         again = survey.verify_subdivision_invariance(trials=500, seed=42)
         assert again.conclusion_failures == report.conclusion_failures == ()
+
+    def test_subdivision_gaps_pinned(self, monkeypatch):
+        # the (gap, subdivided gap) of every trial, recorded before p2
+        # moved to trusted construction: the same RNG draws, graphs and bits
+        gaps = []
+
+        def recorded(g):
+            report = index_report(g)
+            gaps.append((g.n, report.gap))
+            return report
+
+        monkeypatch.setattr(survey, "index_report", recorded)
+        report = survey.verify_subdivision_invariance(trials=300, seed=1)
+        assert report.ok and report.checked == 300 and len(gaps) == 600
+        lines = []
+        for pair in zip(gaps[::2], gaps[1::2]):
+            (n, gap), (n_sub, sub) = sorted(pair)
+            assert n_sub == n + 1
+            lines.append(f"{gap.hex()} {sub.hex()}\n")
+        assert lines[0] == "0x1.09bdc83bc22c8p-2 0x1.09bdc83bc22c0p-2\n"
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == P2_GAPS_SHA256
 
     def test_line_graphs_order5(self):
         report = verify("t1", internal_universe(5))
