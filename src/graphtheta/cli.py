@@ -75,6 +75,8 @@ def _atomic_output(path: str) -> Iterator[IO[str]]:
             break
         except FileExistsError:
             continue
+        except OSError as exc:  # name the path given, not the temp file
+            raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="ascii") as fh:
             if st is not None:
@@ -126,7 +128,9 @@ def _cmd_index(args) -> int:
     status = 0
     rows = []
     with ExitStack() as stack:
-        for lineno, line in graph6_lines(_input_bytes(stack, getattr(args, "in"))):
+        lines = graph6_lines(_input_bytes(stack, getattr(args, "in")))
+        out = _open_out(stack, args.out)
+        for lineno, line in lines:
             try:
                 g = parse_graph6(line)
                 r = index_report(g)
@@ -137,7 +141,7 @@ def _cmd_index(args) -> int:
             values = (line, g.n, g.m, r.randic, r.sum_connectivity, r.abc, r.abs, r.gap,
                       certified_sign(r.gap, g.edge_degree_pairs(), args.tol).value)
             rows.append(dict(zip(INDEX_COLUMNS, values)))
-        _write_rows(_open_out(stack, args.out), args.format, "index-v1", INDEX_COLUMNS, rows)
+        _write_rows(out, args.format, "index-v1", INDEX_COLUMNS, rows)
     return status
 
 
@@ -146,22 +150,25 @@ def _cmd_scan(args) -> int:
     if not 3 <= lo <= hi:
         print(f"invalid scan range {args.range}", file=sys.stderr)
         return 2
-    records = [
-        survey.classify_trees(
-            n, tol=args.tol, workers=args.workers, witness_cap=args.witness_cap
-        )
-        for n in range(lo, hi + 1)
-    ]
     with ExitStack() as stack:
+        out = _open_out(stack, args.out)
+        wf = None
+        if args.witness_out:
+            wf = stack.enter_context(_atomic_output(args.witness_out))
+        records = [
+            survey.classify_trees(
+                n, tol=args.tol, workers=args.workers, witness_cap=args.witness_cap
+            )
+            for n in range(lo, hi + 1)
+        ]
         if args.format == "json":
             rows = [dataclasses.asdict(r) for r in records]
         else:
             rows = [dict(zip(SCAN_COLUMNS, (
                 r.order, r.total, r.positive, r.negative, r.zero, r.negative_ratio,
                 r.min_abs_gap, r.min_abs_gap_graph6))) for r in records]
-        _write_rows(_open_out(stack, args.out), args.format, "scan-v1", SCAN_COLUMNS, rows)
-        if args.witness_out:
-            wf = stack.enter_context(_atomic_output(args.witness_out))
+        _write_rows(out, args.format, "scan-v1", SCAN_COLUMNS, rows)
+        if wf:
             for r in records:
                 wf.write(f"# n={r.order} negative={r.negative}"
                          f" listed={len(r.negative_witnesses)}\n")
@@ -171,10 +178,11 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_near_ties(args) -> int:
-    ties = survey.find_near_ties(args.n, args.top_k)
     columns = [f.name for f in dataclasses.fields(survey.TieRecord)]
     with ExitStack() as stack:
-        _write_rows(_open_out(stack, args.out), args.format, "near-ties-v1", columns,
+        out = _open_out(stack, args.out)
+        ties = survey.find_near_ties(args.n, args.top_k)
+        _write_rows(out, args.format, "near-ties-v1", columns,
                     [dataclasses.asdict(t) for t in ties])
     return 0
 
@@ -219,18 +227,19 @@ def _universes_for(args, min_order: int) -> list:
 
 def _cmd_verify(args) -> int:
     _reject_unread_verify_flags(args)
-    if args.statement == "p2":
-        # p2 gets only the flags given; the rest keep its verifier's defaults
-        report = survey.verify_subdivision_invariance(**{
-            k: getattr(args, k) for k in ("trials", "seed", "tol") if getattr(args, k) is not None
-        })
-    else:
-        statement = survey.STATEMENTS[args.statement]
-        report = survey.verify_statement(
-            statement, _universes_for(args, statement.min_order), args.tol
-        )
     with ExitStack() as stack:
         out = _open_out(stack, args.out)
+        if args.statement == "p2":
+            # p2 gets only the flags given; the rest keep its verifier's defaults
+            report = survey.verify_subdivision_invariance(**{
+                k: getattr(args, k) for k in ("trials", "seed", "tol")
+                if getattr(args, k) is not None
+            })
+        else:
+            statement = survey.STATEMENTS[args.statement]
+            report = survey.verify_statement(
+                statement, _universes_for(args, statement.min_order), args.tol
+            )
         json.dump(dataclasses.asdict(report), out, indent=2)
         out.write("\n")
     if report.conclusion_failures:

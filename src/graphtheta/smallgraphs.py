@@ -7,18 +7,18 @@ connected graph has a non-cut vertex), so expanding each order-k
 representative with its neighbor sets and deduplicating by canonical
 key yields one representative per isomorphism class.
 
-Two neighbor sets in one orbit of Aut(base) give isomorphic graphs,
-so each base tries only the set that comes first in its orbit, in the
-generation order (by size, then lexicographically).  That first
-member is also what a search over every set would reach first, so the
-representative of each class is the same labelled graph either way.
-Every candidate gets only :func:`~graphtheta.canon.canonical_key`,
-whose search skips the symmetric orderings of twin vertices.  The
-orbits come from one :func:`~graphtheta.canon.canonical_search` per
-class below the top order: the orderings that attain a class's key
-form one coset of its automorphism group.  Candidates are searched on
-adjacency bitmasks, and a ``Graph`` is made only for each
-representative.
+Each base tries only its twin-normal neighbor sets: those that hold
+every lower-numbered twin (:func:`~graphtheta.canon.lower_twins`) of
+each vertex they hold.  Swapping two twins is an automorphism of the
+base, so replacing a member of a set that is not twin-normal by a lower
+twin outside it gives an isomorphic graph, from a set of the same size
+that comes earlier in the generation order (by size, then
+lexicographically).  Repeated swaps end at a twin-normal set, so the
+first set to reach each class is twin-normal, and the representative
+of each class is the same labelled graph as in a search over every
+set.  Each candidate is keyed by
+:func:`~graphtheta.canon.canonical_key` on adjacency bitmasks, and a
+``Graph`` is made only for each representative.
 
 Larger orders are ingested from external graph6 files.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .canon import canonical_key, canonical_search
+from .canon import canonical_key, lower_twins
 from .graphs import Graph, GraphError, from_edge_list, is_connected
 from .graph6 import graph6_lines, parse_graph6
 
@@ -51,24 +51,12 @@ class GraphUniverse:
         return iter(self.graphs)
 
 
-def _automorphisms(masks: list[int], degrees: list[int]) -> tuple[tuple[int, ...], ...]:
-    """Aut(G) as vertex maps, from the orderings that attain G's key
-    (:func:`canonical_search`): ``orderings[0][i] -> q[i]`` for each
-    ordering ``q``."""
-    orderings = canonical_search(masks, degrees)[1]
-    first = orderings[0]
-    slot = {v: i for i, v in enumerate(first)}
-    return tuple(tuple(q[slot[v]] for v in range(len(first))) for q in orderings)
-
-
 @lru_cache(maxsize=None)
-def _connected_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]], ...]:
-    """Each class's representative, sorted by canonical key, with its
-    automorphisms (kept only below MAX_INTERNAL_ORDER: the orders that
-    a larger one is grown from)."""
+def _connected_classes(n: int) -> tuple[Graph, ...]:
+    """Each class's representative, sorted by canonical key."""
     if n == 1:
-        return ((from_edge_list(1, []), _automorphisms([0], [0])),)
-    seen: dict[bytes, tuple[Graph, tuple[tuple[int, ...], ...]]] = {}
+        return (from_edge_list(1, []),)
+    seen: dict[bytes, Graph] = {}
     new = 1 << (n - 1)
     # the new vertex's neighbor sets in generation order, with their masks
     subsets = [
@@ -76,15 +64,13 @@ def _connected_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]
         for r in range(1, n)
         for subset in combinations(range(n - 1), r)
     ]
-    for base, auts in _connected_classes(n - 1):
+    for base in _connected_classes(n - 1):
         edges = list(base.edges())
         base_masks = [sum(1 << v for v in nbrs) for nbrs in base.adj]
-        tried: set[int] = set()  # the orbits met so far, as neighbor bitmasks
+        before = lower_twins(base_masks, base.degrees)
         for subset, subset_mask in subsets:
-            if subset_mask in tried:
-                continue
-            if len(auts) > 1:  # else each orbit is one set, met once
-                tried.update(sum(1 << a[v] for v in subset) for a in auts)
+            if any(before[v] & ~subset_mask for v in subset):
+                continue  # not twin-normal
             masks = base_masks + [subset_mask]
             degrees = list(base.degrees) + [len(subset)]
             for v in subset:
@@ -92,9 +78,8 @@ def _connected_classes(n: int) -> tuple[tuple[Graph, tuple[tuple[int, ...], ...]
                 degrees[v] += 1
             key = canonical_key(masks, degrees)
             if key not in seen:
-                g = from_edge_list(n, edges + [(v, n - 1) for v in subset])
-                seen[key] = (g, _automorphisms(masks, degrees) if n < MAX_INTERNAL_ORDER else ())
-    return tuple(c for _, c in sorted(seen.items()))
+                seen[key] = from_edge_list(n, edges + [(v, n - 1) for v in subset])
+    return tuple(g for _, g in sorted(seen.items()))
 
 
 def internal_universe(n: int) -> GraphUniverse:
@@ -104,8 +89,7 @@ def internal_universe(n: int) -> GraphUniverse:
         raise GraphError(
             f"internal enumeration supports 1 <= n <= {MAX_INTERNAL_ORDER}, got {n}"
         )
-    graphs = tuple(g for g, _ in _connected_classes(n))
-    return GraphUniverse(order=n, source="internal", graphs=graphs)
+    return GraphUniverse(order=n, source="internal", graphs=_connected_classes(n))
 
 
 def load_universe(path: str, expect_order: int) -> GraphUniverse:

@@ -26,7 +26,7 @@ from .graphs import (
     min_degree,
     subdivide_at_degree2,
 )
-from .graph6 import to_graph6
+from .graph6 import MAX_ORDER, to_graph6
 from .indices import (
     DEFAULT_ZERO_TOL,
     Sign,
@@ -238,6 +238,8 @@ def classify_trees(
     """
     if n < 3:
         raise ValueError(f"census needs order >= 3, got {n}")
+    if n > MAX_ORDER:  # the result names its trees in graph6
+        raise ValueError(f"order {n} exceeds short-form graph6 bound {MAX_ORDER}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if witness_cap < 0:
@@ -263,6 +265,8 @@ def find_near_ties(n: int, top_k: int) -> list[TieRecord]:
     ascending; ties broken by graph6 string."""
     if n < 3:
         raise ValueError(f"near-tie search needs order >= 3, got {n}")
+    if n > MAX_ORDER:  # the result names its trees in graph6
+        raise ValueError(f"order {n} exceeds short-form graph6 bound {MAX_ORDER}")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     return _near_ties(n, _census(n, DEFAULT_ZERO_TOL, 1, top_k)[0], top_k)
@@ -350,15 +354,13 @@ STATEMENTS = {
 
 def verify_statement(
     statement: Statement,
-    universes: GraphUniverse | Sequence[GraphUniverse],
+    universes: Sequence[GraphUniverse],
     tol: float | None = None,
 ) -> VerificationReport:
     """Check ``statement`` on every graph of ``universes`` at ``tol``
     (None: the statement's own tolerance)."""
     if tol is None:
         tol = statement.tol
-    if isinstance(universes, GraphUniverse):
-        universes = [universes]
     t0 = time.perf_counter()
     checked = holds = 0
     failures = []

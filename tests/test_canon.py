@@ -1,14 +1,10 @@
 import random
 from itertools import combinations, permutations, product
 
-import networkx as nx
 import pytest
-from networkx.algorithms import isomorphism
 
 from graphtheta import canon
-from graphtheta.canon import canonical_search
 from graphtheta.graphs import from_edge_list, is_connected
-from graphtheta.smallgraphs import internal_universe
 
 from conftest import canonical_key, complete_graph, cycle_graph, path_graph, star_graph
 
@@ -51,10 +47,6 @@ def test_thousand_random_relabelings(g):
         assert canonical_key(relabel(g, perm)) == key
 
 
-def _search(g):
-    return canonical_search([sum(1 << v for v in nbrs) for nbrs in g.adj], list(g.degrees))
-
-
 def _key_under(g, ordering):
     """The key's byte string of g with its vertices listed in ``ordering``."""
     bits = 0
@@ -63,32 +55,6 @@ def _key_under(g, ordering):
             bits = bits << 1 | g.has_edge(v, u)
     total = g.n * (g.n - 1) // 2
     return bytes([g.n]) + bits.to_bytes((total + 7) // 8, "big")
-
-
-def _automorphism_count(g):
-    nxg = nx.Graph(list(g.edges()))
-    nxg.add_nodes_from(range(g.n))
-    return sum(1 for _ in isomorphism.GraphMatcher(nxg, nxg).isomorphisms_iter())
-
-
-@pytest.mark.parametrize(
-    "g",
-    [complete_graph(7), cycle_graph(7), path_graph(7), star_graph(6)],
-    ids=["K7", "C7", "P7", "K1_6"],
-)
-def test_search_orderings_count_automorphisms(g):
-    key, orderings = _search(g)
-    assert key == canonical_key(g)
-    assert len(orderings) == _automorphism_count(g)
-
-
-def test_search_orderings_count_automorphisms_up_to_order_6(universes_1_to_6):
-    for universe in universes_1_to_6:
-        for g in universe:
-            key, orderings = _search(g)
-            assert len(orderings) == len(set(orderings)) == _automorphism_count(g)
-            if g.n > 1:
-                assert {_key_under(g, q) for q in orderings} == {key}
 
 
 def _degree_sorted_orderings(g):
@@ -102,13 +68,11 @@ def _degree_sorted_orderings(g):
 
 
 def _oracle(g):
-    """The least key over every degree-sorted ordering, and the orderings
-    that attain it: a search with no pruning."""
+    """The least key over every degree-sorted ordering: a search with no
+    pruning."""
     if g.n == 1:
-        return bytes([1]), {(0,)}
-    keys = {q: _key_under(g, q) for q in _degree_sorted_orderings(g)}
-    least = min(keys.values())
-    return least, {q for q, k in keys.items() if k == least}
+        return bytes([1])
+    return min(_key_under(g, q) for q in _degree_sorted_orderings(g))
 
 
 def _masks(g):
@@ -154,22 +118,47 @@ def _random_graphs(seed, count):
 
 
 def _check_against_oracle(g):
-    key, attaining = _oracle(g)
-    assert canon.canonical_key(_masks(g), g.degrees) == key
-    search_key, orderings = canon.canonical_search(_masks(g), g.degrees)
-    assert search_key == key
-    assert len(orderings) == len(set(orderings))
-    assert set(orderings) == attaining
+    assert canon.canonical_key(_masks(g), g.degrees) == _oracle(g)
+
+
+def _brute_force_lower_twins(g):
+    """u < v are twins iff they have equal degree and equal masks once
+    bits u and v are cleared."""
+    masks = _masks(g)
+    before = [0] * g.n
+    for u, v in combinations(range(g.n), 2):
+        keep = ~(1 << u | 1 << v)
+        if g.degrees[u] == g.degrees[v] and masks[u] & keep == masks[v] & keep:
+            before[v] |= 1 << u
+    return before
+
+
+def _check_lower_twins(g):
+    before = canon.lower_twins(_masks(g), g.degrees)
+    assert before == _brute_force_lower_twins(g)
+    edges = {frozenset(e) for e in g.edges()}
+    for v in range(g.n):
+        for u in range(v):
+            if before[v] >> u & 1:  # swapping u and v maps the edge set onto itself
+                swap = {u: v, v: u}
+                assert {frozenset(swap.get(x, x) for x in e) for e in edges} == edges
+
+
+def _relabelings(name):
+    """Three labelings of TWIN_HEAVY[name]: twins in scattered, not
+    contiguous, positions."""
+    g = TWIN_HEAVY[name]
+    rng = random.Random(name)
+    perm = list(range(g.n))
+    for _ in range(3):
+        yield relabel(g, perm)
+        rng.shuffle(perm)
 
 
 @pytest.mark.parametrize("name", list(TWIN_HEAVY))
 def test_key_and_search_match_unpruned_oracle_on_twin_heavy_graphs(name):
-    g = TWIN_HEAVY[name]
-    rng = random.Random(name)
-    perm = list(range(g.n))
-    for _ in range(3):  # twins in scattered, not contiguous, positions
-        _check_against_oracle(relabel(g, perm))
-        rng.shuffle(perm)
+    for g in _relabelings(name):
+        _check_against_oracle(g)
 
 
 def test_key_and_search_match_unpruned_oracle_on_random_graphs():
@@ -178,8 +167,12 @@ def test_key_and_search_match_unpruned_oracle_on_random_graphs():
         _check_against_oracle(g)
 
 
-def test_key_is_first_of_search_on_every_graph_up_to_order_7():
-    for n in range(1, 8):
-        for g in internal_universe(n):
-            m = _masks(g)
-            assert canon.canonical_key(m, g.degrees) == canon.canonical_search(m, g.degrees)[0]
+@pytest.mark.parametrize("name", list(TWIN_HEAVY))
+def test_lower_twins_match_definition_on_twin_heavy_graphs(name):
+    for g in _relabelings(name):
+        _check_lower_twins(g)
+
+
+def test_lower_twins_match_definition_on_random_graphs():
+    for g in _random_graphs(20261018, 150):
+        _check_lower_twins(g)

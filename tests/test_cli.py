@@ -148,6 +148,18 @@ class TestScan:
         )
         assert os.listdir(tmp_path) == ["both.txt"]
 
+    @pytest.mark.parametrize("flag", ["--out", "--witness-out"])
+    def test_unwritable_output_exit_2_before_the_census(self, capsys, tmp_path, monkeypatch,
+                                                        flag):
+        def no_census(*args, **kwargs):
+            raise AssertionError("census ran before the output was opened")
+
+        monkeypatch.setattr(survey, "classify_trees", no_census)
+        path = tmp_path / "missing" / "w"
+        code, out, err = run(capsys, "scan", "3..5", flag, str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
     def test_crashed_worker_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr(survey, "_scan_partition", _partition_1_dies)
         monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)  # so there is a part 1
@@ -161,6 +173,17 @@ class TestScan:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", ["scan 63", "near-ties 63 --top-k 1"])
+def test_order_above_graph6_bound_exit_2_before_the_census(capsys, monkeypatch, argv):
+    def no_census(*args, **kwargs):
+        raise AssertionError("census ran for an order graph6 cannot name")
+
+    monkeypatch.setattr(survey, "_census", no_census)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err == "error: order 63 exceeds short-form graph6 bound 62\n"
 
 
 class TestNearTies:

@@ -139,26 +139,26 @@ def test_internal_universe_wrapper():
 
 
 def test_build_work_counts(monkeypatch):
-    # one key per candidate; one search per class of orders 1..6, for the
-    # automorphisms that the next order is grown with
-    keys, searches = [], []
+    # one key per candidate, and no other search; one twin computation per
+    # class of orders 1..6, for the neighbor sets that the next order tries
+    keys, twins = [], []
 
     def counted_key(masks, degrees):
         keys.append(canon.canonical_key(masks, degrees))
         return keys[-1]
 
-    def counted_search(masks, degrees):
-        searches.append(len(masks))
-        return canon.canonical_search(masks, degrees)
+    def counted_twins(masks, degrees):
+        twins.append(len(masks))
+        return canon.lower_twins(masks, degrees)
 
     monkeypatch.setattr(smallgraphs, "canonical_key", counted_key)
-    monkeypatch.setattr(smallgraphs, "canonical_search", counted_search)
+    monkeypatch.setattr(smallgraphs, "lower_twins", counted_twins)
     smallgraphs._connected_classes.cache_clear()
     try:
         graphs = [g for n in range(1, 8) for g in internal_universe(n)]
     finally:
         smallgraphs._connected_classes.cache_clear()
-    assert len(keys) == 4159
+    assert len(keys) == 5299
     assert len(set(keys)) == len(graphs) - 1 == 995  # order 1 needs no key
-    assert len(searches) == sum(CONNECTED_COUNTS[:6]) == 143
-    assert max(searches) == 6
+    assert len(twins) == sum(CONNECTED_COUNTS[:6]) == 143
+    assert max(twins) == 6

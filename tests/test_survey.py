@@ -250,7 +250,7 @@ class TestVerifiers:
         from graphtheta.smallgraphs import GraphUniverse
 
         u = GraphUniverse(order=7, source="test", graphs=(cycle_graph(7),))
-        report = verify("p1", u)
+        report = verify("p1", [u])
         assert report.ok and report.hypothesis_holds == 1
 
     def test_complete_graph_gap_negative(self):
@@ -284,7 +284,7 @@ class TestVerifiers:
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == P2_GAPS_SHA256
 
     def test_line_graphs_order5(self):
-        report = verify("t1", internal_universe(5))
+        report = verify("t1", [internal_universe(5)])
         assert report.ok
         assert report.checked == 21 and report.hypothesis_holds == 19
         assert report.min_margin > 0
