@@ -25,7 +25,7 @@ from typing import IO, Iterator, Sequence
 
 from . import __version__, survey, treegen
 from .graphs import GraphError
-from .graph6 import graph6_lines, parse_graph6, to_graph6
+from .graph6 import MAX_ORDER, graph6_lines, parse_graph6, to_graph6
 from .indices import DEFAULT_ZERO_TOL, certified_sign, index_report
 from .smallgraphs import MAX_INTERNAL_ORDER, internal_universe, load_universe
 
@@ -150,6 +150,8 @@ def _cmd_scan(args) -> int:
     if not 3 <= lo <= hi:
         print(f"invalid scan range {args.range}", file=sys.stderr)
         return 2
+    if hi > MAX_ORDER:  # before the census of the orders below it
+        raise ValueError(f"order {hi} exceeds short-form graph6 bound {MAX_ORDER}")
     with ExitStack() as stack:
         out = _open_out(stack, args.out)
         wf = None

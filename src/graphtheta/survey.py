@@ -14,7 +14,7 @@ import os
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import treeclasses, treegen
@@ -85,69 +85,49 @@ class VerificationReport:
 
 # --- tree census ------------------------------------------------------
 
-@dataclass
-class _Census:
-    """What the class census keeps, per part or merged.
-
-    Classes are ``treeclasses`` packed ints.  Trees are made only for the
-    classes a view finally reports, and graph6 only for those trees.
-    """
-
-    signs: Counter = field(default_factory=Counter)  # Sign -> trees
-    # class -> [|gap|, trees, abc, abs] of every class whose |gap| is at
-    # most that of the near_k-th tree, ranked by |gap|
-    near: dict = field(default_factory=dict)
-
-    def add(self, other: "_Census") -> None:
-        self.signs += other.signs
-        for cls, (a, trees, abc, abs_) in other.near.items():
-            self.add_near(cls, a, trees, abc, abs_)
-
-    def add_near(self, cls: int, a: float, trees: int, abc: float, abs_: float) -> None:
-        if cls in self.near:  # one class can come from several fold units
-            self.near[cls][1] += trees
-        else:
-            self.near[cls] = [a, trees, abc, abs_]
-
-    def trim(self, k: int) -> float:
-        """Drop the classes ranked after the k-th tree; return that
-        tree's |gap| (inf while fewer than k trees are kept)."""
-        trees = 0
-        for a, count, _, _ in sorted(self.near.values()):
-            trees += count
-            if trees >= k:
-                for cls in [c for c, v in self.near.items() if v[0] > a]:
-                    del self.near[cls]
-                return a
-        return math.inf
+def _nearest(entries: list, k: int) -> tuple[list, float]:
+    """The near-list entries ``(|gap|, class, trees, abc, abs)`` whose
+    |gap| is at most that of the k-th tree, ascending, and that |gap|
+    (inf while the entries hold fewer than k trees).  Classes are
+    ``treeclasses`` packed ints.  A class met in several fold units has
+    one entry per unit, all with its |gap|, so the k-th tree's |gap| is
+    the same as over the merged classes."""
+    entries = sorted(entries)
+    trees = 0
+    for a, _, count, _, _ in entries:
+        trees += count
+        if trees >= k:
+            return [e for e in entries if e[0] <= a], a
+    return entries, math.inf
 
 
-def _scan_partition(args) -> _Census:
+def _scan_partition(args) -> tuple[Counter, list]:
     """Count and score the classes of order n in every ``parts``-th fold
-    unit (``treeclasses.Tables.units``), from unit ``part``.
+    unit (``treeclasses.Tables.units``), from unit ``part``: the trees
+    by sign, and the near list of its near_k nearest trees (``_nearest``).
 
     This is the census pool's entry point.  One fold is live at a time:
     each class is scored as it comes, with one certified sign, and
-    dropped.  The merge of the near classes stays exact: a part keeps
-    every class whose |gap| is at most that of the part's own near_k-th
+    dropped.  The merge of the near lists stays exact: a part keeps
+    every entry whose |gap| is at most that of the part's own near_k-th
     tree, which is never below the merged near_k-th tree's |gap|.
     """
     n, parts, part, tol, near_k = args
     tables = treeclasses.Tables(n)
-    c = _Census()
+    signs: Counter = Counter()  # Sign -> trees
+    near: list = []
     bound = math.inf  # |gap| of the near_k-th tree kept so far
     for unit in tables.units[part::parts]:
         # a class is met once per fold unit it comes from
         for cls, trees in tables.classes(unit).items():
             abc, abs_, sign = tables.score(cls, tol)
-            c.signs[sign] += trees
+            signs[sign] += trees
             a = abs(abc - abs_)
             if a <= bound:
-                c.add_near(cls, a, trees, abc, abs_)
-                if len(c.near) >= 2 * near_k:
-                    bound = c.trim(near_k)
-    c.trim(near_k)
-    return c
+                near.append((a, cls, trees, abc, abs_))
+                if len(near) >= 2 * near_k:
+                    near, bound = _nearest(near, near_k)
+    return signs, _nearest(near, near_k)[0]
 
 
 def _witnesses(n: int, tol: float, cap: int) -> list[tuple[int, ...]]:
@@ -175,24 +155,23 @@ def _witnesses(n: int, tol: float, cap: int) -> list[tuple[int, ...]]:
 
 def _census(
     n: int, tol: float, workers: int, near_k: int, witness_cap: int = 0,
-) -> tuple[_Census, list[tuple[int, ...]]]:
-    """The class census of order n, and its first ``witness_cap``
-    negative trees in stream order.
+) -> tuple[Counter, list, list[tuple[int, ...]]]:
+    """The class census of order n, as trees by sign and a near list,
+    and its first ``witness_cap`` negative trees in stream order.
 
     With one worker the census comes first, so the witness pass stops
     at the last negative tree (and is not started when there is none).
     With several workers, the pool's parts, one per process and so no
     more than CPUs, take the fold units in turn while this process runs
-    the witness pass, up to the cap.  The merge is keyed by class, so
-    the result does not depend on the worker count.  A pool worker that
-    dies raises ChildProcessError.
+    the witness pass, up to the cap.  The merge reads entries, not
+    parts, so the result does not depend on the worker count.  A pool
+    worker that dies raises ChildProcessError.
     """
     parts = min(workers, os.cpu_count() or 1)
     jobs = [(n, parts, part, tol, near_k) for part in range(parts)]
     if workers == 1:
         partials = [_scan_partition(jobs[0])]
-        negatives = partials[0].signs[Sign.NEGATIVE]
-        witnesses = _witnesses(n, tol, min(witness_cap, negatives))
+        witnesses = _witnesses(n, tol, min(witness_cap, partials[0][0][Sign.NEGATIVE]))
     else:
         # imported here: only a pool needs multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -206,19 +185,18 @@ def _census(
                 partials = list(results)
         except BrokenProcessPool as exc:
             raise ChildProcessError(f"a census worker died: {exc}") from exc
-    census = _Census()
-    for p in partials:
-        census.add(p)
-    census.trim(near_k)
-    return census, witnesses
+    signs = sum((s for s, _ in partials), Counter())
+    near = _nearest([e for _, part_near in partials for e in part_near], near_k)[0]
+    return signs, near, witnesses
 
 
-def _near_ties(n: int, census: _Census, k: int) -> list[TieRecord]:
-    """The k trees of the census's near classes with the smallest |gap|;
+def _near_ties(n: int, near: list, k: int) -> list[TieRecord]:
+    """The k trees of the near list's classes with the smallest |gap|;
     equal gaps in stream order, which is ascending graph6 order
     (tests/test_treegen.py::test_stream_in_ascending_graph6_order)."""
     tables = treeclasses.Tables(n)
-    rows = [(a, seq, abc, abs_) for cls, (a, _, abc, abs_) in census.near.items()
+    classes = {cls: (a, abc, abs_) for a, cls, _, abc, abs_ in near}
+    rows = [(a, seq, abc, abs_) for cls, (a, abc, abs_) in classes.items()
             for seq in tables.expand(cls)]
     rows.sort(key=lambda r: r[1], reverse=True)  # the stream's order
     rows.sort(key=lambda r: r[0])
@@ -244,14 +222,14 @@ def classify_trees(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if witness_cap < 0:
         raise ValueError(f"witness cap must be >= 0, got {witness_cap}")
-    census, witnesses = _census(n, tol, workers, 1, witness_cap=witness_cap)
-    best = _near_ties(n, census, 1)[0]
+    signs, near, witnesses = _census(n, tol, workers, 1, witness_cap=witness_cap)
+    best = _near_ties(n, near, 1)[0]
     return ClassificationRecord(
         order=n,
-        total=census.signs.total(),
-        positive=census.signs[Sign.POSITIVE],
-        negative=census.signs[Sign.NEGATIVE],
-        zero=census.signs[Sign.ZERO_WITHIN_TOL],
+        total=signs.total(),
+        positive=signs[Sign.POSITIVE],
+        negative=signs[Sign.NEGATIVE],
+        zero=signs[Sign.ZERO_WITHIN_TOL],
         tol=tol,
         min_abs_gap=best.abs_gap,
         min_abs_gap_graph6=best.graph6,
@@ -269,7 +247,7 @@ def find_near_ties(n: int, top_k: int) -> list[TieRecord]:
         raise ValueError(f"order {n} exceeds short-form graph6 bound {MAX_ORDER}")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    return _near_ties(n, _census(n, DEFAULT_ZERO_TOL, 1, top_k)[0], top_k)
+    return _near_ties(n, _census(n, DEFAULT_ZERO_TOL, 1, top_k)[1], top_k)
 
 
 # --- statement verifiers ----------------------------------------------
@@ -295,7 +273,9 @@ def _min_degree2(g: Graph) -> bool:
 
 
 def _zero_exactly_on_cycles(g: Graph, h: Graph, gap: float, tol: float) -> bool:
-    return gap <= tol and (abs(gap) <= tol) == (classify_shape(g) is Shape.CYCLE)
+    sign = certified_sign(gap, h.edge_degree_pairs(), tol)
+    return (sign is not Sign.POSITIVE
+            and (sign is Sign.ZERO_WITHIN_TOL) == (classify_shape(g) is Shape.CYCLE))
 
 
 def _line_graph_root(k: Graph) -> bool:

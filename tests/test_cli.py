@@ -160,6 +160,20 @@ class TestScan:
         assert code == 2 and out == ""
         assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
+    def test_range_above_graph6_bound_exit_2_before_the_census(self, capsys, tmp_path,
+                                                               monkeypatch):
+        def no_census(*args, **kwargs):
+            raise AssertionError("census ran for a range graph6 cannot name")
+
+        monkeypatch.setattr(survey, "classify_trees", no_census)
+        out_path = tmp_path / "scan.csv"
+        out_path.write_text("previous\n")
+        code, out, err = run(capsys, "scan", "61..63", "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err == "error: order 63 exceeds short-form graph6 bound 62\n"
+        assert out_path.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["scan.csv"]
+
     def test_crashed_worker_exit_2(self, capsys, monkeypatch):
         monkeypatch.setattr(survey, "_scan_partition", _partition_1_dies)
         monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)  # so there is a part 1
@@ -205,6 +219,16 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["conclusion_failures"] == ["Cv", "C~"]
         assert "counterexample: Cv" in err and "counterexample: C~" in err
+
+    def test_p1_zero_is_certified(self, capsys, tmp_path):
+        # K4's double gap lies within this tol, but at 50 digits it is
+        # -0.89897948556635624..., below -tol: negative, not zero
+        inp = tmp_path / "k4.g6"
+        inp.write_text("C~\n")
+        code, out, err = run(capsys, "verify", "p1", "--in", str(inp), "--order", "4",
+                             "--tol", "0.8989794855663558")
+        assert code == 0 and err == ""
+        assert json.loads(out)["conclusion_failures"] == []
 
     def test_p2_reads_tol(self, capsys):
         # at tol 1e-300, rounding differences between the two gaps count

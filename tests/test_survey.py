@@ -207,6 +207,17 @@ class TestNearTies:
         best = ranked_by_abs_gap(14)[0]
         assert (rec.min_abs_gap, rec.min_abs_gap_graph6) == best[:2]
 
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 4, 14])
+    @pytest.mark.parametrize("n", [12, 15, 16])
+    def test_merge_of_parts(self, n, k, parts):
+        # the pool's merge, in this process: every part's near list, joined
+        # and cut once more; k = 14 at order 16 cuts through 13 tied trees
+        near = [e for part in range(parts)
+                for e in survey._scan_partition((n, parts, part, DEFAULT_ZERO_TOL, k))[1]]
+        merged, _ = survey._nearest(near, k)
+        assert survey._near_ties(n, merged, k) == survey.find_near_ties(n, k)
+
     def test_p3_single_tree(self):
         ties = survey.find_near_ties(3, 1)
         r = index_report(parse_graph6(ties[0].graph6))
