@@ -13,7 +13,6 @@ JSON carries full binary64 round-trip values.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
@@ -154,9 +153,7 @@ def _cmd_scan(args) -> int:
         raise ValueError(f"order {hi} exceeds short-form graph6 bound {MAX_ORDER}")
     with ExitStack() as stack:
         out = _open_out(stack, args.out)
-        wf = None
-        if args.witness_out:
-            wf = stack.enter_context(_atomic_output(args.witness_out))
+        wf = _open_out(stack, args.witness_out) if args.witness_out else None
         records = [
             survey.classify_trees(
                 n, tol=args.tol, workers=args.workers, witness_cap=args.witness_cap
@@ -164,7 +161,7 @@ def _cmd_scan(args) -> int:
             for n in range(lo, hi + 1)
         ]
         if args.format == "json":
-            rows = [dataclasses.asdict(r) for r in records]
+            rows = [r._asdict() for r in records]
         else:
             rows = [dict(zip(SCAN_COLUMNS, (
                 r.order, r.total, r.positive, r.negative, r.zero, r.negative_ratio,
@@ -180,12 +177,12 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_near_ties(args) -> int:
-    columns = [f.name for f in dataclasses.fields(survey.TieRecord)]
+    columns = survey.TieRecord._fields
     with ExitStack() as stack:
         out = _open_out(stack, args.out)
         ties = survey.find_near_ties(args.n, args.top_k)
         _write_rows(out, args.format, "near-ties-v1", columns,
-                    [dataclasses.asdict(t) for t in ties])
+                    [t._asdict() for t in ties])
     return 0
 
 
@@ -242,7 +239,7 @@ def _cmd_verify(args) -> int:
             report = survey.verify_statement(
                 statement, _universes_for(args, statement.min_order), args.tol
             )
-        json.dump(dataclasses.asdict(report), out, indent=2)
+        json.dump(report._asdict(), out, indent=2)
         out.write("\n")
     if report.conclusion_failures:
         for g6 in report.conclusion_failures:

@@ -8,18 +8,32 @@ and sparse6 graph formats").
 Both directions hold the body as one int of B = 6*ceil(N/6) bits, where
 N = n(n-1)/2.  Edge {i, j} (i < j) is bit top - (j(j-1)/2 + i) of it,
 with top = B - 1, so the triangle fills the high N bits in column order
-and the low B - N bits are zero padding.  The decoder walks the set bits
-from the top (``bit_length``), which is column order: every neighbor
-list comes out sorted, with no set and no sort.
+and the low B - N bits are zero padding.
+
+The body characters 63..126 stand for the 6-bit values 0..63, and so do
+the 64 characters of the base64 alphabet, in the same order.  So both
+directions translate the body into base64 and let ``binascii`` convert
+it to or from bytes, in groups of 4 characters: the encoder drops the
+characters that round the last group up, and the decoder pads its body
+with ``A`` (0) and shifts those bits back off.  The decoder walks the
+set bits from the top (``bit_length``), which is column order, through a
+per-order table from bit to edge: every neighbor list comes out sorted,
+with no set and no sort.
 """
 
 from __future__ import annotations
 
+from binascii import a2b_base64, b2a_base64
+from functools import cache
 from typing import IO, Iterable, Iterator
 
 from .graphs import Graph, GraphError, _from_adjacency
 
 MAX_ORDER = 62
+_BODY = bytes(range(63, 127))
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_BASE64 = bytes.maketrans(_BODY, _BASE64)
+_FROM_BASE64 = bytes.maketrans(_BASE64, _BODY)
 
 
 class Graph6Error(GraphError):
@@ -43,13 +57,14 @@ def edges_to_graph6(n: int, edges: Iterable[tuple[int, int]]) -> str:
     checked."""
     if n > MAX_ORDER:
         raise Graph6Error(f"order {n} exceeds short-form graph6 bound {MAX_ORDER}")
-    bits = 6 * ((n * (n - 1) // 2 + 5) // 6)
-    top = bits - 1
+    nchars = (n * (n - 1) // 2 + 5) // 6
+    top = 6 * nchars - 1
     body = 0
     for i, j in edges:
         body |= 1 << (top - (j * (j - 1) // 2 + i))
-    chunks = [(body >> s & 63) + 63 for s in range(bits - 6, -1, -6)]
-    return bytes([n + 63, *chunks]).decode("ascii")
+    pad = -nchars % 4  # characters that round the body up to whole base64 groups
+    text = b2a_base64((body << 6 * pad).to_bytes((nchars + pad) // 4 * 3, "big"), newline=False)
+    return chr(n + 63) + text[:nchars].translate(_FROM_BASE64).decode()
 
 
 def to_graph6(g: Graph) -> str:
@@ -75,26 +90,29 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(f"truncated graph6 body: need {nchars} chars, got {len(body)}")
     if len(body) > nchars:
         raise Graph6Error(f"trailing garbage after graph6 body: {body[nchars:]!r}")
-    x = 0
-    for index, ch in enumerate(body):
-        c = ord(ch) - 63
-        if not 0 <= c <= 63:
-            raise Graph6Error(f"invalid body byte at index {index}")
-        x = x << 6 | c
+    raw = body.encode("utf-8", "surrogatepass")  # every non-ASCII byte is invalid
+    if raw.translate(None, _BODY):
+        index = next(i for i, ch in enumerate(body) if not "?" <= ch <= "~")
+        raise Graph6Error(f"invalid body byte at index {index}")
+    pad = -nchars % 4
+    x = int.from_bytes(a2b_base64(raw.translate(_TO_BASE64) + b"A" * pad), "big") >> 6 * pad
     if x & ((1 << (6 * nchars - nbits)) - 1):
         raise Graph6Error("padding bits set beyond the adjacency triangle")
-    top = 6 * nchars - 1
+    edge = _edge_of_bit(n)
     adj: list[list[int]] = [[] for _ in range(n)]
-    j = 1
-    col = 0  # j(j-1)/2: column j is triangle bits col..col+j-1, top first
     while x:
         p = x.bit_length() - 1
         x ^= 1 << p
-        k = top - p
-        while k >= col + j:
-            col += j
-            j += 1
-        i = k - col
+        i, j = edge[p]
         adj[i].append(j)
         adj[j].append(i)
     return _from_adjacency(n, adj)
+
+
+@cache
+def _edge_of_bit(n: int) -> list[tuple[int, int] | None]:
+    """The edge (i, j) of each bit of the body int of order n, low bit
+    first: None for each padding bit, then the triangle from its end."""
+    nbits = n * (n - 1) // 2
+    column_order = [(i, j) for j in range(1, n) for i in range(j)]
+    return [None] * (-nbits % 6) + column_order[::-1]

@@ -2,15 +2,15 @@
 
 Vertices are dense integers ``0..n-1``.  Adjacency is stored as sorted
 neighbor tuples, which is cache-friendly for the sparse graphs handled
-here (trees and line graphs of small graphs).  Instances are immutable
-and safe to share between workers.
+here (trees and line graphs of small graphs).  A ``Graph`` is an
+immutable record, a ``NamedTuple`` ``(n, adj, degrees, m)``, and safe to
+share between workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GraphError(ValueError):
@@ -39,8 +39,7 @@ class Shape(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Simple undirected graph with cached degrees.
 
     Construct through :func:`from_edge_list`, which validates the edges
@@ -49,7 +48,7 @@ class Graph:
     produces valid, sorted lists by construction (``parse_graph6``,
     ``treegen.sequence_to_graph``, ``linegraph.line_graph``,
     :func:`subdivide_at_degree2`) calls ``_from_adjacency`` directly; the
-    dataclass itself does not re-validate its invariants.
+    record itself does not re-validate its invariants.
     """
 
     n: int
@@ -102,7 +101,7 @@ def _from_adjacency(n: int, adj: list[list[int]]) -> Graph:
     symmetric, free of loops and repeats, and each sorted ascending.
     Nothing is checked."""
     degrees = tuple(map(len, adj))
-    return Graph(n=n, adj=tuple(map(tuple, adj)), degrees=degrees, m=sum(degrees) // 2)
+    return Graph(n, tuple(map(tuple, adj)), degrees, sum(degrees) // 2)
 
 
 def is_connected(g: Graph) -> bool:

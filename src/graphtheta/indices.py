@@ -15,20 +15,20 @@ as ~1e-4, which must sit far above accumulated rounding error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from enum import Enum
 from functools import cache
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .graphs import Graph, DisconnectedGraphError, GraphError, is_connected
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 DEFAULT_ZERO_TOL = 1e-9
 RECHECK_DIGITS = 50  # decimal digits of gap_extended_precision
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(NamedTuple):
     """All four index values of one graph plus the gap ABC - ABS."""
 
     randic: float
@@ -94,6 +94,8 @@ def gap_extended_precision(pairs: Iterable[tuple[int, int]]) -> Decimal:
     Used to confirm that a near-zero double-precision gap is not a
     rounding artifact before it is reported as a true tie.
     """
+    from decimal import Decimal, localcontext  # only this recheck needs decimal
+
     with localcontext() as ctx:  # localcontext(prec=...) needs Python 3.11
         ctx.prec = RECHECK_DIGITS
         terms = ((Decimal(a + b - 2), a * b, a + b) for a, b in pairs)

@@ -25,24 +25,25 @@ Larger orders are ingested from external graph6 files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from .canon import canonical_key, lower_twins
-from .graphs import Graph, GraphError, from_edge_list, is_connected
+from .graphs import Graph, GraphError, _from_adjacency, from_edge_list, is_connected
 from .graph6 import graph6_lines, parse_graph6
 
 MAX_INTERNAL_ORDER = 7
 
 
-@dataclass(frozen=True)
 class GraphUniverse:
     """A fixed set of pairwise non-isomorphic connected graphs."""
 
-    order: int
-    source: str
-    graphs: tuple[Graph, ...]
+    __slots__ = ("order", "source", "graphs")
+
+    def __init__(self, order: int, source: str, graphs: tuple[Graph, ...]) -> None:
+        self.order = order
+        self.source = source
+        self.graphs = graphs
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -65,7 +66,6 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
         for subset in combinations(range(n - 1), r)
     ]
     for base in _connected_classes(n - 1):
-        edges = list(base.edges())
         base_masks = [sum(1 << v for v in nbrs) for nbrs in base.adj]
         before = lower_twins(base_masks, base.degrees)
         for subset, subset_mask in subsets:
@@ -77,8 +77,10 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
                 masks[v] |= new
                 degrees[v] += 1
             key = canonical_key(masks, degrees)
-            if key not in seen:
-                seen[key] = from_edge_list(n, edges + [(v, n - 1) for v in subset])
+            if key not in seen:  # sorted lists: n - 1 is above every old vertex
+                adj = [[*nbrs, n - 1] if subset_mask >> v & 1 else nbrs
+                       for v, nbrs in enumerate(base.adj)]
+                seen[key] = _from_adjacency(n, adj + [subset])
     return tuple(g for _, g in sorted(seen.items()))
 
 

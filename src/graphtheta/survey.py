@@ -14,8 +14,7 @@ import os
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import treeclasses, treegen
 from .graphs import (
@@ -40,8 +39,7 @@ DEFAULT_WITNESS_CAP = 100
 P2_MAX_ORDER = 12  # largest order of verify_subdivision_invariance's random graphs
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
+class ClassificationRecord(NamedTuple):
     """Sign census of the ABC-ABS gap over all trees of one order."""
 
     order: int
@@ -60,16 +58,14 @@ class ClassificationRecord:
         return self.negative / self.total
 
 
-@dataclass(frozen=True)
-class TieRecord:
+class TieRecord(NamedTuple):
     graph6: str
     abc: float
     abs: float
     abs_gap: float
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     statement: str
     universe: str
     checked: int
@@ -252,8 +248,7 @@ def find_near_ties(n: int, top_k: int) -> list[TieRecord]:
 
 # --- statement verifiers ----------------------------------------------
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     """A statement checked graph by graph: every graph of the universe
     that meets ``hypothesis`` must, after ``transform`` (None: the graph
     itself), have a gap that meets ``conclusion``."""

@@ -3,7 +3,8 @@ from itertools import combinations
 import pytest
 
 from graphtheta import canon
-from graphtheta.graphs import Graph, from_edge_list
+from graphtheta.graph6 import Graph6Error
+from graphtheta.graphs import Graph, _from_adjacency, from_edge_list
 
 
 def path_graph(n: int) -> Graph:
@@ -63,6 +64,63 @@ def is_line_graph(g: Graph) -> bool:
         if len(union) == 4 and not all(g.has_edge(a, b) for a, b in combinations(union, 2)):
             return False
     return True
+
+
+def edges_to_graph6_oracle(n: int, edges) -> str:
+    """graph6 encoder, one 6-bit chunk at a time (no order bound check)."""
+    bits = 6 * ((n * (n - 1) // 2 + 5) // 6)
+    top = bits - 1
+    body = 0
+    for i, j in edges:
+        body |= 1 << (top - (j * (j - 1) // 2 + i))
+    chunks = [(body >> s & 63) + 63 for s in range(bits - 6, -1, -6)]
+    return bytes([n + 63, *chunks]).decode("ascii")
+
+
+def parse_graph6_oracle(text: str) -> Graph:
+    """graph6 decoder, one body character at a time, with the checks and
+    messages of ``parse_graph6`` in the same order."""
+    text = text.removeprefix(">>graph6<<")
+    if not text:
+        raise Graph6Error("empty graph6 string")
+    header = ord(text[0])
+    if header < 63 or header > 126:
+        raise Graph6Error(f"invalid header byte {header}")
+    n = header - 63
+    if n == 63:
+        raise Graph6Error("extended-order graph6 forms are not supported")
+    if n == 0:
+        raise Graph6Error("graph6 order must be >= 1")
+    nbits = n * (n - 1) // 2
+    nchars = (nbits + 5) // 6
+    body = text[1:]
+    if len(body) < nchars:
+        raise Graph6Error(f"truncated graph6 body: need {nchars} chars, got {len(body)}")
+    if len(body) > nchars:
+        raise Graph6Error(f"trailing garbage after graph6 body: {body[nchars:]!r}")
+    x = 0
+    for index, ch in enumerate(body):
+        c = ord(ch) - 63
+        if not 0 <= c <= 63:
+            raise Graph6Error(f"invalid body byte at index {index}")
+        x = x << 6 | c
+    if x & ((1 << (6 * nchars - nbits)) - 1):
+        raise Graph6Error("padding bits set beyond the adjacency triangle")
+    top = 6 * nchars - 1
+    adj: list[list[int]] = [[] for _ in range(n)]
+    j = 1
+    col = 0  # j(j-1)/2: column j is triangle bits col..col+j-1, top first
+    while x:
+        p = x.bit_length() - 1
+        x ^= 1 << p
+        k = top - p
+        while k >= col + j:
+            col += j
+            j += 1
+        i = k - col
+        adj[i].append(j)
+        adj[j].append(i)
+    return _from_adjacency(n, adj)
 
 
 @pytest.fixture(scope="session")

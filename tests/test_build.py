@@ -63,6 +63,16 @@ def test_built_cli_runs_without_mpmath(built_lib):
     assert "\nA_,2,1," in index.stdout
 
 
+def test_built_cli_import_loads_no_dataclasses_or_decimal(built_lib):
+    # against a bare interpreter in the same environment, which may preload modules
+    listed = "import sys; print(' '.join(sorted(sys.modules)))"
+    bare = run_built(built_lib, ["-c", listed], check=True).stdout.split()
+    cli = run_built(built_lib, ["-c", "import graphtheta.cli; " + listed], check=True)
+    added = set(cli.stdout.split()) - set(bare)
+    assert "graphtheta.cli" in added
+    assert not added & {"dataclasses", "inspect", "decimal"}
+
+
 def test_star_import_resolves_every_public_name():
     # a stale __all__ entry would only fail for `from graphtheta import *` users
     import graphtheta

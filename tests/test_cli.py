@@ -117,6 +117,13 @@ class TestScan:
         ]
         assert len(witness_lines) == 1
 
+    def test_witness_out_dash_writes_to_stdout(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "scan", "11", "--witness-out", "-")
+        assert code == 0
+        assert out.endswith(",JkE?K?@_C??\n# n=11 negative=1 listed=1\nJkE?K?@_??_\n")
+        assert os.listdir(tmp_path) == []
+
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "scan", "2..5")
         assert code == 2

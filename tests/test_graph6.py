@@ -2,13 +2,14 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphtheta import treegen
-from graphtheta.graph6 import Graph6Error, parse_graph6, to_graph6
+from graphtheta.graph6 import Graph6Error, edges_to_graph6, parse_graph6, to_graph6
 from graphtheta.graphs import from_edge_list
 from graphtheta.treegen import free_tree_sequences, sequence_to_graph
 
-from conftest import complete_graph, cycle_graph
+from conftest import complete_graph, cycle_graph, edges_to_graph6_oracle, parse_graph6_oracle
 
 
 def _random_edges(n, p, rng):
@@ -128,3 +129,71 @@ def test_padding_bits_rejected():
 def test_order_bound():
     with pytest.raises(Graph6Error, match="^order 63 exceeds short-form graph6 bound 62$"):
         to_graph6(from_edge_list(63, []))
+
+
+def test_body_character_above_latin1_rejected():
+    # a str body may hold any code point, not only the bytes of a file
+    with pytest.raises(Graph6Error, match="^invalid body byte at index 1$"):
+        parse_graph6("F?\u20ac??")
+
+
+@st.composite
+def graphs_as_edges(draw, orders=st.integers(1, 62)):
+    """(n, edges) of a random graph of order in ``orders``, each edge once
+    as (i, j) with i < j, in random order."""
+    n = draw(orders)
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    chosen = draw(st.integers(0, (1 << len(pairs)) - 1))
+    edges = [e for k, e in enumerate(pairs) if chosen >> k & 1]
+    return n, draw(st.permutations(edges))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Graph6Error as exc:
+        return f"Graph6Error: {exc}"
+
+
+@settings(deadline=None)
+@given(graphs_as_edges())
+def test_round_trip_and_encoding_match_oracle(graph):
+    n, edges = graph
+    text = edges_to_graph6(n, edges)
+    assert text == edges_to_graph6_oracle(n, edges)
+    assert parse_graph6(text) == from_edge_list(n, edges) == parse_graph6_oracle(text)
+
+
+# body characters in range, then any code point, lone surrogates included
+_CHARS = st.one_of(st.characters(min_codepoint=63, max_codepoint=126),
+                   st.characters(max_codepoint=0x2FF), st.sampled_from("\u20ac\ud800\U0001f600"))
+
+
+@settings(deadline=None)
+@given(graphs_as_edges(), st.data())
+def test_single_character_corruption_matches_oracle(graph, data):
+    text = edges_to_graph6(*graph)
+    k = data.draw(st.integers(0, len(text) - 1))
+    bad = text[:k] + data.draw(_CHARS) + text[k + 1:]
+    assert _outcome(parse_graph6, bad) == _outcome(parse_graph6_oracle, bad)
+
+
+@settings(deadline=None)
+@given(graphs_as_edges(), st.data())
+def test_truncation_and_extension_match_oracle(graph, data):
+    text = edges_to_graph6(*graph)
+    bad = text[:data.draw(st.integers(0, len(text)))] + data.draw(st.text(_CHARS, max_size=3))
+    assert _outcome(parse_graph6, bad) == _outcome(parse_graph6_oracle, bad)
+
+
+@settings(deadline=None)
+@given(graphs_as_edges(st.sampled_from([n for n in range(2, 63) if n * (n - 1) // 2 % 6])),
+       st.data())
+def test_padding_bits_match_oracle(graph, data):
+    n, edges = graph
+    text = edges_to_graph6(n, edges)
+    padding = -(n * (n - 1) // 2) % 6
+    bits = data.draw(st.integers(1, (1 << padding) - 1))
+    bad = text[:-1] + chr((ord(text[-1]) - 63 | bits) + 63)
+    message = "Graph6Error: padding bits set beyond the adjacency triangle"
+    assert _outcome(parse_graph6, bad) == _outcome(parse_graph6_oracle, bad) == message

@@ -138,6 +138,13 @@ def test_internal_universe_wrapper():
     assert u.order == 4 and len(u) == 6 and u.source == "internal"
 
 
+def test_trusted_representatives_equal_validated_graph():
+    # the build makes each representative with _from_adjacency, unchecked
+    for n in range(1, 8):
+        for g in internal_universe(n):
+            assert g == from_edge_list(n, list(g.edges()))
+
+
 def test_build_work_counts(monkeypatch):
     # one key per candidate, and no other search; one twin computation per
     # class of orders 1..6, for the neighbor sets that the next order tries
