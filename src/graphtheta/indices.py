@@ -4,12 +4,16 @@ Each index is a sum over the edges of a term in the degree pair
 (d_u, d_v): Randic 1/sqrt(d_u*d_v), sum-connectivity 1/sqrt(d_u+d_v),
 ABC sqrt((d_u+d_v-2)/(d_u*d_v)) and ABS sqrt((d_u+d_v-2)/(d_u+d_v)).
 Each term is written once, in ``edge_terms``, a cached function of the
-degree pair that ``index_report`` and the tree census's class scorer
-(``treeclasses.Tables.score``) both read.
+degree pair that ``index_report`` and the tree census's class tables
+(``treeclasses.Tables``) both read.
 
-Whole-graph values are accumulated with ``math.fsum`` (exactly rounded
-compensated summation): the surveys turn on the sign of gaps as small
-as ~1e-4, which must sit far above accumulated rounding error.
+Whole-graph values are correctly rounded sums of the edge terms: the
+surveys turn on the sign of gaps as small as ~1e-4, which must sit far
+above accumulated rounding error.  ``index_report`` accumulates them
+with ``math.fsum``.  The tree census writes each ABC and ABS term as an
+integer over 2**S, carries a class's exact integer sums in the class
+itself, and divides each once (``treeclasses.Tables.score``), which
+gives the same bits.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from graphtheta import canon
 from graphtheta.graph6 import Graph6Error
 from graphtheta.graphs import Graph, _from_adjacency, from_edge_list
+from graphtheta.indices import edge_terms
 
 
 def path_graph(n: int) -> Graph:
@@ -64,6 +66,21 @@ def is_line_graph(g: Graph) -> bool:
         if len(union) == 4 and not all(g.has_edge(a, b) for a, b in combinations(union, 2)):
             return False
     return True
+
+
+def fsum_class_sums(tables, cls: int) -> tuple[float, float]:
+    """The ABC and ABS sums of a ``treeclasses`` class: its type fields
+    decoded one at a time, and one ``math.fsum`` over the edge terms of
+    each index."""
+    mask = (1 << tables.width) - 1
+    abc: list[float] = []
+    abs_: list[float] = []
+    for i, (a, b) in enumerate(tables.types):
+        c = cls >> tables._types_at + i * tables.width & mask
+        _, _, t_abc, t_abs = edge_terms(a, b)
+        abc += [t_abc] * c
+        abs_ += [t_abs] * c
+    return math.fsum(abc), math.fsum(abs_)
 
 
 def edges_to_graph6_oracle(n: int, edges) -> str:

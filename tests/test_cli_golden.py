@@ -29,6 +29,10 @@ GOLDEN = {
     "enum connected 6": "353aaf07c688f00e6e18cd2c0a0cf5ef209ae0ee11b0a4c85a072a29d37e7012",
     "index --format csv": "046713464eb56b917becaaabc53f503142589eeabc9415f8a872449b124de530",
     "index --format json": "8ea3aa0301db6cb842e545e8e2d97a61ac5163824bef0ba7b7872f51a6e5fb68",
+    # recorded before a class carried its own ABC and ABS sums and
+    # ``Tables.class_of`` read a tree's class from memoized branches
+    "scan 16..17 --workers 1 witnesses": "31cbda07d327de92c3a28dd99924294082e14ea3e7404818097dc42124772e1f",
+    "scan 16..17 --workers 2 witnesses": "31cbda07d327de92c3a28dd99924294082e14ea3e7404818097dc42124772e1f",
 }
 
 
@@ -60,6 +64,13 @@ def test_scan_with_witnesses(capsys, tmp_path, fmt):
     out = stdout_of(capsys, "scan", "3..15", "--format", fmt, "--witness-out", str(witnesses))
     assert sha256(out) == GOLDEN[f"scan 3..15 --format {fmt}"]
     assert sha256(witnesses.read_bytes()) == GOLDEN["scan 3..15 witnesses"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_witnesses_of_orders_16_and_17(capsys, tmp_path, workers):
+    witnesses = tmp_path / "neg.g6"
+    stdout_of(capsys, "scan", "16..17", "--workers", workers, "--witness-out", str(witnesses))
+    assert sha256(witnesses.read_bytes()) == GOLDEN[f"scan 16..17 --workers {workers} witnesses"]
 
 
 @pytest.mark.parametrize("statement", ["p1", "t1", "t2", "t3"])
