@@ -7,30 +7,28 @@ or a census worker that died.  A regular file named by --out or
 --witness-out is replaced only when the command succeeds.
 
 Numeric fields in CSV output are printed with 9 significant digits;
-JSON carries full binary64 round-trip values.
+JSON carries full binary64 round-trip values.  ``index`` writes each CSV
+row as soon as its line is scored.
+
+The census, universe and ``json`` modules are imported by the commands
+that use them, so ``index`` and ``enum trees`` load none of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import stat
 import sys
 from contextlib import ExitStack, contextmanager, suppress
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
-from . import __version__, survey, treegen
-from .graphs import GraphError
-from .graph6 import MAX_ORDER, graph6_lines, parse_graph6, to_graph6
-from .indices import DEFAULT_ZERO_TOL, certified_sign, index_report
-from .smallgraphs import MAX_INTERNAL_ORDER, internal_universe, load_universe
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
+from . import __version__, treegen
+from .graphs import DisconnectedGraphError, GraphError
+from .graph6 import graph6_lines, parse_degree_pairs, to_graph6
+from .indices import DEFAULT_ZERO_TOL, certified_sign, pairs_report
 
 
 def _tolerance(text: str) -> float:
@@ -100,20 +98,22 @@ def _input_bytes(stack: ExitStack, path: str | None) -> IO[bytes]:
     return stack.enter_context(open(path, "rb"))
 
 
-def _write_rows(
-    out: IO[str], fmt: str, schema: str, columns: Sequence[str], records: list[dict]
-) -> None:
-    """JSON: ``records`` in full.  CSV: a ``# schema:`` line, the column
-    header, then each record's ``columns``, floats to 9 significant digits."""
-    if fmt == "json":
-        json.dump(records, out, indent=2)
-        out.write("\n")
-        return
+def _write_json(out: IO[str], obj) -> None:
+    import json  # only JSON output needs it
+
+    json.dump(obj, out, indent=2)
+    out.write("\n")
+
+
+def _write_csv(out: IO[str], schema: str, columns: Sequence[str],
+               rows: Iterable[Sequence]) -> None:
+    """A ``# schema:`` line, the column header, then each row (its values
+    in column order) as it comes, floats to 9 significant digits."""
     out.write(f"# schema: {schema}\n")
     out.write(",".join(columns) + "\n")
-    for r in records:
-        out.write(",".join(_fmt(r[c]) if isinstance(r[c], float) else str(r[c])
-                           for c in columns) + "\n")
+    for row in rows:
+        out.write(",".join([f"{v:.9g}" if isinstance(v, float) else str(v) for v in row])
+                  + "\n")
 
 
 # --- subcommands ------------------------------------------------------
@@ -123,50 +123,60 @@ SCAN_COLUMNS = ("n", "total", "positive", "negative", "zero", "negative_ratio",
                 "min_abs_gap", "min_abs_gap_graph6")
 
 
+def _index_rows(
+    lines: Iterable[tuple[int, str]], tol: float, bad: list[int]
+) -> Iterator[tuple]:
+    """The INDEX_COLUMNS row of each graph6 line.  A line that is
+    malformed or disconnected is reported on stderr, and its number
+    appended to ``bad``, in place of a row."""
+    for lineno, line in lines:
+        try:
+            n, pairs, connected = parse_degree_pairs(line)
+            if not connected:
+                raise DisconnectedGraphError("graph is not connected")
+        except GraphError as exc:
+            print(f"line {lineno}: {exc}", file=sys.stderr)
+            bad.append(lineno)
+            continue
+        r = pairs_report(pairs)
+        yield (line, n, len(pairs), *r, certified_sign(r.gap, pairs, tol).value)
+
+
 def _cmd_index(args) -> int:
-    status = 0
-    rows = []
+    bad: list[int] = []
     with ExitStack() as stack:
         lines = graph6_lines(_input_bytes(stack, getattr(args, "in")))
         out = _open_out(stack, args.out)
-        for lineno, line in lines:
-            try:
-                g = parse_graph6(line)
-                r = index_report(g)
-            except GraphError as exc:
-                print(f"line {lineno}: {exc}", file=sys.stderr)
-                status = 2
-                continue
-            values = (line, g.n, g.m, r.randic, r.sum_connectivity, r.abc, r.abs, r.gap,
-                      certified_sign(r.gap, g.edge_degree_pairs(), args.tol).value)
-            rows.append(dict(zip(INDEX_COLUMNS, values)))
-        _write_rows(out, args.format, "index-v1", INDEX_COLUMNS, rows)
-    return status
+        rows = _index_rows(lines, args.tol, bad)
+        if args.format == "json":
+            _write_json(out, [dict(zip(INDEX_COLUMNS, row)) for row in rows])
+        else:
+            _write_csv(out, "index-v1", INDEX_COLUMNS, rows)
+    return 2 if bad else 0
 
 
 def _cmd_scan(args) -> int:
+    from . import survey
+
     lo, hi = _parse_range(args.range)
     if not 3 <= lo <= hi:
         print(f"invalid scan range {args.range}", file=sys.stderr)
         return 2
-    if hi > MAX_ORDER:  # before the census of the orders below it
-        raise ValueError(f"order {hi} exceeds short-form graph6 bound {MAX_ORDER}")
+    treegen.check_order(hi)  # before the census of the orders below it
+    cap = survey.DEFAULT_WITNESS_CAP if args.witness_cap is None else args.witness_cap
     with ExitStack() as stack:
         out = _open_out(stack, args.out)
         wf = _open_out(stack, args.witness_out) if args.witness_out else None
         records = [
-            survey.classify_trees(
-                n, tol=args.tol, workers=args.workers, witness_cap=args.witness_cap
-            )
+            survey.classify_trees(n, tol=args.tol, workers=args.workers, witness_cap=cap)
             for n in range(lo, hi + 1)
         ]
         if args.format == "json":
-            rows = [r._asdict() for r in records]
+            _write_json(out, [r._asdict() for r in records])
         else:
-            rows = [dict(zip(SCAN_COLUMNS, (
+            _write_csv(out, "scan-v1", SCAN_COLUMNS, [(
                 r.order, r.total, r.positive, r.negative, r.zero, r.negative_ratio,
-                r.min_abs_gap, r.min_abs_gap_graph6))) for r in records]
-        _write_rows(out, args.format, "scan-v1", SCAN_COLUMNS, rows)
+                r.min_abs_gap, r.min_abs_gap_graph6) for r in records])
         if wf:
             for r in records:
                 wf.write(f"# n={r.order} negative={r.negative}"
@@ -177,16 +187,21 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_near_ties(args) -> int:
-    columns = survey.TieRecord._fields
+    from . import survey
+
+    treegen.check_order(args.n)
     with ExitStack() as stack:
         out = _open_out(stack, args.out)
         ties = survey.find_near_ties(args.n, args.top_k)
-        _write_rows(out, args.format, "near-ties-v1", columns,
-                    [t._asdict() for t in ties])
+        if args.format == "json":
+            _write_json(out, [t._asdict() for t in ties])
+        else:
+            _write_csv(out, "near-ties-v1", survey.TieRecord._fields, ties)
     return 0
 
 
 DEFAULT_MAX_ORDER = 6  # of the internal universes verify checks
+STATEMENTS = ("p1", "p2", "t1", "t2", "t3")  # survey.STATEMENTS and p2
 
 
 def _reject_unread_verify_flags(args) -> None:
@@ -204,6 +219,8 @@ def _reject_unread_verify_flags(args) -> None:
 
 
 def _universes_for(args, min_order: int) -> list:
+    from .smallgraphs import MAX_INTERNAL_ORDER, internal_universe, load_universe
+
     ext = getattr(args, "in")
     if ext:
         if args.order is None:
@@ -225,6 +242,8 @@ def _universes_for(args, min_order: int) -> list:
 
 
 def _cmd_verify(args) -> int:
+    from . import survey
+
     _reject_unread_verify_flags(args)
     with ExitStack() as stack:
         out = _open_out(stack, args.out)
@@ -239,8 +258,7 @@ def _cmd_verify(args) -> int:
             report = survey.verify_statement(
                 statement, _universes_for(args, statement.min_order), args.tol
             )
-        json.dump(report._asdict(), out, indent=2)
-        out.write("\n")
+        _write_json(out, report._asdict())
     if report.conclusion_failures:
         for g6 in report.conclusion_failures:
             print(f"counterexample: {g6}", file=sys.stderr)
@@ -249,11 +267,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enum(args) -> int:
+    if args.kind == "trees":
+        treegen.check_order(args.n)
     with ExitStack() as stack:
         out = _open_out(stack, args.out)
         if args.kind == "trees":
             treegen.write_graph6_stream(args.n, out)
         else:
+            from .smallgraphs import internal_universe
+
             for g in internal_universe(args.n):
                 out.write(to_graph6(g) + "\n")
     return 0
@@ -283,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="sign census over all trees of each order")
     p.add_argument("range", help="order range, e.g. 3..15 or 11")
     p.add_argument("--workers", type=int, default=1, help="census processes (>= 1)")
-    p.add_argument("--witness-cap", type=int, default=survey.DEFAULT_WITNESS_CAP,
+    p.add_argument("--witness-cap", type=int, default=None,
                    help="negative witnesses listed per order (>= 0)")
     p.add_argument("--witness-out", default=None,
                    help="dump negative witnesses as graph6 lines")
@@ -298,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_near_ties)
 
     p = sub.add_parser("verify", help="verify a statement over a universe")
-    p.add_argument("statement", choices=sorted({*survey.STATEMENTS, "p2"}))
+    p.add_argument("statement", choices=STATEMENTS)
     p.add_argument("--max-order", type=int, default=None,
                    help=f"largest internal universe order (default {DEFAULT_MAX_ORDER})")
     p.add_argument("--in", default=None, help="external graph6 universe")

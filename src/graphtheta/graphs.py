@@ -10,7 +10,7 @@ share between workers.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -106,20 +106,27 @@ def _from_adjacency(n: int, adj: list[list[int]]) -> Graph:
 
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from vertex 0 (true for n=1)."""
-    if g.n == 1:
+    return _reaches_all(g.adj)
+
+
+def _reaches_all(adj: Sequence[Sequence[int]]) -> bool:
+    """True iff a search from vertex 0 over the neighbor lists ``adj``
+    reaches every vertex."""
+    n = len(adj)
+    if n == 1:
         return True
-    seen = bytearray(g.n)
+    seen = bytearray(n)
     seen[0] = 1
     stack = [0]
     count = 1
     while stack:
         u = stack.pop()
-        for v in g.adj[u]:
+        for v in adj[u]:
             if not seen[v]:
                 seen[v] = 1
                 count += 1
                 stack.append(v)
-    return count == g.n
+    return count == n
 
 
 def min_degree(g: Graph) -> int:

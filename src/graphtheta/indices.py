@@ -4,12 +4,15 @@ Each index is a sum over the edges of a term in the degree pair
 (d_u, d_v): Randic 1/sqrt(d_u*d_v), sum-connectivity 1/sqrt(d_u+d_v),
 ABC sqrt((d_u+d_v-2)/(d_u*d_v)) and ABS sqrt((d_u+d_v-2)/(d_u+d_v)).
 Each term is written once, in ``edge_terms``, a cached function of the
-degree pair that ``index_report`` and the tree census's class tables
-(``treeclasses.Tables``) both read.
+degree pair that ``pairs_report`` and the tree census's class tables
+(``treeclasses.Tables``) both read.  ``pairs_report`` scores a graph from
+its edges' degree pairs: ``index_report`` takes them from a ``Graph``,
+and the ``index`` command from ``graph6.parse_degree_pairs``, with no
+``Graph``.
 
 Whole-graph values are correctly rounded sums of the edge terms: the
 surveys turn on the sign of gaps as small as ~1e-4, which must sit far
-above accumulated rounding error.  ``index_report`` accumulates them
+above accumulated rounding error.  ``pairs_report`` accumulates them
 with ``math.fsum``.  The tree census writes each ABC and ABS term as an
 integer over 2**S, carries a class's exact integer sums in the class
 itself, and divides each once (``treeclasses.Tables.score``), which
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import cache
+from itertools import starmap
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .graphs import Graph, DisconnectedGraphError, GraphError, is_connected
@@ -60,7 +64,13 @@ def index_report(g: Graph) -> IndexReport:
     if not is_connected(g):
         raise DisconnectedGraphError("graph is not connected")
     deg = g.degrees
-    terms = [edge_terms(deg[u], deg[v]) for u in range(g.n) for v in g.adj[u] if v > u]
+    return pairs_report([(deg[u], deg[v]) for u in range(g.n) for v in g.adj[u] if v > u])
+
+
+def pairs_report(pairs: Iterable[tuple[int, int]]) -> IndexReport:
+    """R, SC, ABC, ABS and the gap of a graph, from the degree pair of
+    each of its edges."""
+    terms = list(starmap(edge_terms, pairs))
     randic, sc, abc, abs_ = map(math.fsum, zip(*terms)) if terms else (0.0,) * 4
     return IndexReport(randic=randic, sum_connectivity=sc, abc=abc, abs=abs_, gap=abc - abs_)
 

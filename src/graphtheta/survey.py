@@ -25,7 +25,7 @@ from .graphs import (
     min_degree,
     subdivide_at_degree2,
 )
-from .graph6 import MAX_ORDER, to_graph6
+from .graph6 import to_graph6
 from .indices import (
     DEFAULT_ZERO_TOL,
     Sign,
@@ -212,8 +212,7 @@ def classify_trees(
     """
     if n < 3:
         raise ValueError(f"census needs order >= 3, got {n}")
-    if n > MAX_ORDER:  # the result names its trees in graph6
-        raise ValueError(f"order {n} exceeds short-form graph6 bound {MAX_ORDER}")
+    treegen.check_order(n)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if witness_cap < 0:
@@ -239,8 +238,7 @@ def find_near_ties(n: int, top_k: int) -> list[TieRecord]:
     ascending; ties broken by graph6 string."""
     if n < 3:
         raise ValueError(f"near-tie search needs order >= 3, got {n}")
-    if n > MAX_ORDER:  # the result names its trees in graph6
-        raise ValueError(f"order {n} exceeds short-form graph6 bound {MAX_ORDER}")
+    treegen.check_order(n)
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     return _near_ties(n, _census(n, DEFAULT_ZERO_TOL, 1, top_k)[1], top_k)

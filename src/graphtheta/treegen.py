@@ -9,6 +9,16 @@ two centers, the one that ``_accepts`` picks) so every free tree
 appears exactly once (Wright-Richmond-Odlyzko-McKay 1986).  Correctness
 is anchored to a brute-force generate-and-dedup oracle in the test
 suite rather than to trust in the algorithm.
+
+``sequence_to_graph6`` writes a tree's graph6 string straight from its
+level sequence: it tracks the latest vertex at each depth, which is the
+parent of the next vertex one level down, and sets each parent edge's
+bit from graph6's per-order encoder table (``graph6._edge_bits``), whose
+positions are already shifted for the base64 padding.  No parent list,
+edge list or ``Graph`` is built.
+
+Every command that enumerates or censuses the trees of an order stops
+at MAX_TREE_ORDER (``check_order``).
 """
 
 from __future__ import annotations
@@ -16,10 +26,24 @@ from __future__ import annotations
 from typing import IO, Iterator
 
 from .graphs import Graph, _from_adjacency
-from .graph6 import edges_to_graph6
+from .graph6 import MAX_ORDER, _body_to_graph6, _edge_bits
 
 # Which kernel runs; perfbench's set-up imports and records it.
 BACKEND = "python"
+# The largest order that scan, near-ties and enum trees accept: the
+# largest with a recorded census (scan 23..25: 93 s, 141 MB).  The class
+# tables grow about 4x per 4 orders past it, and the tree stream 3x per
+# order.
+MAX_TREE_ORDER = 25
+
+
+def check_order(n: int) -> None:
+    """Raise ValueError if order n is above the graph6 bound, which
+    every tree of the output is named in, or else above MAX_TREE_ORDER."""
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds short-form graph6 bound {MAX_ORDER}")
+    if n > MAX_TREE_ORDER:
+        raise ValueError(f"order {n} exceeds tree-order bound {MAX_TREE_ORDER}")
 
 
 def _rooted_successor(seq: list[int], p: int | None = None) -> list[int] | None:
@@ -171,9 +195,20 @@ def sequence_to_graph(seq: tuple[int, ...]) -> Graph:
 
 def sequence_to_graph6(seq: tuple[int, ...]) -> str:
     """The graph6 string of the tree encoded by a depth sequence, made
-    from its parent edges without a Graph."""
-    par = parent_array(seq)
-    return edges_to_graph6(len(seq), zip(par[1:], range(1, len(seq))))
+    from its parent edges without a Graph.
+
+    A vertex's parent is the latest vertex one level up, and precedes
+    it, so each edge (parent, v) sets ``bit[v][parent]`` of the encoder
+    table."""
+    n = len(seq)
+    bit = _edge_bits(n)
+    body = 0
+    last = [0] * n  # the latest vertex seen at each depth
+    for v in range(1, n):
+        d = seq[v]
+        body |= bit[v][last[d - 1]]
+        last[d] = v
+    return _body_to_graph6(n, body)
 
 
 def write_graph6_stream(n: int, out: IO[str]) -> int:

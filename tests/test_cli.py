@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -8,9 +9,11 @@ import threading
 import pytest
 
 import graphtheta
-from graphtheta import survey
-from graphtheta.cli import main
-from graphtheta.graph6 import to_graph6
+from graphtheta import survey, treegen
+from graphtheta.cli import STATEMENTS, main
+from graphtheta.graph6 import parse_graph6, to_graph6
+from graphtheta.graphs import GraphError, from_edge_list
+from graphtheta.indices import certified_sign, index_report
 from graphtheta.treegen import free_tree_sequences, sequence_to_graph
 
 from conftest import cycle_graph, path_graph
@@ -97,6 +100,32 @@ class TestIndex:
         assert code == 0
         rows = json.loads(out)
         assert rows[0]["sign"] == "positive"
+
+    def test_rows_and_errors_match_the_graph_path(self, capsys, tmp_path):
+        # every row and message as parse_graph6 and index_report give them
+        rng = random.Random(3)
+        lines = ["A_", "C?", "Bw", "A__", "B~", ">>graph6<<", "\xe9", "@", "~", "?"]
+        for n in range(1, 25):
+            for p in (0.05, 0.2, 0.6):
+                edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < p]
+                lines.append(to_graph6(from_edge_list(n, edges)))
+        lines += [to_graph6(sequence_to_graph(s)) for s in free_tree_sequences(9)]
+        inp = tmp_path / "mixed.g6"
+        inp.write_bytes("".join(line + "\n" for line in lines).encode("latin-1"))
+        rows, errors = [], []
+        for lineno, line in enumerate(lines, 1):
+            try:
+                g = parse_graph6(line)
+                r = index_report(g)
+            except GraphError as exc:
+                errors.append(f"line {lineno}: {exc}\n")
+                continue
+            sign = certified_sign(r.gap, g.edge_degree_pairs()).value
+            rows.append(",".join([line, str(g.n), str(g.m), *(f"{x:.9g}" for x in r), sign]))
+        assert 10 < len(errors) < len(lines) - 47
+        code, out, err = run(capsys, "index", "--in", str(inp))
+        assert code == 2
+        assert out.splitlines()[2:] == rows and err == "".join(errors)
 
 
 class TestScan:
@@ -194,6 +223,49 @@ class TestScan:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
+
+
+def test_index_and_enum_trees_load_no_census_universe_or_json(tmp_path):
+    src = os.path.dirname(os.path.dirname(graphtheta.__file__))
+    inp = tmp_path / "in.g6"
+    inp.write_text("A_\nBw\n")
+    code = (
+        "import sys, graphtheta.cli as cli\n"
+        f"assert cli.main(['index', '--in', {str(inp)!r}]) == 0\n"
+        "assert cli.main(['enum', 'trees', '6']) == 0\n"
+        "mods = {'json', 'graphtheta.survey', 'graphtheta.treeclasses', 'graphtheta.smallgraphs'}\n"
+        "sys.exit(f'loaded {sorted(mods & set(sys.modules))}' if mods & set(sys.modules) else 0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 2 + 2 + 6  # two index rows, six trees
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("scan 26", "order 26 exceeds tree-order bound 25"),
+    ("scan 3..26", "order 26 exceeds tree-order bound 25"),
+    ("near-ties 26 --top-k 1", "order 26 exceeds tree-order bound 25"),
+    ("enum trees 26", "order 26 exceeds tree-order bound 25"),
+    ("enum trees 63", "order 63 exceeds short-form graph6 bound 62"),
+])
+def test_order_above_tree_bound_exit_2_at_once(capsys, tmp_path, monkeypatch, argv, message):
+    def no_trees(*args, **kwargs):
+        raise AssertionError("trees enumerated past the tree-order bound")
+
+    monkeypatch.setattr(survey, "_census", no_trees)
+    monkeypatch.setattr(treegen, "free_tree_sequences", no_trees)
+    out_path = tmp_path / "out.txt"
+    out_path.write_text("previous\n")
+    code, out, err = run(capsys, *argv.split(), "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert out_path.read_text() == "previous\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_statement_choices_are_the_surveys():
+    assert STATEMENTS == tuple(sorted({*survey.STATEMENTS, "p2"}))
 
 
 @pytest.mark.parametrize("argv", ["scan 63", "near-ties 63 --top-k 1"])

@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphtheta import treegen
-from graphtheta.graph6 import Graph6Error, edges_to_graph6, parse_graph6, to_graph6
-from graphtheta.graphs import from_edge_list
+from graphtheta.graph6 import (
+    Graph6Error,
+    edges_to_graph6,
+    parse_degree_pairs,
+    parse_graph6,
+    to_graph6,
+)
+from graphtheta.graphs import DisconnectedGraphError, from_edge_list, is_connected
+from graphtheta.indices import certified_sign, index_report, pairs_report
+from graphtheta.linegraph import line_graph
+from graphtheta.smallgraphs import internal_universe
 from graphtheta.treegen import free_tree_sequences, sequence_to_graph
 
 from conftest import complete_graph, cycle_graph, edges_to_graph6_oracle, parse_graph6_oracle
@@ -197,3 +206,70 @@ def test_padding_bits_match_oracle(graph, data):
     bad = text[:-1] + chr((ord(text[-1]) - 63 | bits) + 63)
     message = "Graph6Error: padding bits set beyond the adjacency triangle"
     assert _outcome(parse_graph6, bad) == _outcome(parse_graph6_oracle, bad) == message
+
+
+def _reader_view(g):
+    """(n, sorted degree pairs, connected) of a Graph, as ``parse_degree_pairs``
+    gives them for its graph6 string (which lists the pairs in column order)."""
+    return g.n, sorted(g.edge_degree_pairs()), is_connected(g)
+
+
+def _assert_reader_matches_index_report(g):
+    n, pairs, connected = parse_degree_pairs(to_graph6(g))
+    assert (n, sorted(pairs), connected) == _reader_view(g)
+    if not connected:
+        with pytest.raises(DisconnectedGraphError):
+            index_report(g)
+        return
+    got, ref = pairs_report(pairs), index_report(g)
+    assert [x.hex() for x in got] == [x.hex() for x in ref]
+    assert certified_sign(got.gap, pairs) is certified_sign(ref.gap, g.edge_degree_pairs())
+
+
+def test_reader_matches_index_report_on_trees():
+    for n in range(1, 16):
+        for seq in free_tree_sequences(n):
+            _assert_reader_matches_index_report(sequence_to_graph(seq))
+
+
+def test_reader_matches_index_report_on_small_graphs_and_line_graphs():
+    for n in range(1, 8):
+        for g in internal_universe(n):
+            _assert_reader_matches_index_report(g)
+            if g.m:
+                _assert_reader_matches_index_report(line_graph(g))
+
+
+@pytest.mark.parametrize("n", range(1, 63))
+def test_reader_matches_index_report_on_random_graphs(n):
+    rng = random.Random(n)
+    for p in (0.0, 0.02, 0.1, 0.3, 0.6, 0.9, 1.0):
+        _assert_reader_matches_index_report(from_edge_list(n, _random_edges(n, p, rng)))
+    # a random tree (vertex j hangs from a random vertex below it, so
+    # the column rule settles it) and the same tree relabelled at random
+    edges = [(rng.randrange(j), j) for j in range(1, n)]
+    _assert_reader_matches_index_report(from_edge_list(n, edges))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    _assert_reader_matches_index_report(
+        from_edge_list(n, [(perm[i], perm[j]) for i, j in edges]))
+
+
+def _reader_outcome(text):
+    try:
+        n, pairs, connected = parse_degree_pairs(text)
+    except Graph6Error as exc:
+        return f"Graph6Error: {exc}"
+    return n, sorted(pairs), connected
+
+
+@settings(deadline=None)
+@given(graphs_as_edges(), st.data())
+def test_reader_rejects_what_parse_graph6_rejects(graph, data):
+    text = edges_to_graph6(*graph)
+    k = data.draw(st.integers(0, len(text)))
+    bad = text[:k] + data.draw(st.text(_CHARS, max_size=2)) + text[k + 1:]
+    expected = _outcome(parse_graph6, bad)
+    if not isinstance(expected, str):
+        expected = _reader_view(expected)
+    assert _reader_outcome(bad) == expected

@@ -42,6 +42,15 @@ class TestClassifyTrees:
         rec = survey.classify_trees(12, witness_cap=2)
         assert rec.negative == 6 and len(rec.negative_witnesses) == 2
 
+    @pytest.mark.parametrize("census", [
+        lambda n: survey.classify_trees(n), lambda n: survey.find_near_ties(n, 1)])
+    def test_order_bounds(self, census, monkeypatch):
+        monkeypatch.setattr(survey, "_census", None)  # checked before any census
+        with pytest.raises(ValueError, match="^order 26 exceeds tree-order bound 25$"):
+            census(26)
+        with pytest.raises(ValueError, match="^order 63 exceeds short-form graph6 bound 62$"):
+            census(63)
+
     def test_pool_has_no_more_processes_than_cpus(self, monkeypatch):
         sizes = []
         job_counts = []

@@ -1,10 +1,11 @@
 import hashlib
+import random
 
 import pytest
 
 from graphtheta import treegen
 from graphtheta.graphs import from_edge_list, is_connected
-from graphtheta.graph6 import to_graph6
+from graphtheta.graph6 import Graph6Error, edges_to_graph6, to_graph6
 from graphtheta.indices import DEFAULT_ZERO_TOL, index_report
 from graphtheta.treeclasses import Tables
 from graphtheta.treegen import (
@@ -13,7 +14,7 @@ from graphtheta.treegen import (
     sequence_to_graph,
 )
 
-from conftest import canonical_key
+from conftest import canonical_key, edges_to_graph6_oracle
 
 TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741]
 
@@ -149,3 +150,32 @@ def test_graph6_stream(tmp_path):
 def test_invalid_order():
     with pytest.raises(ValueError):
         list(free_tree_sequences(0))
+
+
+def _parent_edges_graph6(seq):
+    par = parent_array(seq)
+    return edges_to_graph6(len(seq), zip(par[1:], range(1, len(seq))))
+
+
+def test_tree_encoder_matches_parent_edges():
+    for n in range(1, 17):
+        for seq in free_tree_sequences(n):
+            assert treegen.sequence_to_graph6(seq) == _parent_edges_graph6(seq)
+
+
+@pytest.mark.parametrize("n", range(17, 63))
+def test_tree_encoder_matches_on_random_level_sequences(n):
+    # any sequence that starts at 0 and rises by at most 1 is a rooted tree
+    rng = random.Random(n)
+    for _ in range(20):
+        seq = [0]
+        for _ in range(n - 1):
+            seq.append(rng.randint(1, seq[-1] + 1))
+        seq = tuple(seq)
+        expected = edges_to_graph6_oracle(n, zip(parent_array(seq)[1:], range(1, n)))
+        assert treegen.sequence_to_graph6(seq) == _parent_edges_graph6(seq) == expected
+
+
+def test_tree_encoder_order_bound():
+    with pytest.raises(Graph6Error, match="^order 63 exceeds short-form graph6 bound 62$"):
+        treegen.sequence_to_graph6(tuple(range(63)))
