@@ -22,7 +22,8 @@ and ``_edges`` walks the set bits from the top (``bit_length``), which
 is column order, through a per-order table from bit to edge.  From those
 edges ``parse_graph6`` builds a ``Graph`` whose neighbor lists come out
 sorted, with no set and no sort, and ``parse_degree_pairs`` gives the
-degree pairs of the edges and a connectivity verdict, with no ``Graph``.
+degree pairs of the edges and a connectivity verdict read from the same
+edges, with no ``Graph``.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ def parse_degree_pairs(text: str) -> tuple[int, list[tuple[int, int]], bool]:
     graph is connected.  It checks and rejects what ``parse_graph6``
     does, with the same messages.
 
-    Connected is settled from the body int when every vertex but 0 has
-    a lower neighbor (each column of the triangle has a set bit): by
+    Connected is settled from the decoded edges when every vertex but 0
+    has a lower neighbor (the edges (i, j) name n - 1 distinct j): by
     induction on j each vertex then reaches 0.  That holds for every
     tree ``treegen`` writes, whose parents precede their children.
     Otherwise a search from vertex 0 decides, the one ``is_connected``
@@ -145,7 +146,8 @@ def parse_degree_pairs(text: str) -> tuple[int, list[tuple[int, int]], bool]:
     for i, j in edges:
         deg[i] += 1
         deg[j] += 1
-    connected = all(map(x.__and__, _columns(n))) or _reaches_all(_adjacency(n, edges))
+    connected = (len({j for _, j in edges}) == n - 1
+                 or _reaches_all(_adjacency(n, edges)))
     return n, [(deg[i], deg[j]) for i, j in edges], connected
 
 
@@ -177,11 +179,3 @@ def _edge_of_bit(n: int) -> list[tuple[int, int] | None]:
     nbits = n * (n - 1) // 2
     column_order = [(i, j) for j in range(1, n) for i in range(j)]
     return [None] * (-nbits % 6) + column_order[::-1]
-
-
-@cache
-def _columns(n: int) -> list[int]:
-    """The mask of each column j = 1..n-1 of the body int of order n:
-    the bits of the edges (i, j), i < j."""
-    top = 6 * ((n * (n - 1) // 2 + 5) // 6) - 1
-    return [((1 << j) - 1) << (top - (j * (j - 1) // 2 + j - 1)) for j in range(1, n)]

@@ -113,8 +113,6 @@ def _reaches_all(adj: Sequence[Sequence[int]]) -> bool:
     """True iff a search from vertex 0 over the neighbor lists ``adj``
     reaches every vertex."""
     n = len(adj)
-    if n == 1:
-        return True
     seen = bytearray(n)
     seen[0] = 1
     stack = [0]

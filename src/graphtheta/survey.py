@@ -74,10 +74,6 @@ class VerificationReport(NamedTuple):
     elapsed: float
     min_margin: float | None = None
 
-    @property
-    def ok(self) -> bool:
-        return not self.conclusion_failures
-
 
 # --- tree census ------------------------------------------------------
 

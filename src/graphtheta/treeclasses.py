@@ -62,7 +62,6 @@ two centroids is made twice and kept once by its stream form.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import combinations_with_replacement, product
 from typing import Iterator
 
@@ -155,7 +154,7 @@ class Tables:
         self.planted: dict[tuple[int, int], Poly] = {}
         self._planted_tables()
         self._trees: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
-        self._cands: dict[tuple[int, int], tuple[list[tuple[int, int, int]], list[int]]] = {}
+        self._cands: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
 
     def _layer(self, d_parent: int, sigma: int) -> Poly:
         q: Poly = {}
@@ -197,9 +196,7 @@ class Tables:
         halves = [(d, self.planted[(d, s)]) for d, s in sorted(self.planted) if s == self.half]
         for i, (d1, a) in enumerate(halves):
             for d2, b in halves[i:]:
-                e = self._edge[d1][d2]
-                if not e:
-                    continue
+                e = self._edge[d1][d2]  # never 0: a half's root degree is <= n/2
                 if d1 != d2:
                     _mul(a, {y + e: c for y, c in b.items()}, out)
                     continue
@@ -263,43 +260,43 @@ class Tables:
     # --- listing the trees of a class ---------------------------------
 
     def _children(
-        self, cands: list[tuple[int, int, int]], sizes: list[int], d_parent: int,
+        self, cands: list[tuple[int, int, int]], d_parent: int,
         k: int, t: int, rest: int, start: int = 0,
     ) -> Iterator[list[int]]:
         """Nondecreasing index lists into ``cands`` (planted classes
         (s, d, cls) whose root has an edge to a parent of degree d_parent,
-        sorted by s descending; ``sizes`` holds each -s) of k children of
-        total size t whose classes plus edges to the parent add up to
-        ``rest``."""
+        sorted by s descending) of k children of total size t whose
+        classes plus edges to the parent add up to ``rest``.  A candidate
+        too large to leave each of the other k-1 children a vertex is
+        skipped."""
         if k == 0:
             if t == 0 and rest == 0:
                 yield []
             return
         guard = self._guard
         edge = self._edge[d_parent]
-        # the first candidate that leaves each of the other k-1 children a vertex
-        for i in range(max(start, bisect_left(sizes, k - 1 - t)), len(cands)):
+        for i in range(start, len(cands)):
             s, d, cls = cands[i]
             if s * k < t:
                 break
+            if s > t - k + 1:
+                continue
             x = cls + edge[d]
             if ((rest | guard) - x) & guard != guard:
                 continue  # some edge type would go below zero
-            for tail in self._children(cands, sizes, d_parent, k - 1, t - s, rest - x, i):
+            for tail in self._children(cands, d_parent, k - 1, t - s, rest - x, i):
                 yield [i, *tail]
 
-    def _candidates(
-        self, s_max: int, d_parent: int
-    ) -> tuple[list[tuple[int, int, int]], list[int]]:
+    def _candidates(self, s_max: int, d_parent: int) -> list[tuple[int, int, int]]:
         """The planted classes (s, d, cls) of at most s_max vertices whose
         root has an edge to a parent of degree d_parent, in descending
-        order, and the list of their -s (ascending, for ``bisect``)."""
+        order."""
         key = (s_max, d_parent)
         if key not in self._cands:
-            cands = sorted(((s, d, cls) for (d, s), poly in self.planted.items()
-                            if s <= s_max and self._edge[d_parent][d] for cls in poly),
-                           reverse=True)
-            self._cands[key] = cands, [-s for s, _, _ in cands]
+            self._cands[key] = sorted(
+                ((s, d, cls) for (d, s), poly in self.planted.items()
+                 if s <= s_max and self._edge[d_parent][d] for cls in poly),
+                reverse=True)
         return self._cands[key]
 
     def _combine(self, cands, picks: list[int]) -> Iterator[list[tuple[int, ...]]]:
@@ -316,9 +313,9 @@ class Tables:
         """Level sequences (root depth 0) of the planted trees of a class."""
         key = (d, s, cls)
         if key not in self._trees:
-            cands, sizes = self._candidates(s - 1, d)
+            cands = self._candidates(s - 1, d)
             self._trees[key] = [_join(children)
-                                for picks in self._children(cands, sizes, d, d - 1, s - 1, cls)
+                                for picks in self._children(cands, d, d - 1, s - 1, cls)
                                 for children in self._combine(cands, picks)]
         return self._trees[key]
 
@@ -331,9 +328,9 @@ class Tables:
         tree with two centroids have one stream form."""
         trees = set()
         for d in range(self.n):
-            cands, sizes = self._candidates(self.half, d)
+            cands = self._candidates(self.half, d)
             trees.update(stream_form(_join(children))
-                         for picks in self._children(cands, sizes, d, d, self.n - 1, cls)
+                         for picks in self._children(cands, d, d, self.n - 1, cls)
                          for children in self._combine(cands, picks))
         return sorted(trees, reverse=True)
 

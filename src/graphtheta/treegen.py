@@ -127,22 +127,24 @@ def stream_form(seq: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(forms[0])
 
 
-def _advance_to_free(seq: list[int] | None) -> list[int] | None:
+def _advance_to_free(seq: list[int]) -> list[int]:
     """Advance to the nearest sequence that ``_accepts``: one rooted at
     a center of its free tree (of two centers, the one whose own side of
     the central edge is the larger, by size and then lexicographically),
     which encodes that free tree canonically.
+
+    The skip always has a successor: the first subtree ends at m >= 2,
+    so the successor pinned at m - 1 >= 1 exists.
     """
-    while seq is not None:
+    while True:
         m = _first_end(seq)
         if _accepts(seq, m):
             return seq
         nxt = _rooted_successor(seq, m - 1)
-        if seq[m - 1] > 2 and nxt is not None:
+        if seq[m - 1] > 2:
             h = max(nxt[1:_first_end(nxt)]) - 1  # the new first subtree's height
             nxt[len(nxt) - h - 1 :] = range(1, h + 2)
         seq = nxt
-    return None
 
 
 def free_tree_sequences(n: int) -> Iterator[tuple[int, ...]]:
@@ -153,22 +155,15 @@ def free_tree_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """
     if n < 1:
         raise ValueError(f"tree order must be >= 1, got {n}")
-    if n == 1:
+    if n == 1:  # no first subtree for ``_accepts`` to read
         yield (0,)
-        return
-    if n == 2:
-        yield (0, 1)
         return
     # start from the path rooted at its center
     seq: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while True:
+    while seq is not None:
         seq = _advance_to_free(seq)
-        if seq is None:
-            return
         yield tuple(seq)
         seq = _rooted_successor(seq)
-        if seq is None:
-            return
 
 
 def parent_array(seq: tuple[int, ...]) -> list[int]:
@@ -211,10 +206,7 @@ def sequence_to_graph6(seq: tuple[int, ...]) -> str:
     return _body_to_graph6(n, body)
 
 
-def write_graph6_stream(n: int, out: IO[str]) -> int:
-    """Dump the tree stream as graph6 lines; returns the line count."""
-    count = 0
+def write_graph6_stream(n: int, out: IO[str]) -> None:
+    """Dump the tree stream as graph6 lines."""
     for seq in free_tree_sequences(n):
         out.write(sequence_to_graph6(seq) + "\n")
-        count += 1
-    return count

@@ -91,20 +91,20 @@ def test_criterion_4(census):
 @criterion("5 min-degree-2 bound on all connected graphs of order <= 6")
 def test_criterion_5(universes_1_to_6):
     report = survey.verify_statement(survey.STATEMENTS["p1"], universes_1_to_6, tol=1e-12)
-    assert report.ok and report.hypothesis_holds > 0
+    assert not report.conclusion_failures and report.hypothesis_holds > 0
 
 
 @criterion("6 subdivision invariance, 10^4 seeded trials")
 def test_criterion_6():
     report = survey.verify_subdivision_invariance(trials=10_000, seed=20240817, tol=1e-12)
-    assert report.ok and report.checked == 10_000
+    assert not report.conclusion_failures and report.checked == 10_000
 
 
 @criterion("7 line graphs of roots of order 5..7")
 def test_criterion_7(universes_5_to_7):
     t0 = time.perf_counter()
     report = survey.verify_statement(survey.STATEMENTS["t1"], universes_5_to_7, tol=1e-9)
-    assert report.ok
+    assert not report.conclusion_failures
     assert report.checked == 21 + 112 + 853
     assert report.hypothesis_holds == 19 + 110 + 851
     assert report.min_margin > 1e-9
@@ -115,8 +115,8 @@ def test_criterion_7(universes_5_to_7):
 def test_criterion_8(universes_1_to_6):
     r2 = survey.verify_statement(survey.STATEMENTS["t2"], universes_1_to_6, tol=1e-9)
     r3 = survey.verify_statement(survey.STATEMENTS["t3"], universes_1_to_6, tol=1e-9)
-    assert r2.ok and r2.hypothesis_holds > 0
-    assert r3.ok and r3.hypothesis_holds > 0
+    assert not r2.conclusion_failures and r2.hypothesis_holds > 0
+    assert not r3.conclusion_failures and r3.hypothesis_holds > 0
 
 
 @criterion("9 enumeration counts and oracle agreement")
