@@ -2,9 +2,9 @@
 
 Vertices are dense integers ``0..n-1``.  Adjacency is stored as sorted
 neighbor tuples, which is cache-friendly for the sparse graphs handled
-here (trees and line graphs of small graphs).  A ``Graph`` is an
-immutable record, a ``NamedTuple`` ``(n, adj, degrees, m)``, and safe to
-share between workers.
+here (trees and small graphs).  A ``Graph`` is an immutable record, a
+``NamedTuple`` ``(n, adj, degrees, m)``, and safe to share between
+workers.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ class Graph(NamedTuple):
     and then hands sorted neighbor lists to ``_from_adjacency``, the
     trusted tail that builds the tuples, degrees and ``m``.  Code that
     produces valid, sorted lists by construction (``parse_graph6``,
-    ``treegen.sequence_to_graph``, ``linegraph.line_graph``,
-    :func:`subdivide_at_degree2`) calls ``_from_adjacency`` directly; the
-    record itself does not re-validate its invariants.
+    ``treegen.sequence_to_graph``, :func:`subdivide_at_degree2`) calls
+    ``_from_adjacency`` directly; the record itself does not re-validate
+    its invariants.
     """
 
     n: int
@@ -66,10 +66,10 @@ class Graph(NamedTuple):
                 if v > u:
                     yield (u, v)
 
-    def edge_degree_pairs(self) -> Iterator[tuple[int, int]]:
-        """Yield the degree pair (d_u, d_v) of every edge."""
-        for u, v in self.edges():
-            yield (self.degrees[u], self.degrees[v])
+    def edge_degree_pairs(self) -> list[tuple[int, int]]:
+        """The degree pair (d_u, d_v) of every edge, in ``edges`` order."""
+        deg = self.degrees
+        return [(deg[u], deg[v]) for u in range(self.n) for v in self.adj[u] if v > u]
 
     def __repr__(self) -> str:  # keep failure output readable
         return f"Graph(n={self.n}, edges={list(self.edges())})"

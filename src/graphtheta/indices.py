@@ -7,8 +7,10 @@ Each term is written once, in ``edge_terms``, a cached function of the
 degree pair that ``pairs_report`` and the tree census's class tables
 (``treeclasses.Tables``) both read.  ``pairs_report`` scores a graph from
 its edges' degree pairs: ``index_report`` takes them from a ``Graph``,
-and the ``index`` command from ``graph6.parse_degree_pairs``, with no
-``Graph``.
+the ``index`` command from ``graph6.parse_degree_pairs``, with no
+``Graph``, and ``verify`` from each statement's ``pairs`` (a graph's
+own, or its line graph's read from the root), with no connectivity
+search.
 
 Whole-graph values are correctly rounded sums of the edge terms: the
 surveys turn on the sign of gaps as small as ~1e-4, which must sit far
@@ -63,8 +65,7 @@ def index_report(g: Graph) -> IndexReport:
     """Evaluate R, SC, ABC, ABS and the gap on a connected graph."""
     if not is_connected(g):
         raise DisconnectedGraphError("graph is not connected")
-    deg = g.degrees
-    return pairs_report([(deg[u], deg[v]) for u in range(g.n) for v in g.adj[u] if v > u])
+    return pairs_report(g.edge_degree_pairs())
 
 
 def pairs_report(pairs: Iterable[tuple[int, int]]) -> IndexReport:

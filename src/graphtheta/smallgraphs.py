@@ -36,7 +36,9 @@ MAX_INTERNAL_ORDER = 7
 
 
 class GraphUniverse:
-    """A fixed set of pairwise non-isomorphic connected graphs."""
+    """A fixed set of connected graphs.  The internal universes hold one
+    graph per isomorphism class; a universe loaded from a graph6 file
+    holds its lines as given, repeats and isomorphic pairs included."""
 
     __slots__ = ("order", "source", "graphs")
 

@@ -31,8 +31,9 @@ from .indices import (
     Sign,
     certified_sign,
     index_report,
+    pairs_report,
 )
-from .linegraph import line_graph
+from .linegraph import line_graph_pairs
 from .smallgraphs import GraphUniverse
 
 DEFAULT_WITNESS_CAP = 100
@@ -243,15 +244,16 @@ def find_near_ties(n: int, top_k: int) -> list[TieRecord]:
 # --- statement verifiers ----------------------------------------------
 
 class Statement(NamedTuple):
-    """A statement checked graph by graph: every graph of the universe
-    that meets ``hypothesis`` must, after ``transform`` (None: the graph
-    itself), have a gap that meets ``conclusion``."""
+    """A statement checked graph by graph: for every graph of the
+    universe that meets ``hypothesis``, the gap of the degree pairs that
+    ``pairs`` reads from it (its own edges', or its line graph's) must
+    meet ``conclusion``."""
 
     name: str
     hypothesis: Callable[[Graph], bool]
-    transform: Callable[[Graph], Graph] | None
-    # (graph, transformed graph, gap of the transformed graph, tol)
-    conclusion: Callable[[Graph, Graph, float, float], bool]
+    pairs: Callable[[Graph], list[tuple[int, int]]]
+    # (graph, its degree pairs, their gap, tol)
+    conclusion: Callable[[Graph, list[tuple[int, int]], float, float], bool]
     min_order: int  # smallest internal universe order the CLI checks
     reports_margin: bool  # report the smallest -gap over the hypothesis graphs
     tol: float  # zero tolerance when the caller gives none
@@ -261,8 +263,8 @@ def _min_degree2(g: Graph) -> bool:
     return g.n >= 3 and min_degree(g) >= 2
 
 
-def _zero_exactly_on_cycles(g: Graph, h: Graph, gap: float, tol: float) -> bool:
-    sign = certified_sign(gap, h.edge_degree_pairs(), tol)
+def _zero_exactly_on_cycles(g: Graph, pairs: list, gap: float, tol: float) -> bool:
+    sign = certified_sign(gap, pairs, tol)
     return (sign is not Sign.POSITIVE
             and (sign is Sign.ZERO_WITHIN_TOL) == (classify_shape(g) is Shape.CYCLE))
 
@@ -271,52 +273,47 @@ def _line_graph_root(k: Graph) -> bool:
     return k.n >= 5 and classify_shape(k) not in (Shape.PATH, Shape.CYCLE)
 
 
-def _gap_negative(g: Graph, h: Graph, gap: float, tol: float) -> bool:
-    return certified_sign(gap, h.edge_degree_pairs(), tol) is Sign.NEGATIVE
+def _gap_negative(g: Graph, pairs: list, gap: float, tol: float) -> bool:
+    return certified_sign(gap, pairs, tol) is Sign.NEGATIVE
+
+
+def _bounded_pendents(g: Graph) -> bool:
+    """At least one edge, and at most floor(m/2) pendent vertices."""
+    return g.m >= 1 and g.degrees.count(1) <= g.m // 2
 
 
 def bounded_pendents_no_degree2(g: Graph) -> bool:
     """t2 hypothesis: at least one edge, pendent count <= floor(m/2),
     and no vertex of degree 2."""
-    if g.m < 1:
-        return False
-    pendents = sum(1 for d in g.degrees if d == 1)
-    return pendents <= g.m // 2 and all(d != 2 for d in g.degrees)
+    return _bounded_pendents(g) and 2 not in g.degrees
 
 
 def bounded_pendents_isolated_degree2(g: Graph) -> bool:
     """t3 hypothesis: at least one edge, pendent count <= floor(m/2),
     and no degree-2 vertex has a neighbor of degree 2, 3, or 4."""
-    if g.m < 1:
-        return False
-    pendents = sum(1 for d in g.degrees if d == 1)
-    if pendents > g.m // 2:
-        return False
-    for v in range(g.n):
-        if g.degrees[v] == 2 and any(g.degrees[w] in (2, 3, 4) for w in g.adj[v]):
-            return False
-    return True
+    deg = g.degrees
+    return _bounded_pendents(g) and not any(
+        d == 2 and any(deg[w] in (2, 3, 4) for w in g.adj[v]) for v, d in enumerate(deg))
 
 
 STATEMENTS = {
     s.name: s
     for s in (
         # p1: min degree >= 2 forces gap <= 0, zero exactly on cycles
-        Statement("p1", _min_degree2, None, _zero_exactly_on_cycles, 1, False, 1e-12),
+        Statement("p1", _min_degree2, Graph.edge_degree_pairs, _zero_exactly_on_cycles, 1,
+                  False, 1e-12),
         # t1: the line graph of a connected root of order >= 5, other than
-        # a path or cycle, has ABS > ABC.  line_graph is looked up per call,
-        # so a wrapper installed on survey.line_graph (perfbench/tracer.py)
-        # sees every call
-        Statement("t1", _line_graph_root, lambda k: line_graph(k), _gap_negative, 5, True,
+        # a path or cycle, has ABS > ABC
+        Statement("t1", _line_graph_root, line_graph_pairs, _gap_negative, 5, True,
                   DEFAULT_ZERO_TOL),
         # t2: at most floor(m/2) pendent vertices and no degree-2 vertex
         # force ABS > ABC
-        Statement("t2", bounded_pendents_no_degree2, None, _gap_negative, 1, True,
-                  DEFAULT_ZERO_TOL),
+        Statement("t2", bounded_pendents_no_degree2, Graph.edge_degree_pairs, _gap_negative,
+                  1, True, DEFAULT_ZERO_TOL),
         # t3: at most floor(m/2) pendent vertices and no degree-2 vertex
         # with a neighbor of degree 2, 3 or 4 force ABS > ABC
-        Statement("t3", bounded_pendents_isolated_degree2, None, _gap_negative, 1, True,
-                  DEFAULT_ZERO_TOL),
+        Statement("t3", bounded_pendents_isolated_degree2, Graph.edge_degree_pairs,
+                  _gap_negative, 1, True, DEFAULT_ZERO_TOL),
     )
 }
 
@@ -327,7 +324,11 @@ def verify_statement(
     tol: float | None = None,
 ) -> VerificationReport:
     """Check ``statement`` on every graph of ``universes`` at ``tol``
-    (None: the statement's own tolerance)."""
+    (None: the statement's own tolerance).
+
+    The graphs are taken to be connected, as every universe checks when
+    it is built or loaded, and so is the line graph of a connected root:
+    the pairs are scored with no connectivity search."""
     if tol is None:
         tol = statement.tol
     t0 = time.perf_counter()
@@ -340,11 +341,11 @@ def verify_statement(
             if not statement.hypothesis(g):
                 continue
             holds += 1
-            h = g if statement.transform is None else statement.transform(g)
-            gap = index_report(h).gap
+            pairs = statement.pairs(g)
+            gap = pairs_report(pairs).gap
             if statement.reports_margin and (min_margin is None or -gap < min_margin):
                 min_margin = -gap
-            if not statement.conclusion(g, h, gap, tol):
+            if not statement.conclusion(g, pairs, gap, tol):
                 failures.append(to_graph6(g))
     return VerificationReport(
         statement=statement.name,

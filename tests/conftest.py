@@ -1,11 +1,12 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
 
 from graphtheta import canon
 from graphtheta.graph6 import Graph6Error
-from graphtheta.graphs import Graph, _from_adjacency, from_edge_list
+from graphtheta.graphs import Graph, GraphError, _from_adjacency, from_edge_list, is_connected
 from graphtheta.indices import edge_terms
 
 
@@ -36,6 +37,40 @@ def spider(*leg_lengths: int) -> Graph:
             prev = nxt
             nxt += 1
     return from_edge_list(nxt, edges)
+
+
+def random_connected_graphs(n: int, count: int, seed: int) -> list[Graph]:
+    """``count`` seeded random connected graphs of order n, each with an
+    edge density drawn from 0.25..0.8 (repeats possible)."""
+    rng = random.Random(seed)
+    graphs: list[Graph] = []
+    while len(graphs) < count:
+        p = rng.uniform(0.25, 0.8)
+        k = from_edge_list(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        if is_connected(k):
+            graphs.append(k)
+    return graphs
+
+
+def line_graph(k: Graph) -> Graph:
+    """The graph on the edges of ``k``, adjacent iff they share an
+    endpoint.  Vertex i of the result is the i-th edge of ``k`` in
+    sorted order; its degree is d_u + d_v - 2.
+    """
+    if k.m < 1:
+        raise GraphError("line graph of an edgeless graph is undefined here")
+    edges = list(k.edges())
+    index = {}
+    for i, (u, v) in enumerate(edges):
+        index[u, v] = index[v, u] = i
+    adj = []
+    for u, v in edges:
+        # the edges at u other than uv, then those at v: no repeats
+        nbrs = [index[u, x] for x in k.adj[u] if x != v]
+        nbrs += [index[v, x] for x in k.adj[v] if x != u]
+        nbrs.sort()
+        adj.append(nbrs)
+    return _from_adjacency(len(edges), adj)
 
 
 def canonical_key(g: Graph) -> bytes:

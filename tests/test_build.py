@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -81,3 +82,16 @@ def test_star_import_resolves_every_public_name():
     exec("from graphtheta import *", namespace)
     assert set(graphtheta.__all__) <= namespace.keys()
     assert len(graphtheta.__all__) == len(set(graphtheta.__all__))
+
+
+def test_tracer_sites_import():
+    # perfbench/tracer.py imports each module it patches before the CLI
+    # starts, so a module it names that is gone stops every traced run
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    sites = [*tracer.SITES.values(), *tracer.STREAMS.values(), [tracer.PARTITION[1]]]
+    modules = {mod for pairs in sites for mod, _ in pairs}
+    assert modules == {"treegen", "survey", "cli", "graph6", "smallgraphs", "linegraph"}
+    for mod in modules:
+        importlib.import_module(f"graphtheta.{mod}")

@@ -14,11 +14,12 @@ from graphtheta.graph6 import (
 )
 from graphtheta.graphs import DisconnectedGraphError, from_edge_list, is_connected
 from graphtheta.indices import certified_sign, index_report, pairs_report
-from graphtheta.linegraph import line_graph
 from graphtheta.smallgraphs import internal_universe
 from graphtheta.treegen import free_tree_sequences, sequence_to_graph
 
-from conftest import complete_graph, cycle_graph, edges_to_graph6_oracle, parse_graph6_oracle
+from conftest import (
+    complete_graph, cycle_graph, edges_to_graph6_oracle, line_graph, parse_graph6_oracle,
+)
 
 
 def _random_edges(n, p, rng):

@@ -1,14 +1,19 @@
-import random
-from itertools import combinations
-
 import networkx as nx
 import pytest
 
-from graphtheta.graphs import GraphError, Shape, classify_shape, from_edge_list, is_connected
-from graphtheta.linegraph import line_graph
+from graphtheta.graphs import GraphError, Shape, classify_shape, from_edge_list
+from graphtheta.linegraph import line_graph_pairs
 from graphtheta.smallgraphs import internal_universe
 
-from conftest import canonical_key, cycle_graph, is_line_graph, path_graph, star_graph
+from conftest import (
+    canonical_key,
+    cycle_graph,
+    is_line_graph,
+    line_graph,
+    path_graph,
+    random_connected_graphs,
+    star_graph,
+)
 
 
 class TestConstruction:
@@ -44,12 +49,7 @@ class TestConstruction:
     def test_matches_networkx(self):
         # internal universes and a seeded set of connected order-10 graphs
         graphs = [k for n in range(2, 8) for k in internal_universe(n)]
-        rng = random.Random(10)
-        while len(graphs) < 853 + 50:
-            p = rng.uniform(0.25, 0.8)
-            k = from_edge_list(10, [e for e in combinations(range(10), 2) if rng.random() < p])
-            if is_connected(k):
-                graphs.append(k)
+        graphs += random_connected_graphs(10, 50, seed=10)
         for k in graphs:
             lg = line_graph(k)
             nx_lg = nx.line_graph(nx.Graph(list(k.edges())))
@@ -60,6 +60,26 @@ class TestConstruction:
             )
             assert lg.n == nx_lg.number_of_nodes() == k.m
             assert sorted(lg.edges()) == expected
+
+
+def _sorted_pairs(pairs):
+    return sorted(tuple(sorted(p)) for p in pairs)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7, 10])
+def test_line_graph_pairs_match_two_oracles(order):
+    # every connected graph of orders 2..7, and 50 seeded ones of order 10
+    roots = internal_universe(order) if order <= 7 else random_connected_graphs(10, 50, seed=10)
+    for k in roots:
+        got = _sorted_pairs(line_graph_pairs(k))
+        assert got == _sorted_pairs(line_graph(k).edge_degree_pairs()), k
+        nx_lg = nx.line_graph(nx.Graph(list(k.edges())))
+        assert got == _sorted_pairs((nx_lg.degree[a], nx_lg.degree[b])
+                                    for a, b in nx_lg.edges()), k
+
+
+def test_line_graph_pairs_of_edgeless_root():
+    assert line_graph_pairs(from_edge_list(1, [])) == []
 
 
 class TestRecognition:

@@ -17,7 +17,7 @@ from graphtheta.indices import (
 )
 from graphtheta.smallgraphs import internal_universe
 
-from conftest import complete_graph, cycle_graph
+from conftest import complete_graph, cycle_graph, random_connected_graphs
 
 
 class TestClassifyTrees:
@@ -299,8 +299,25 @@ class TestSmallestNegativeTree:
 P2_GAPS_SHA256 = "1a417570c6618ef9693e768a8426b1385ad5c44b0b5d708f8ae3d4db7e9b6fbb"
 
 
-def verify(name, universes):
-    return survey.verify_statement(survey.STATEMENTS[name], universes)
+def verify(name, universes, tol=None):
+    return survey.verify_statement(survey.STATEMENTS[name], universes, tol)
+
+
+# verify_statement over 200 seeded connected order-10 graphs, recorded
+# while t1 still built each line graph and every statement scored a
+# Graph: (checked, hypothesis holds, failures, min_margin.hex()); the
+# failures as their count and the sha256 of their space-joined graph6
+ORDER10_VERDICTS = {
+    ("p1", None): (200, 166, (0, None), None),
+    ("t1", None): (200, 200, (0, None), "0x1.4e7a6cc8d6f6cp+1"),
+    ("t2", None): (200, 119, (0, None), "0x1.2685f1eb0c19ap+2"),
+    ("t3", None): (200, 143, (0, None), "0x1.89d317e0e1e90p+1"),
+    # in-band tolerances: gaps within tol are rechecked at 50 digits
+    ("t1", 3.0): (200, 200, (1, "abd914d19b5acf3febf18e1da3999ad4c11fccb069ea9b56b82967b4324b001c"),
+                  "0x1.4e7a6cc8d6f6cp+1"),
+    ("p1", 5.0): (200, 166, (25, "03377d502916f117ac5631068681221806b2d4b494b964105f9453d84ba1177b"),
+                  None),
+}
 
 
 class TestVerifiers:
@@ -345,6 +362,18 @@ class TestVerifiers:
         assert lines[0] == "0x1.09bdc83bc22c8p-2 0x1.09bdc83bc22c0p-2\n"
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == P2_GAPS_SHA256
 
+    @pytest.mark.parametrize("name,tol", ORDER10_VERDICTS)
+    def test_order10_verdicts_pinned(self, name, tol):
+        from graphtheta.smallgraphs import GraphUniverse
+
+        u = GraphUniverse(10, "seeded", tuple(random_connected_graphs(10, 200, seed=2309)))
+        r = verify(name, [u], tol)
+        failures = r.conclusion_failures
+        digest = hashlib.sha256(" ".join(failures).encode()).hexdigest() if failures else None
+        margin = None if r.min_margin is None else r.min_margin.hex()
+        assert (r.checked, r.hypothesis_holds, (len(failures), digest), margin) \
+            == ORDER10_VERDICTS[name, tol]
+
     def test_line_graphs_order5(self):
         report = verify("t1", [internal_universe(5)])
         assert not report.conclusion_failures
@@ -352,8 +381,7 @@ class TestVerifiers:
         assert report.min_margin > 0
 
     def test_line_graph_of_star_is_complete(self):
-        from graphtheta.linegraph import line_graph
-        from conftest import star_graph
+        from conftest import line_graph, star_graph
 
         g = line_graph(star_graph(4))
         assert g.m == g.n * (g.n - 1) // 2  # K4
