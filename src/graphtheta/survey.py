@@ -30,7 +30,6 @@ from .indices import (
     DEFAULT_ZERO_TOL,
     Sign,
     certified_sign,
-    index_report,
     pairs_report,
 )
 from .linegraph import line_graph_pairs
@@ -94,10 +93,11 @@ def _nearest(entries: list, k: int) -> tuple[list, float]:
     return entries, math.inf
 
 
-def _scan_partition(args) -> tuple[Counter, list]:
+def _scan_partition(args, tables: treeclasses.Tables | None = None) -> tuple[Counter, list]:
     """Count and score the classes of order n in every ``parts``-th fold
     unit (``treeclasses.Tables.units``), from unit ``part``: the trees
     by sign, and the near list of its near_k nearest trees (``_nearest``).
+    ``tables`` are the order's tables, made here if None.
 
     This is the census pool's entry point.  One fold is live at a time:
     each class is scored as it comes, with one certified sign, and
@@ -106,7 +106,8 @@ def _scan_partition(args) -> tuple[Counter, list]:
     tree, which is never below the merged near_k-th tree's |gap|.
     """
     n, parts, part, tol, near_k = args
-    tables = treeclasses.Tables(n)
+    if tables is None:
+        tables = treeclasses.Tables(n)
     signs: Counter = Counter()  # Sign -> trees
     near: list = []
     bound = math.inf  # |gap| of the near_k-th tree kept so far
@@ -123,18 +124,25 @@ def _scan_partition(args) -> tuple[Counter, list]:
     return signs, _nearest(near, near_k)[0]
 
 
-def _witnesses(n: int, tol: float, cap: int) -> list[tuple[int, ...]]:
+def _witnesses(
+    n: int, tol: float, cap: int, tables: treeclasses.Tables | None = None,
+) -> list[tuple[int, ...]]:
     """The first ``cap`` trees of order n, in stream order, whose census
     sign at ``tol`` is negative.  The stream stops at the cap-th (and is
-    not started for a cap of 0).
+    not started for a cap of 0).  ``tables`` are the order's tables,
+    made here if None.
 
-    A tree is signed by its class: each class met is scored once, and
-    the memo holds only the classes of the streamed prefix."""
+    The stream leaves out every block of trees with one first subtree
+    that ``Tables.positive_block`` proves holds no tree signed negative
+    at any tol.  A streamed tree is signed by its class: each class met
+    is scored once, and the memo holds only the classes of the streamed
+    trees."""
     found: list[tuple[int, ...]] = []
     if cap:
-        tables = treeclasses.Tables(n)
+        if tables is None:
+            tables = treeclasses.Tables(n)
         negative: dict[int, bool] = {}  # class -> its sign is negative
-        for seq in treegen.free_tree_sequences(n):
+        for seq in treegen.free_tree_sequences(n, skip=tables.positive_block):
             cls = tables.class_of(seq)
             neg = negative.get(cls)
             if neg is None:
@@ -143,14 +151,16 @@ def _witnesses(n: int, tol: float, cap: int) -> list[tuple[int, ...]]:
                 found.append(seq)
                 if len(found) == cap:
                     break
+        tables.drop_stream_memos()
     return found
 
 
 def _census(
-    n: int, tol: float, workers: int, near_k: int, witness_cap: int = 0,
+    tables: treeclasses.Tables, tol: float, workers: int, near_k: int, witness_cap: int = 0,
 ) -> tuple[Counter, list, list[tuple[int, ...]]]:
-    """The class census of order n, as trees by sign and a near list,
-    and its first ``witness_cap`` negative trees in stream order.
+    """The class census of the order of ``tables``, as trees by sign and
+    a near list, and its first ``witness_cap`` negative trees in stream
+    order.  This process's partition and witness pass share ``tables``.
 
     With one worker the census comes first, so the witness pass stops
     at the last negative tree (and is not started when there is none).
@@ -160,11 +170,12 @@ def _census(
     parts, so the result does not depend on the worker count.  A pool
     worker that dies raises ChildProcessError.
     """
+    n = tables.n
     parts = min(workers, os.cpu_count() or 1)
     jobs = [(n, parts, part, tol, near_k) for part in range(parts)]
     if workers == 1:
-        partials = [_scan_partition(jobs[0])]
-        witnesses = _witnesses(n, tol, min(witness_cap, partials[0][0][Sign.NEGATIVE]))
+        partials = [_scan_partition(jobs[0], tables)]
+        witnesses = _witnesses(n, tol, min(witness_cap, partials[0][0][Sign.NEGATIVE]), tables)
     else:
         # imported here: only a pool needs multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -174,7 +185,7 @@ def _census(
         try:
             with ProcessPoolExecutor(max_workers=parts) as pool:
                 results = pool.map(_scan_partition, jobs)  # submitted here, read below
-                witnesses = _witnesses(n, tol, witness_cap)
+                witnesses = _witnesses(n, tol, witness_cap, tables)
                 partials = list(results)
         except BrokenProcessPool as exc:
             raise ChildProcessError(f"a census worker died: {exc}") from exc
@@ -183,11 +194,15 @@ def _census(
     return signs, near, witnesses
 
 
-def _near_ties(n: int, near: list, k: int) -> list[TieRecord]:
+def _near_ties(
+    n: int, near: list, k: int, tables: treeclasses.Tables | None = None,
+) -> list[TieRecord]:
     """The k trees of the near list's classes with the smallest |gap|;
     equal gaps in stream order, which is ascending graph6 order
-    (tests/test_treegen.py::test_stream_in_ascending_graph6_order)."""
-    tables = treeclasses.Tables(n)
+    (tests/test_treegen.py::test_stream_in_ascending_graph6_order).
+    ``tables`` are the order's tables, made here if None."""
+    if tables is None:
+        tables = treeclasses.Tables(n)
     classes = {cls: (a, abc, abs_) for a, cls, _, abc, abs_ in near}
     rows = [(a, seq, abc, abs_) for cls, (a, abc, abs_) in classes.items()
             for seq in tables.expand(cls)]
@@ -214,8 +229,9 @@ def classify_trees(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if witness_cap < 0:
         raise ValueError(f"witness cap must be >= 0, got {witness_cap}")
-    signs, near, witnesses = _census(n, tol, workers, 1, witness_cap=witness_cap)
-    best = _near_ties(n, near, 1)[0]
+    tables = treeclasses.Tables(n)  # the folds, witness pass and near-tie listing share it
+    signs, near, witnesses = _census(tables, tol, workers, 1, witness_cap=witness_cap)
+    best = _near_ties(n, near, 1, tables)[0]
     return ClassificationRecord(
         order=n,
         total=signs.total(),
@@ -238,7 +254,8 @@ def find_near_ties(n: int, top_k: int) -> list[TieRecord]:
     treegen.check_order(n)
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    return _near_ties(n, _census(n, DEFAULT_ZERO_TOL, 1, top_k)[1], top_k)
+    tables = treeclasses.Tables(n)
+    return _near_ties(n, _census(tables, DEFAULT_ZERO_TOL, 1, top_k)[1], top_k, tables)
 
 
 # --- statement verifiers ----------------------------------------------
@@ -368,7 +385,11 @@ def verify_subdivision_invariance(
     tol: float = 1e-12,
 ) -> VerificationReport:
     """p2: inserting a vertex on an edge at a degree-2 vertex keeps the
-    gap fixed.  Randomized trees and unicyclic graphs, seeded."""
+    gap fixed.  Randomized trees and unicyclic graphs, seeded.
+
+    Each graph is connected as built (a random tree, perhaps with one
+    more edge), and so is its subdivision: both are scored from their
+    degree pairs with no connectivity search."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
@@ -392,8 +413,8 @@ def verify_subdivision_invariance(
         checked += 1
         x = rng.choice(deg2)
         w = rng.choice(g.adj[x])
-        subdivided = index_report(subdivide_at_degree2(g, x, (x, w))).gap
-        if abs(index_report(g).gap - subdivided) > tol:
+        subdivided = pairs_report(subdivide_at_degree2(g, x, (x, w)).edge_degree_pairs()).gap
+        if abs(pairs_report(g.edge_degree_pairs()).gap - subdivided) > tol:
             failures.append(to_graph6(g))
     return VerificationReport(
         statement="p2",

@@ -52,17 +52,61 @@ reads each branch's root degree and class from a memo on the instance,
 keyed by the level bytes of the branch's descendants (absolute depths,
 so a key also fixes the branch's depth) and filled recursively on a
 miss.  Consecutive trees of the stream share most of their branches:
-the witness pass of order 17 streams 11,947 trees and meets 2,099
+the witness pass of order 17 streams 2,779 trees and meets 2,099
 branches.  ``Tables.expand(cls)`` lists the trees of one class as the
 canonical level sequences that ``treegen.free_tree_sequences`` gives
 them, in stream order.  It roots each tree at every centroid, one root
 degree at a time with branches of at most n/2 vertices, so a tree with
 two centroids is made twice and kept once by its stream form.
+
+The witness pass streams trees in order until its last negative one,
+and ``Tables.positive_block`` lets it leave out a *block*, the stream
+trees that share the root's first subtree T1, when a lower bound proves
+none of them negative.  The bound reads three tables of exact minima,
+integers over 2**S like the class sums, filled as the pass asks for
+them and kept in the ``_least`` memo of the instance:
+
+* ``least_planted(d, s, h)``: the least sum of the ABC - ABS terms
+  inside a planted tree of s vertices, root degree d (the edge to the
+  parent counted) and height at least h;
+* ``least_child(p, s, h)``: the same plus the term of the edge to a
+  parent of degree p, least over the root degree;
+* ``_least_children(p, j, t)``: the least sum over j children of a
+  vertex of degree p, t vertices in all.
+
+Children add their sums independently, so each minimum is one over
+sizes and degrees of smaller minima; a height of at least h asks only
+that one child reach h - 1.  An edge's term is read from the sum fields
+of its packed monomial, so every minimum is exact.
+
+The bound.  A stream tree is rooted at a center c.  Let T1 have s1
+vertices, root degree d1 (its edge to c counted) and height h1.  The
+rest of the tree, c with its other subtrees, is a planted tree R of
+n - s1 vertices under T1's root, whose root degree is that of c.  The
+stream takes a rooting only if ``treegen._accepts`` it, which needs the
+rest at least as high as T1, so R's height is at least h1.  The tree's
+exact sum is inner(T1) + term(deg c, d1) + inner(R), so at least
+``block_bound`` = inner(T1) + least_child(d1, n - s1, h1) for every
+tree of the block.
+
+Why a bound above ``_margin`` keeps every tree of the block positive at
+any tol: the class sums are exact sums of the double terms, and each of
+the 2(n-1) terms is below 1, so within half an ulp, 2**-54, of its real
+value.  The real gap is then above bound - 2(n-1) * 2**-54, and
+``_margin``, 2(n-1) * 2**-53, leaves it positive, with room to spare
+for the error of the 50-digit recheck of ``certified_sign``.  A tree is
+signed negative only if its double gap is below -tol, which needs the
+rounded ABC sum below the rounded ABS sum, impossible when the exact
+sums are in the other order (each is rounded once, and rounding is
+monotone), or if the recheck is below -tol, which needs a negative real
+gap.
 """
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import combinations_with_replacement, product
+from math import inf
 from typing import Iterator
 
 from .indices import Sign, certified_sign, edge_terms
@@ -118,6 +162,20 @@ def _fold(
     return out
 
 
+def _memo(method):
+    """Keep a method's results in its instance's ``_least`` memo, so the
+    min-gap tables go with the order's tables."""
+    @wraps(method)
+    def cached(self, *args):
+        key = (method.__name__, *args)
+        got = self._least.get(key)
+        if got is None:
+            got = self._least[key] = method(self, *args)
+        return got
+
+    return cached
+
+
 class Tables:
     """The planted tables of order n, from which the classes of every
     fold unit are counted and any class's trees are listed."""
@@ -146,6 +204,9 @@ class Tables:
                        for b in range(n + 1)] for a in range(n + 1)]
         self._guard = sum(1 << (s + self.width - 1) for s in shift.values())
         self._branches: dict[bytes, tuple[int, int]] = {}  # see _below
+        # one ulp 2**-53 for each of a tree's 2(n-1) terms: see the module docstring
+        self._margin = 2 * (n - 1) * (self._unit >> 53)
+        self._least: dict[tuple, int | float] = {}  # see _memo
         self.half = n // 2  # the largest planted size needed
         self.branch = (n - 1) // 2  # the largest child of a centroid
         self.units = [d for d in range(n) if d * self.branch >= n - 1]
@@ -243,6 +304,70 @@ class Tables:
             d, below = got
             cls += below + edge[d]
         return deg, cls
+
+    def _gap(self, cls: int) -> int:
+        """The exact ABC - ABS sum of a packed class or edge monomial,
+        over ``_unit``."""
+        return (cls & self._sum_mask) - (cls >> self._abs_at & self._sum_mask)
+
+    def block_bound(self, seq: tuple[int, ...]) -> int | float:
+        """A lower bound, over ``_unit``, on the exact ABC - ABS sum of
+        every stream tree whose root's first subtree is that of ``seq``:
+        the sum inside that subtree plus ``least_child`` of the rest of
+        the tree, planted under the subtree's root, at the height the
+        stream's center rule asks of it."""
+        desc = bytes(seq)[1:]
+        first = desc[1:].split(desc[:1], 1)[0]  # the first child's descendants
+        got = self._branches.get(first)
+        if got is None:
+            got = self._branches[first] = self._below(first, 1)
+        d1, cls = got
+        h1 = max(first, default=1) - 1  # the first subtree's height
+        return self._gap(cls) + self.least_child(d1, self.n - 1 - len(first), h1)
+
+    def positive_block(self, seq: tuple[int, ...]) -> bool:
+        """True if ``block_bound`` proves that no tree of the block of
+        ``seq`` is signed negative, at any tol."""
+        return self.block_bound(seq) > self._margin
+
+    def drop_stream_memos(self) -> None:
+        """Free the memos that ``class_of`` and ``positive_block`` fill as
+        the tree stream is read, its branches and the min-gap tables, so
+        they last no longer than the witness pass."""
+        self._branches.clear()
+        self._least.clear()
+
+    @_memo
+    def least_planted(self, d: int, s: int, h: int) -> int | float:
+        """The least sum, over ``_unit``, of the ABC - ABS terms of the
+        s - 1 edges inside a planted tree of s vertices whose root has
+        degree d (its edge to the parent counted) and whose height is at
+        least h; inf if there is no such tree."""
+        if d == 1:
+            return 0 if s == 1 and h == 0 else inf
+        if h == 0:
+            return self._least_children(d, d - 1, s - 1)
+        # one child reaches height h - 1; the other d - 2 may be any
+        return min((self.least_child(d, c, h - 1) + self._least_children(d, d - 2, s - 1 - c)
+                    for c in range(1, s - d + 2)), default=inf)
+
+    @_memo
+    def least_child(self, p: int, s: int, h: int) -> int | float:
+        """The least sum over a planted tree of s vertices and height at
+        least h, under a parent of degree p: its inner terms, as in
+        ``least_planted``, and the term of its edge to the parent.  The
+        degrees of every edge must add up to at most n."""
+        edge = self._edge[p]
+        return min(self._gap(edge[d]) + self.least_planted(d, s, h) for d in range(1, s + 1))
+
+    @_memo
+    def _least_children(self, p: int, j: int, t: int) -> int | float:
+        """The least sum over j planted children, t vertices in all, of a
+        vertex of degree p: ``least_child`` at any height, added up."""
+        if j == 0:
+            return 0 if t == 0 else inf
+        return min((self.least_child(p, c, 0) + self._least_children(p, j - 1, t - c)
+                    for c in range(1, t - j + 2)), default=inf)
 
     def score(self, cls: int, tol: float) -> tuple[float, float, Sign]:
         """The ABC and ABS sums of a class and the certified sign of

@@ -17,13 +17,18 @@ bit from graph6's per-order encoder table (``graph6._edge_bits``), whose
 positions are already shifted for the base64 padding.  No parent list,
 edge list or ``Graph`` is built.
 
+``free_tree_sequences(n, skip)`` lets a caller leave out whole blocks
+of trees that share the root's first subtree: the census's witness pass
+skips those that ``treeclasses.Tables.positive_block`` proves hold no
+negative tree.
+
 Every command that enumerates or censuses the trees of an order stops
 at MAX_TREE_ORDER (``check_order``).
 """
 
 from __future__ import annotations
 
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 from .graphs import Graph, _from_adjacency
 from .graph6 import MAX_ORDER, _body_to_graph6, _edge_bits
@@ -147,11 +152,21 @@ def _advance_to_free(seq: list[int]) -> list[int]:
         seq = nxt
 
 
-def free_tree_sequences(n: int) -> Iterator[tuple[int, ...]]:
+def free_tree_sequences(
+    n: int, skip: Callable[[tuple[int, ...]], bool] | None = None,
+) -> Iterator[tuple[int, ...]]:
     """Yield the canonical level sequence of every free tree of order n.
 
     Sequences are depth lists (root depth 0), emitted in a fixed order:
     lexicographically decreasing, which is ascending graph6 order.
+
+    The trees whose roots have the same first subtree, seq[:m] with m
+    the ``_first_end``, are consecutive: a *block*.  With ``skip``, the
+    stream calls ``skip(seq)`` on the first tree of each block, and if
+    it returns true leaves the whole block out: it jumps to the rooted
+    successor pinned at m - 1, the first sequence past every one that
+    starts with seq[:m], as ``_advance_to_free`` does.  The block whose
+    first subtree is one vertex is the star alone, the last tree.
     """
     if n < 1:
         raise ValueError(f"tree order must be >= 1, got {n}")
@@ -160,8 +175,16 @@ def free_tree_sequences(n: int) -> Iterator[tuple[int, ...]]:
         return
     # start from the path rooted at its center
     seq: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    block: list[int] = []  # seq[:m] of the block streamed
     while seq is not None:
         seq = _advance_to_free(seq)
+        if skip is not None:
+            m = _first_end(seq)
+            if seq[:m] != block:
+                block = seq[:m]
+                if skip(tuple(seq)):
+                    seq = _rooted_successor(seq, m - 1) if m > 2 else None
+                    continue
         yield tuple(seq)
         seq = _rooted_successor(seq)
 

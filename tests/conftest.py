@@ -8,6 +8,7 @@ from graphtheta import canon
 from graphtheta.graph6 import Graph6Error
 from graphtheta.graphs import Graph, GraphError, _from_adjacency, from_edge_list, is_connected
 from graphtheta.indices import edge_terms
+from graphtheta.treegen import free_tree_sequences
 
 
 def path_graph(n: int) -> Graph:
@@ -116,6 +117,18 @@ def fsum_class_sums(tables, cls: int) -> tuple[float, float]:
         abc += [t_abc] * c
         abs_ += [t_abs] * c
     return math.fsum(abc), math.fsum(abs_)
+
+
+def stream_blocks(n: int) -> list[list[tuple[int, ...]]]:
+    """The tree stream of order n cut into blocks: runs of trees whose
+    roots have the same first subtree."""
+    out: list[tuple[tuple[int, ...], list]] = []
+    for seq in free_tree_sequences(n):
+        first = seq[:seq.index(1, 2)] if 1 in seq[2:] else seq
+        if not out or out[-1][0] != first:
+            out.append((first, []))
+        out[-1][1].append(seq)
+    return [trees for _, trees in out]
 
 
 def edges_to_graph6_oracle(n: int, edges) -> str:

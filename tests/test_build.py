@@ -95,3 +95,23 @@ def test_tracer_sites_import():
     assert modules == {"treegen", "survey", "cli", "graph6", "smallgraphs", "linegraph"}
     for mod in modules:
         importlib.import_module(f"graphtheta.{mod}")
+
+
+def test_traced_scan_writes_the_untraced_witnesses(tmp_path):
+    # the benchmark's tracer runs the program it measures: its witness
+    # file and report must be the untraced run's, byte for byte
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    runs = {}
+    for name, argv in (("plain", ["-m", "graphtheta.cli"]),
+                       ("traced", [str(ROOT / "perfbench" / "tracer.py"),
+                                   str(tmp_path / "spans.jsonl")])):
+        out = tmp_path / f"{name}.g6"
+        proc = subprocess.run(
+            [sys.executable, *argv, "scan", "12..14", "--witness-out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs[name] = (proc.stdout, out.read_bytes())
+    assert runs["traced"] == runs["plain"]
+    # a header line per order, then its witnesses
+    assert runs["plain"][1].count(b"\n") == 3 + 6 + 31 + 100
+    assert (tmp_path / "spans.jsonl").stat().st_size > 0

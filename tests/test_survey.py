@@ -13,6 +13,7 @@ from graphtheta.indices import (
     certified_sign,
     gap_extended_precision,
     index_report,
+    pairs_report,
     sign_of_gap,
 )
 from graphtheta.smallgraphs import internal_universe
@@ -172,17 +173,34 @@ class TestWitnessPass:
         monkeypatch.setattr(treeclasses.Tables, "score", counted)
         found = survey._witnesses(16, DEFAULT_ZERO_TOL, survey.DEFAULT_WITNESS_CAP)
         assert len(found) == survey.DEFAULT_WITNESS_CAP
-        # the classes of the trees streamed up to the last witness
+        # the classes of the trees of the whole stream up to the last witness
         tables = treeclasses.Tables(16)
-        met = set()
-        streamed = 0
+        prefix = []
         for seq in treegen.free_tree_sequences(16):
-            met.add(tables.class_of(seq))
-            streamed += 1
+            prefix.append((seq, tables.class_of(seq)))
             if seq == found[-1]:
                 break
-        assert len(scored) == len(set(scored)) <= len(met) < streamed
-        assert set(scored) == met
+        met = {cls for _, cls in prefix}
+        once = set(scored)
+        assert len(scored) == len(once)
+        # the skipped blocks leave some classes unscored, and every tree
+        # of those classes scores non-negative on its own graph
+        assert once < met
+        for seq, cls in prefix:
+            if cls not in once:
+                assert index_report(treegen.sequence_to_graph(seq)).gap >= 0
+
+    # sha256 of repr(_witnesses(n, 1e-9, 100)), recorded from the full walk
+    # before the witness pass skipped blocks
+    WITNESS_SHA256 = {
+        19: "ce3480ffdc72861018ec4680807316cee596499f8ad990c830b5af23e62014ba",
+        20: "f3d2459904db92f2a030cea906cffe7a710c289acddd5c2875b7a564373160aa",
+    }
+
+    @pytest.mark.parametrize("n", sorted(WITNESS_SHA256))
+    def test_witnesses_above_order_18_are_pinned(self, n):
+        found = survey._witnesses(n, 1e-9, 100)
+        assert hashlib.sha256(repr(found).encode()).hexdigest() == self.WITNESS_SHA256[n]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_witnesses_at_order_18_match_tree_by_tree(self, workers):
@@ -346,18 +364,18 @@ class TestVerifiers:
         # moved to trusted construction: the same RNG draws, graphs and bits
         gaps = []
 
-        def recorded(g):
-            report = index_report(g)
-            gaps.append((g.n, report.gap))
+        def recorded(pairs):
+            report = pairs_report(pairs)
+            gaps.append((len(pairs), report.gap))
             return report
 
-        monkeypatch.setattr(survey, "index_report", recorded)
+        monkeypatch.setattr(survey, "pairs_report", recorded)
         report = survey.verify_subdivision_invariance(trials=300, seed=1)
         assert not report.conclusion_failures and report.checked == 300 and len(gaps) == 600
         lines = []
         for pair in zip(gaps[::2], gaps[1::2]):
-            (n, gap), (n_sub, sub) = sorted(pair)
-            assert n_sub == n + 1
+            (m, gap), (m_sub, sub) = sorted(pair)
+            assert m_sub == m + 1
             lines.append(f"{gap.hex()} {sub.hex()}\n")
         assert lines[0] == "0x1.09bdc83bc22c8p-2 0x1.09bdc83bc22c0p-2\n"
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == P2_GAPS_SHA256

@@ -1,13 +1,14 @@
 """The class census against the tree stream it replaces."""
 
+import math
 import random
 from collections import Counter, defaultdict
 
 import pytest
 
-from conftest import fsum_class_sums
+from conftest import fsum_class_sums, stream_blocks
 from graphtheta import survey, treegen
-from graphtheta.indices import DEFAULT_ZERO_TOL
+from graphtheta.indices import DEFAULT_ZERO_TOL, edge_terms
 from graphtheta.treeclasses import Tables
 
 # OEIS A000055, free trees of order n = 1..20
@@ -105,3 +106,76 @@ def test_class_of_over_the_order_17_witness_prefix():
         assert tables.class_of(seq) == class_from_degree_pairs(tables, seq)
         if seq == last:
             break
+
+
+# --- the min-gap tables and the block bound ----------------------------
+
+def exact_gap(tables, pairs):
+    """The ABC - ABS sum of some edges' double terms, an integer over
+    the tables' unit, read from each term's exact ratio."""
+    total = 0
+    for a, b in pairs:
+        for sign, term in ((1, edge_terms(a, b)[2]), (-1, edge_terms(a, b)[3])):
+            num, den = term.as_integer_ratio()
+            assert tables._unit % den == 0
+            total += sign * num * (tables._unit // den)
+    return total
+
+
+def planted_trees(s_max):
+    """Every rooted tree of at most s_max vertices, as a sorted tuple of
+    its children, grown a leaf at a time and deduplicated."""
+    def grown(t):
+        yield tuple(sorted((*t, ())))
+        for i, child in enumerate(t):
+            for c in grown(child):
+                yield tuple(sorted((*t[:i], c, *t[i + 1:])))
+
+    level = {()}
+    trees = [()]
+    for _ in range(s_max - 1):
+        level = {g for t in level for g in grown(t)}
+        trees += level
+    return trees
+
+
+def planted_stats(t):
+    """Size, height and inner edge pairs of a planted tree whose root
+    has an edge to a parent."""
+    size, height, pairs = 1, 0, []
+    for child in t:
+        s, h, p = planted_stats(child)
+        size += s
+        height = max(height, h + 1)
+        pairs += [(len(t) + 1, len(child) + 1), *p]
+    return size, height, pairs
+
+
+def test_min_gap_tables_match_brute_force_to_10_vertices():
+    tables = Tables(20)  # every edge below has degrees adding up to <= 20
+    trees = planted_trees(10)
+    sizes = Counter(planted_stats(t)[0] for t in trees)
+    assert [sizes[s] for s in range(1, 11)] == [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
+    best = defaultdict(lambda: math.inf)  # (root degree, size, height) -> least sum
+    for t in trees:
+        s, h, pairs = planted_stats(t)
+        key = (len(t) + 1, s, h)
+        best[key] = min(best[key], exact_gap(tables, pairs))
+    for s in range(1, 11):
+        for h in range(s + 1):
+            reach = [(d, v) for (d, ss, hh), v in best.items() if ss == s and hh >= h]
+            for d in range(1, s + 1):
+                assert tables.least_planted(d, s, h) == min(
+                    (v for dd, v in reach if dd == d), default=math.inf), (d, s, h)
+            for p in range(1, 11):
+                assert tables.least_child(p, s, h) == min(
+                    (exact_gap(tables, [(p, d)]) + v for d, v in reach), default=math.inf), (p, s, h)
+
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_block_bound_is_at_most_each_blocks_least_sum(n):
+    tables = Tables(n)
+    for trees in stream_blocks(n):
+        least = min(exact_gap(tables, treegen.sequence_to_graph(seq).edge_degree_pairs())
+                    for seq in trees)
+        assert tables.block_bound(trees[0]) <= least

@@ -14,7 +14,7 @@ from graphtheta.treegen import (
     sequence_to_graph,
 )
 
-from conftest import canonical_key, edges_to_graph6_oracle
+from conftest import canonical_key, edges_to_graph6_oracle, stream_blocks
 
 TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741]
 
@@ -79,6 +79,52 @@ def test_stream_of_order_18_is_pinned():
         count += 1
     assert count == 123867
     assert h.hexdigest() == "197cd0965db5676a891f02d3921ee0fdaaca6d5198e9ccadd1be18a06c644f54"
+
+
+# sha256 over the bytes of every sequence in stream order, orders 1..17,
+# recorded before the stream took a skip hook (order 18 is pinned above)
+STREAM_SHA256 = {
+    1: "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    2: "b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2",
+    3: "fbb59ed10e9cd4ff45a12c5bb92cbd80df984ba1fe60f26a30febf218e2f0f5e",
+    4: "3774a0c5ecaf521c31a2f6984f28e317880a93f56a52e67cdd81768fd11288d5",
+    5: "13d0c7efa6414aafd0fb3fbd6900e00fae0590649de8b450725c680819a63a1b",
+    6: "d296650050743f4c338d9b22faa61ab341bf5364ba405447529d70a964b3d726",
+    7: "b3aecde5cb4d55ac7f3b8229b2ff24e2c8fa1bacbff192b5a75e363f255706e1",
+    8: "538b7da8519cdc272c5be487f878b87e27fd1be6bb5e5e116d5524a3ed803562",
+    9: "152f4e7ed7ed088a37d5cc62025ed30e4211f3435377acb8a15ec25c06e063f8",
+    10: "affcca541476d16f9474d3ece3376d47d52255242c4bfbdb12851f41e51c93b5",
+    11: "c1c944e01c131985c386217a8a77b1e802d50f0b101c7b91d1190e69e806c760",
+    12: "c6dd4e51b8afcb18c4d1bce9e8b6eafbf02212f2ae61755fc659219973878c96",
+    13: "783d8a4eae37992db69074fc6df52c22ae76214cb62ec9776e48302a8dbb0928",
+    14: "86b198329454b54ff105dd773d4696e4a1be3ae9f1c67e7b0248094635df7091",
+    15: "f88ba3e8c9256cc9aed8685bdf68141d9121fb71456774aa87c0dfda1b1c62a1",
+    16: "b7af4ae64e9411115cfb0fcc27a5503dc220dd261ef546d9aa9272476361a608",
+    17: "3da49a5ae2ee366f84c462b3e658cb1aaf1d9f4200363ba0e154872fa730ba77",
+}
+
+
+@pytest.mark.parametrize("n", sorted(STREAM_SHA256))
+def test_stream_without_skip_is_pinned(n):
+    h = hashlib.sha256()
+    for seq in free_tree_sequences(n):
+        h.update(bytes(seq))
+    assert h.hexdigest() == STREAM_SHA256[n]
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_skipping_every_block_meets_each_blocks_first_tree(n):
+    met = []
+    assert list(free_tree_sequences(n, skip=lambda seq: met.append(seq) or True)) == []
+    assert met == [trees[0] for trees in stream_blocks(n)]
+
+
+@pytest.mark.parametrize("n", [2, 8, 13, 15])
+def test_skipped_blocks_leave_the_rest_of_the_stream(n):
+    rng = random.Random(n)
+    skipped = {trees[0] for trees in stream_blocks(n) if rng.random() < 0.5}
+    kept = [seq for trees in stream_blocks(n) if trees[0] not in skipped for seq in trees]
+    assert list(free_tree_sequences(n, skip=skipped.__contains__)) == kept
 
 
 def test_stream_in_ascending_graph6_order():
