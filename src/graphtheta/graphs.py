@@ -46,8 +46,7 @@ class Graph(NamedTuple):
     and then hands sorted neighbor lists to ``_from_adjacency``, the
     trusted tail that builds the tuples, degrees and ``m``.  Code that
     produces valid, sorted lists by construction (``parse_graph6``,
-    ``treegen.sequence_to_graph``, :func:`subdivide_at_degree2`) calls
-    ``_from_adjacency`` directly; the record itself does not re-validate
+    :func:`subdivide_at_degree2`) calls ``_from_adjacency`` directly; the record itself does not re-validate
     its invariants.
     """
 

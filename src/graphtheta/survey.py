@@ -124,13 +124,10 @@ def _scan_partition(args, tables: treeclasses.Tables | None = None) -> tuple[Cou
     return signs, _nearest(near, near_k)[0]
 
 
-def _witnesses(
-    n: int, tol: float, cap: int, tables: treeclasses.Tables | None = None,
-) -> list[tuple[int, ...]]:
-    """The first ``cap`` trees of order n, in stream order, whose census
-    sign at ``tol`` is negative.  The stream stops at the cap-th (and is
-    not started for a cap of 0).  ``tables`` are the order's tables,
-    made here if None.
+def _witnesses(tables: treeclasses.Tables, tol: float, cap: int) -> list[tuple[int, ...]]:
+    """The first ``cap`` trees of the order of ``tables``, in stream
+    order, whose census sign at ``tol`` is negative.  The stream stops
+    at the cap-th (and is not started for a cap of 0).
 
     The stream leaves out every block of trees with one first subtree
     that ``Tables.positive_block`` proves holds no tree signed negative
@@ -139,10 +136,8 @@ def _witnesses(
     trees."""
     found: list[tuple[int, ...]] = []
     if cap:
-        if tables is None:
-            tables = treeclasses.Tables(n)
         negative: dict[int, bool] = {}  # class -> its sign is negative
-        for seq in treegen.free_tree_sequences(n, skip=tables.positive_block):
+        for seq in treegen.free_tree_sequences(tables.n, skip=tables.positive_block):
             cls = tables.class_of(seq)
             neg = negative.get(cls)
             if neg is None:
@@ -175,7 +170,7 @@ def _census(
     jobs = [(n, parts, part, tol, near_k) for part in range(parts)]
     if workers == 1:
         partials = [_scan_partition(jobs[0], tables)]
-        witnesses = _witnesses(n, tol, min(witness_cap, partials[0][0][Sign.NEGATIVE]), tables)
+        witnesses = _witnesses(tables, tol, min(witness_cap, partials[0][0][Sign.NEGATIVE]))
     else:
         # imported here: only a pool needs multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -185,7 +180,7 @@ def _census(
         try:
             with ProcessPoolExecutor(max_workers=parts) as pool:
                 results = pool.map(_scan_partition, jobs)  # submitted here, read below
-                witnesses = _witnesses(n, tol, witness_cap, tables)
+                witnesses = _witnesses(tables, tol, witness_cap)
                 partials = list(results)
         except BrokenProcessPool as exc:
             raise ChildProcessError(f"a census worker died: {exc}") from exc
@@ -194,15 +189,11 @@ def _census(
     return signs, near, witnesses
 
 
-def _near_ties(
-    n: int, near: list, k: int, tables: treeclasses.Tables | None = None,
-) -> list[TieRecord]:
-    """The k trees of the near list's classes with the smallest |gap|;
-    equal gaps in stream order, which is ascending graph6 order
-    (tests/test_treegen.py::test_stream_in_ascending_graph6_order).
-    ``tables`` are the order's tables, made here if None."""
-    if tables is None:
-        tables = treeclasses.Tables(n)
+def _near_ties(tables: treeclasses.Tables, near: list, k: int) -> list[TieRecord]:
+    """The k trees of the near list's classes, listed from the order's
+    ``tables``, with the smallest |gap|; equal gaps in stream order,
+    which is ascending graph6 order
+    (tests/test_treegen.py::test_stream_in_ascending_graph6_order)."""
     classes = {cls: (a, abc, abs_) for a, cls, _, abc, abs_ in near}
     rows = [(a, seq, abc, abs_) for cls, (a, abc, abs_) in classes.items()
             for seq in tables.expand(cls)]
@@ -231,7 +222,7 @@ def classify_trees(
         raise ValueError(f"witness cap must be >= 0, got {witness_cap}")
     tables = treeclasses.Tables(n)  # the folds, witness pass and near-tie listing share it
     signs, near, witnesses = _census(tables, tol, workers, 1, witness_cap=witness_cap)
-    best = _near_ties(n, near, 1, tables)[0]
+    best = _near_ties(tables, near, 1)[0]
     return ClassificationRecord(
         order=n,
         total=signs.total(),
@@ -255,7 +246,7 @@ def find_near_ties(n: int, top_k: int) -> list[TieRecord]:
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     tables = treeclasses.Tables(n)
-    return _near_ties(n, _census(tables, DEFAULT_ZERO_TOL, 1, top_k)[1], top_k, tables)
+    return _near_ties(tables, _census(tables, DEFAULT_ZERO_TOL, 1, top_k)[1], top_k)
 
 
 # --- statement verifiers ----------------------------------------------

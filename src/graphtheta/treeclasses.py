@@ -57,7 +57,10 @@ branches.  ``Tables.expand(cls)`` lists the trees of one class as the
 canonical level sequences that ``treegen.free_tree_sequences`` gives
 them, in stream order.  It roots each tree at every centroid, one root
 degree at a time with branches of at most n/2 vertices, so a tree with
-two centroids is made twice and kept once by its stream form.
+two centroids is made twice and kept once by its stream form.  One
+lister, ``_rooted``, makes those rootings and the planted trees they
+are built from, memoized by class; the trees stay level sequences
+throughout, and no ``Graph`` is built.
 
 The witness pass streams trees in order until its last negative one,
 and ``Tables.positive_block`` lets it leave out a *block*, the stream
@@ -424,24 +427,26 @@ class Tables:
                 reverse=True)
         return self._cands[key]
 
-    def _combine(self, cands, picks: list[int]) -> Iterator[list[tuple[int, ...]]]:
-        """Every multiset of trees for a multiset of child classes."""
-        groups = []
-        for i in sorted(set(picks)):
-            s, d, cls = cands[i]
-            groups.append(combinations_with_replacement(
-                self._planted_trees(d, s, cls), picks.count(i)))
-        for choice in product(*groups):
-            yield [tree for trees in choice for tree in trees]
+    def _rooted(self, d: int, k: int, t: int, s_max: int, cls: int) -> Iterator[tuple[int, ...]]:
+        """Level sequences (root depth 0) of the trees whose root has
+        degree d and k children of t vertices in all, each of at most
+        s_max vertices, and whose edges below the root add up to ``cls``:
+        every multiset of child trees for every multiset of child classes."""
+        cands = self._candidates(s_max, d)
+        for picks in self._children(cands, d, k, t, cls):
+            groups = []
+            for i in sorted(set(picks)):
+                s, dc, c = cands[i]
+                groups.append(combinations_with_replacement(
+                    self._planted_trees(dc, s, c), picks.count(i)))
+            for choice in product(*groups):
+                yield (0, *(v + 1 for trees in choice for tree in trees for v in tree))
 
     def _planted_trees(self, d: int, s: int, cls: int) -> list[tuple[int, ...]]:
         """Level sequences (root depth 0) of the planted trees of a class."""
         key = (d, s, cls)
         if key not in self._trees:
-            cands = self._candidates(s - 1, d)
-            self._trees[key] = [_join(children)
-                                for picks in self._children(cands, d, d - 1, s - 1, cls)
-                                for children in self._combine(cands, picks)]
+            self._trees[key] = list(self._rooted(d, d - 1, s - 1, s - 1, cls))
         return self._trees[key]
 
     def expand(self, cls: int) -> list[tuple[int, ...]]:
@@ -451,15 +456,7 @@ class Tables:
         Each tree is listed from every centroid: a root of any degree
         whose branches have at most n/2 vertices.  Both rootings of a
         tree with two centroids have one stream form."""
-        trees = set()
-        for d in range(self.n):
-            cands = self._candidates(self.half, d)
-            trees.update(stream_form(_join(children))
-                         for picks in self._children(cands, d, d, self.n - 1, cls)
-                         for children in self._combine(cands, picks))
+        trees = {stream_form(seq) for d in range(self.n)
+                 for seq in self._rooted(d, d, self.n - 1, self.half, cls)}
         return sorted(trees, reverse=True)
 
-
-def _join(children: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """A root over the given subtrees (each rooted at depth 0)."""
-    return (0, *(v + 1 for child in children for v in child))

@@ -10,12 +10,15 @@ appears exactly once (Wright-Richmond-Odlyzko-McKay 1986).  Correctness
 is anchored to a brute-force generate-and-dedup oracle in the test
 suite rather than to trust in the algorithm.
 
-``sequence_to_graph6`` writes a tree's graph6 string straight from its
-level sequence: it tracks the latest vertex at each depth, which is the
-parent of the next vertex one level down, and sets each parent edge's
-bit from graph6's per-order encoder table (``graph6._edge_bits``), whose
-positions are already shifted for the base64 padding.  No parent list,
-edge list or ``Graph`` is built.
+The module works on level sequences alone and builds no ``Graph``.
+``sequence_to_graph6`` and ``stream_form`` read a tree's edges by
+tracking the latest vertex at each depth, which is the parent of the
+next vertex one level down.  ``sequence_to_graph6`` sets each parent
+edge's bit from graph6's per-order encoder table (``graph6._edge_bits``),
+whose positions are already shifted for the base64 padding.
+``stream_form`` re-roots any level sequence of a tree as the stream
+gives it: it makes the neighbour lists, strips leaves down to the one
+or two centers, and writes each center's canonical sequence.
 
 ``free_tree_sequences(n, skip)`` lets a caller leave out whole blocks
 of trees that share the root's first subtree: the census's witness pass
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 from typing import IO, Callable, Iterator
 
-from .graphs import Graph, _from_adjacency
 from .graph6 import MAX_ORDER, _body_to_graph6, _edge_bits
 
 # Which kernel runs; perfbench's set-up imports and records it.
@@ -101,35 +103,40 @@ def stream_form(seq: tuple[int, ...]) -> tuple[int, ...]:
     """The level sequence that ``free_tree_sequences`` gives the tree of
     ``seq``: the canonical sequence rooted at a center (of two centers,
     the rooting that ``_accepts`` takes)."""
-    adj = sequence_to_graph(seq).adj
-
-    def farthest(src: int) -> list[int]:
-        """The path from src to a vertex farthest from it."""
-        prev = {src: src}
-        order = [src]
-        for v in order:
+    n = len(seq)
+    adj: list[list[int]] = [[] for _ in seq]
+    last = [0] * n  # the latest vertex seen at each depth
+    for v in range(1, n):
+        d = seq[v]
+        adj[v].append(last[d - 1])
+        adj[last[d - 1]].append(v)
+        last[d] = v
+    # strip the leaves, layer by layer, down to the one or two centers
+    deg = [len(nbrs) for nbrs in adj]
+    centers = [v for v in range(n) if deg[v] <= 1]
+    left = n
+    while left > 2:
+        left -= len(centers)
+        inner = []
+        for v in centers:
             for w in adj[v]:
-                if w not in prev:
-                    prev[w] = v
-                    order.append(w)
-        path = [order[-1]]
-        while path[-1] != src:
-            path.append(prev[path[-1]])
-        return path
-
-    path = farthest(farthest(0)[0])
-    diam = len(path) - 1
-    centers = {path[diam // 2], path[(diam + 1) // 2]}
-
-    def canonical(v: int, parent: int, depth: int) -> list[int]:
-        subs = sorted((canonical(w, v, depth + 1) for w in adj[v] if w != parent),
-                      reverse=True)
-        return [depth, *(x for sub in subs for x in sub)]
-
-    forms = [canonical(c, -1, 0) for c in centers]
+                deg[w] -= 1
+                if deg[w] == 1:
+                    inner.append(w)
+        centers = inner
+    forms = [_canonical(adj, c, -1, 0) for c in centers]
     if len(forms) == 2:
         forms = [f for f in forms if _accepts(f, _first_end(f))]
     return tuple(forms[0])
+
+
+def _canonical(adj: list[list[int]], v: int, parent: int, depth: int) -> list[int]:
+    """The canonical level sequence of the subtree of v away from
+    ``parent``, with v at ``depth``: its children's sequences in
+    descending order."""
+    subs = sorted((_canonical(adj, w, v, depth + 1) for w in adj[v] if w != parent),
+                  reverse=True)
+    return [depth, *(x for sub in subs for x in sub)]
 
 
 def _advance_to_free(seq: list[int]) -> list[int]:
@@ -187,28 +194,6 @@ def free_tree_sequences(
                     continue
         yield tuple(seq)
         seq = _rooted_successor(seq)
-
-
-def parent_array(seq: tuple[int, ...]) -> list[int]:
-    """Parent of each vertex in a level sequence (-1 for the root)."""
-    par = [-1] * len(seq)
-    last = [0] * len(seq)  # the latest vertex seen at each depth
-    for v in range(1, len(seq)):
-        d = seq[v]
-        par[v] = last[d - 1]
-        last[d] = v
-    return par
-
-
-def sequence_to_graph(seq: tuple[int, ...]) -> Graph:
-    """Materialize the tree encoded by a 0-based depth sequence."""
-    par = parent_array(seq)
-    adj: list[list[int]] = [[] for _ in seq]
-    # a parent's index is below its child's, so every list grows sorted
-    for v in range(1, len(seq)):
-        adj[v].append(par[v])
-        adj[par[v]].append(v)
-    return _from_adjacency(len(seq), adj)
 
 
 def sequence_to_graph6(seq: tuple[int, ...]) -> str:

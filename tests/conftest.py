@@ -11,6 +11,28 @@ from graphtheta.indices import edge_terms
 from graphtheta.treegen import free_tree_sequences
 
 
+def parent_array(seq: tuple[int, ...]) -> list[int]:
+    """Parent of each vertex in a level sequence (-1 for the root)."""
+    par = [-1] * len(seq)
+    last = [0] * len(seq)  # the latest vertex seen at each depth
+    for v in range(1, len(seq)):
+        d = seq[v]
+        par[v] = last[d - 1]
+        last[d] = v
+    return par
+
+
+def sequence_to_graph(seq: tuple[int, ...]) -> Graph:
+    """The tree of a level sequence (root depth 0) as a ``Graph``."""
+    par = parent_array(seq)
+    adj: list[list[int]] = [[] for _ in seq]
+    # a parent's index is below its child's, so every list grows sorted
+    for v in range(1, len(seq)):
+        adj[v].append(par[v])
+        adj[par[v]].append(v)
+    return _from_adjacency(len(seq), adj)
+
+
 def path_graph(n: int) -> Graph:
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
 

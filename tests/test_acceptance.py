@@ -12,9 +12,9 @@ from graphtheta.graph6 import parse_graph6
 from graphtheta.graphs import Shape, classify_shape
 from graphtheta.indices import index_report
 from graphtheta.smallgraphs import internal_universe
-from graphtheta.treegen import free_tree_sequences, sequence_to_graph
+from graphtheta.treegen import free_tree_sequences
 
-from conftest import canonical_key, is_line_graph
+from conftest import canonical_key, is_line_graph, sequence_to_graph
 from test_linegraph import root_search_oracle
 from test_treegen import leaf_augmentation_oracle
 

@@ -14,9 +14,9 @@ from graphtheta.cli import STATEMENTS, main
 from graphtheta.graph6 import parse_graph6, to_graph6
 from graphtheta.graphs import GraphError, from_edge_list
 from graphtheta.indices import certified_sign, index_report
-from graphtheta.treegen import free_tree_sequences, sequence_to_graph
+from graphtheta.treegen import free_tree_sequences
 
-from conftest import cycle_graph, path_graph
+from conftest import cycle_graph, path_graph, sequence_to_graph
 
 _scan_partition = survey._scan_partition
 

@@ -15,10 +15,11 @@ from graphtheta.graph6 import (
 from graphtheta.graphs import DisconnectedGraphError, from_edge_list, is_connected
 from graphtheta.indices import certified_sign, index_report, pairs_report
 from graphtheta.smallgraphs import internal_universe
-from graphtheta.treegen import free_tree_sequences, sequence_to_graph
+from graphtheta.treegen import free_tree_sequences
 
 from conftest import (
     complete_graph, cycle_graph, edges_to_graph6_oracle, line_graph, parse_graph6_oracle,
+    sequence_to_graph,
 )
 
 

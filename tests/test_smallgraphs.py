@@ -8,9 +8,9 @@ from graphtheta import canon, smallgraphs
 from graphtheta.graphs import GraphError, from_edge_list, is_connected
 from graphtheta.graph6 import to_graph6
 from graphtheta.smallgraphs import internal_universe, load_universe
-from graphtheta.treegen import free_tree_sequences, sequence_to_graph
+from graphtheta.treegen import free_tree_sequences
 
-from conftest import canonical_key
+from conftest import canonical_key, sequence_to_graph
 
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
 # sha256 over canonical_key of every internal representative, orders 1..7

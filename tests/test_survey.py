@@ -18,7 +18,9 @@ from graphtheta.indices import (
 )
 from graphtheta.smallgraphs import internal_universe
 
-from conftest import complete_graph, cycle_graph, random_connected_graphs
+from conftest import (
+    complete_graph, cycle_graph, random_connected_graphs, sequence_to_graph,
+)
 
 
 class TestClassifyTrees:
@@ -93,7 +95,7 @@ def reference_census(n, tol=DEFAULT_ZERO_TOL):
     best = None
     witnesses = []
     for seq in treegen.free_tree_sequences(n):
-        g = treegen.sequence_to_graph(seq)
+        g = sequence_to_graph(seq)
         gap = index_report(g).gap
         sign = sign_of_gap(gap, tol)
         if sign is Sign.ZERO_WITHIN_TOL:
@@ -102,7 +104,7 @@ def reference_census(n, tol=DEFAULT_ZERO_TOL):
                 sign = Sign.POSITIVE if hp > 0 else Sign.NEGATIVE
         signs[sign] += 1
         if sign is Sign.NEGATIVE and len(witnesses) < survey.DEFAULT_WITNESS_CAP:
-            witnesses.append(to_graph6(treegen.sequence_to_graph(seq)))
+            witnesses.append(to_graph6(sequence_to_graph(seq)))
         if best is None or abs(gap) < best[0]:
             best = (abs(gap), seq)
     return survey.ClassificationRecord(
@@ -113,7 +115,7 @@ def reference_census(n, tol=DEFAULT_ZERO_TOL):
         zero=signs[Sign.ZERO_WITHIN_TOL],
         tol=tol,
         min_abs_gap=best[0],
-        min_abs_gap_graph6=to_graph6(treegen.sequence_to_graph(best[1])),
+        min_abs_gap_graph6=to_graph6(sequence_to_graph(best[1])),
         negative_witnesses=tuple(witnesses),
         witness_cap=survey.DEFAULT_WITNESS_CAP,
     )
@@ -153,7 +155,7 @@ def reference_witnesses(n, cap=survey.DEFAULT_WITNESS_CAP, tol=DEFAULT_ZERO_TOL)
     tree scored on its own graph."""
     found = []
     for seq in treegen.free_tree_sequences(n):
-        g = treegen.sequence_to_graph(seq)
+        g = sequence_to_graph(seq)
         if certified_sign(index_report(g).gap, g.edge_degree_pairs(), tol) is Sign.NEGATIVE:
             found.append(to_graph6(g))
             if len(found) == cap:
@@ -171,7 +173,8 @@ class TestWitnessPass:
             return score(self, cls, tol)
 
         monkeypatch.setattr(treeclasses.Tables, "score", counted)
-        found = survey._witnesses(16, DEFAULT_ZERO_TOL, survey.DEFAULT_WITNESS_CAP)
+        found = survey._witnesses(treeclasses.Tables(16), DEFAULT_ZERO_TOL,
+                                  survey.DEFAULT_WITNESS_CAP)
         assert len(found) == survey.DEFAULT_WITNESS_CAP
         # the classes of the trees of the whole stream up to the last witness
         tables = treeclasses.Tables(16)
@@ -188,7 +191,7 @@ class TestWitnessPass:
         assert once < met
         for seq, cls in prefix:
             if cls not in once:
-                assert index_report(treegen.sequence_to_graph(seq)).gap >= 0
+                assert index_report(sequence_to_graph(seq)).gap >= 0
 
     # sha256 of repr(_witnesses(n, 1e-9, 100)), recorded from the full walk
     # before the witness pass skipped blocks
@@ -199,7 +202,7 @@ class TestWitnessPass:
 
     @pytest.mark.parametrize("n", sorted(WITNESS_SHA256))
     def test_witnesses_above_order_18_are_pinned(self, n):
-        found = survey._witnesses(n, 1e-9, 100)
+        found = survey._witnesses(treeclasses.Tables(n), 1e-9, 100)
         assert hashlib.sha256(repr(found).encode()).hexdigest() == self.WITNESS_SHA256[n]
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -215,7 +218,7 @@ def ranked_by_abs_gap(n):
     abs), sorted, with graph6 made for every tree."""
     rows = []
     for seq in treegen.free_tree_sequences(n):
-        g = treegen.sequence_to_graph(seq)
+        g = sequence_to_graph(seq)
         r = index_report(g)
         rows.append((abs(r.abc - r.abs), to_graph6(g), r.abc, r.abs))
     return sorted(rows)
@@ -279,7 +282,7 @@ class TestNearTies:
         near = [e for part in range(parts)
                 for e in survey._scan_partition((n, parts, part, DEFAULT_ZERO_TOL, k))[1]]
         merged, _ = survey._nearest(near, k)
-        assert survey._near_ties(n, merged, k) == survey.find_near_ties(n, k)
+        assert survey._near_ties(treeclasses.Tables(n), merged, k) == survey.find_near_ties(n, k)
 
     def test_p3_single_tree(self):
         ties = survey.find_near_ties(3, 1)

@@ -6,7 +6,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from conftest import fsum_class_sums, stream_blocks
+from conftest import fsum_class_sums, sequence_to_graph, stream_blocks
 from graphtheta import survey, treegen
 from graphtheta.indices import DEFAULT_ZERO_TOL, edge_terms
 from graphtheta.treeclasses import Tables
@@ -17,7 +17,7 @@ A000055 = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320,
 
 
 def class_of(seq):
-    pairs = treegen.sequence_to_graph(seq).edge_degree_pairs()
+    pairs = sequence_to_graph(seq).edge_degree_pairs()
     return tuple(sorted(tuple(sorted(p)) for p in pairs))
 
 
@@ -88,7 +88,7 @@ def test_carried_sums_equal_fsum_on_sampled_unit_entries(n):
 
 
 def class_from_degree_pairs(tables, seq):
-    pairs = treegen.sequence_to_graph(seq).edge_degree_pairs()
+    pairs = sequence_to_graph(seq).edge_degree_pairs()
     return sum(tables._edge[a][b] for a, b in pairs)
 
 
@@ -100,7 +100,7 @@ def test_class_of_sums_the_trees_degree_pairs(n):
 
 
 def test_class_of_over_the_order_17_witness_prefix():
-    last = survey._witnesses(17, DEFAULT_ZERO_TOL, survey.DEFAULT_WITNESS_CAP)[-1]
+    last = survey._witnesses(Tables(17), DEFAULT_ZERO_TOL, survey.DEFAULT_WITNESS_CAP)[-1]
     tables = Tables(17)
     for seq in treegen.free_tree_sequences(17):
         assert tables.class_of(seq) == class_from_degree_pairs(tables, seq)
@@ -176,6 +176,19 @@ def test_min_gap_tables_match_brute_force_to_10_vertices():
 def test_block_bound_is_at_most_each_blocks_least_sum(n):
     tables = Tables(n)
     for trees in stream_blocks(n):
-        least = min(exact_gap(tables, treegen.sequence_to_graph(seq).edge_degree_pairs())
+        least = min(exact_gap(tables, sequence_to_graph(seq).edge_degree_pairs())
                     for seq in trees)
         assert tables.block_bound(trees[0]) <= least
+
+
+# from order 3: at order 2 every term is an exact 0 and _unit is 1
+@pytest.mark.parametrize("n", [3, 9, 17, 25])
+def test_positive_block_needs_a_bound_above_the_margin(n, monkeypatch):
+    tables = Tables(n)
+    seq = next(treegen.free_tree_sequences(n))
+    monkeypatch.setattr(tables, "block_bound", lambda seq: tables._margin)
+    assert not tables.positive_block(seq)
+    monkeypatch.setattr(tables, "block_bound", lambda seq: tables._margin + 1)
+    assert tables.positive_block(seq)
+    # the error bound of the module docstring, 2(n-1) * 2**-54, over _unit
+    assert tables._margin * 2**54 >= 2 * (n - 1) * tables._unit

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 
@@ -8,13 +9,15 @@ from graphtheta.graphs import from_edge_list, is_connected
 from graphtheta.graph6 import Graph6Error, edges_to_graph6, to_graph6
 from graphtheta.indices import DEFAULT_ZERO_TOL, index_report
 from graphtheta.treeclasses import Tables
-from graphtheta.treegen import (
-    free_tree_sequences,
+from graphtheta.treegen import free_tree_sequences
+
+from conftest import (
+    canonical_key,
+    edges_to_graph6_oracle,
     parent_array,
     sequence_to_graph,
+    stream_blocks,
 )
-
-from conftest import canonical_key, edges_to_graph6_oracle, stream_blocks
 
 TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741]
 
@@ -154,6 +157,42 @@ def test_stream_roots_at_a_center():
                             todo.append(w)
                 ecc.append(max(dist.values()))
             assert ecc[0] == min(ecc), (n, seq)
+
+
+def rerooted(seq, rng):
+    """A level sequence of the tree of ``seq`` rooted at a random vertex,
+    its children in random order."""
+    g = sequence_to_graph(seq)
+    out = []
+    todo = [(rng.randrange(len(seq)), -1, 0)]
+    while todo:
+        v, parent, depth = todo.pop()
+        out.append(depth)
+        kids = [w for w in g.adj[v] if w != parent]
+        rng.shuffle(kids)
+        todo += [(w, v, depth + 1) for w in kids]
+    return tuple(out)
+
+
+def test_stream_form_of_a_rerooted_tree_is_its_stream_sequence():
+    rng = random.Random(2024)
+    for n in range(1, 15):
+        for seq in free_tree_sequences(n):
+            assert treegen.stream_form(rerooted(seq, rng)) == seq
+
+
+def test_stream_form_leaves_no_cyclic_garbage():
+    trees = list(free_tree_sequences(12))[:200]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for seq in trees:
+            treegen.stream_form(seq)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_degree_pairs_match_graphs():
