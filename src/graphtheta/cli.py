@@ -164,6 +164,8 @@ def _cmd_scan(args) -> int:
         return 2
     treegen.check_order(hi)  # before the census of the orders below it
     cap = survey.DEFAULT_WITNESS_CAP if args.witness_cap is None else args.witness_cap
+    if args.format == "csv" and not args.witness_out:
+        cap = min(cap, 0)  # no witness is written; a negative cap is still refused
     with ExitStack() as stack:
         out = _open_out(stack, args.out)
         wf = _open_out(stack, args.witness_out) if args.witness_out else None
@@ -304,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="sign census over all trees of each order")
     p.add_argument("range", help="order range, e.g. 3..15 or 11")
-    p.add_argument("--workers", type=int, default=1, help="census processes (>= 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes for the folds, a pool when more than one (>= 1, "
+                        "at most the CPU count); the main process runs the witness pass")
     p.add_argument("--witness-cap", type=int, default=None,
                    help="negative witnesses listed per order (>= 0)")
     p.add_argument("--witness-out", default=None,

@@ -36,6 +36,7 @@ from .linegraph import line_graph_pairs
 from .smallgraphs import GraphUniverse
 
 DEFAULT_WITNESS_CAP = 100
+MAX_NEAR_TIES = 50_000  # trees listed at most: each costs ~0.5 KB and 0.25 ms at order 17
 P2_MAX_ORDER = 12  # largest order of verify_subdivision_invariance's random graphs
 
 
@@ -131,9 +132,10 @@ def _witnesses(tables: treeclasses.Tables, tol: float, cap: int) -> list[tuple[i
 
     The stream leaves out every block of trees with one first subtree
     that ``Tables.positive_block`` proves holds no tree signed negative
-    at any tol.  A streamed tree is signed by its class: each class met
-    is scored once, and the memo holds only the classes of the streamed
-    trees."""
+    at any tol: at orders 3..10, where every gap is positive, it
+    streams no tree.  A streamed tree is signed by its class: each class
+    met is scored once, and the memo holds only the classes of the
+    streamed trees."""
     found: list[tuple[int, ...]] = []
     if cap:
         negative: dict[int, bool] = {}  # class -> its sign is negative
@@ -155,22 +157,21 @@ def _census(
 ) -> tuple[Counter, list, list[tuple[int, ...]]]:
     """The class census of the order of ``tables``, as trees by sign and
     a near list, and its first ``witness_cap`` negative trees in stream
-    order.  This process's partition and witness pass share ``tables``.
+    order, found by this process's witness pass for any worker count.
 
-    With one worker the census comes first, so the witness pass stops
-    at the last negative tree (and is not started when there is none).
-    With several workers, the pool's parts, one per process and so no
-    more than CPUs, take the fold units in turn while this process runs
-    the witness pass, up to the cap.  The merge reads entries, not
+    With one part (one worker, or one CPU) this process folds every unit
+    too, from the same ``tables``.  With more, the pool's parts, one per
+    process and so no more than CPUs, take the fold units in turn while
+    this process runs the witness pass.  The merge reads entries, not
     parts, so the result does not depend on the worker count.  A pool
     worker that dies raises ChildProcessError.
     """
     n = tables.n
     parts = min(workers, os.cpu_count() or 1)
     jobs = [(n, parts, part, tol, near_k) for part in range(parts)]
-    if workers == 1:
+    if parts == 1:
         partials = [_scan_partition(jobs[0], tables)]
-        witnesses = _witnesses(tables, tol, min(witness_cap, partials[0][0][Sign.NEGATIVE]))
+        witnesses = _witnesses(tables, tol, witness_cap)
     else:
         # imported here: only a pool needs multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -239,14 +240,18 @@ def classify_trees(
 
 def find_near_ties(n: int, top_k: int) -> list[TieRecord]:
     """The top_k trees of order n with the smallest |ABC - ABS|,
-    ascending; ties broken by graph6 string."""
+    ascending; ties broken by graph6 string.  More than MAX_NEAR_TIES
+    trees to list is a ValueError, raised before any tree is made."""
     if n < 3:
         raise ValueError(f"near-tie search needs order >= 3, got {n}")
     treegen.check_order(n)
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     tables = treeclasses.Tables(n)
-    return _near_ties(tables, _census(tables, DEFAULT_ZERO_TOL, 1, top_k)[1], top_k)
+    near = _census(tables, DEFAULT_ZERO_TOL, 1, min(top_k, MAX_NEAR_TIES + 1))[1]
+    if min(top_k, sum(trees for _, _, trees, _, _ in near)) > MAX_NEAR_TIES:
+        raise ValueError(f"top_k {top_k} would list more than {MAX_NEAR_TIES} trees")
+    return _near_ties(tables, near, top_k)
 
 
 # --- statement verifiers ----------------------------------------------

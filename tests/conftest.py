@@ -8,6 +8,7 @@ from graphtheta import canon
 from graphtheta.graph6 import Graph6Error
 from graphtheta.graphs import Graph, GraphError, _from_adjacency, from_edge_list, is_connected
 from graphtheta.indices import edge_terms
+from graphtheta.treeclasses import Tables, _fold, _mul
 from graphtheta.treegen import free_tree_sequences
 
 
@@ -139,6 +140,58 @@ def fsum_class_sums(tables, cls: int) -> tuple[float, float]:
         abc += [t_abc] * c
         abs_ += [t_abs] * c
     return math.fsum(abc), math.fsum(abs_)
+
+
+def otter_classes(n: int) -> dict[int, int]:
+    """The classes of the free trees of order n >= 2 (``treeclasses``
+    packed ints) with their numbers of trees, counted with no centroid,
+    by Otter's dissimilarity theorem (Otter 1948; Harary-Palmer 1973,
+    ch. 3): in a tree, the vertex orbits less the orbits of the edges
+    whose ends no automorphism swaps number one.  So free trees are
+    vertex-rooted trees less half of (the ordered pairs of planted trees
+    joined by an edge, sizes summing to n, less the pairs of a tree with
+    itself), and every term keeps its class.  The planted tables go up
+    to n - 1 vertices, built with ``treeclasses._fold``."""
+    edge = Tables(n)._edge  # the packed monomial of an edge by its degrees
+    planted: dict[tuple[int, int], dict[int, int]] = {}  # (root degree, size) -> class -> trees
+
+    def layer(p: int, sigma: int) -> dict[int, int]:
+        """The planted trees of sigma vertices under a parent of degree p."""
+        q: dict[int, int] = {}
+        for (d, s), poly in planted.items():
+            e = edge[p][d]
+            if s == sigma and e:
+                for x, c in poly.items():
+                    q[x + e] = q.get(x + e, 0) + c
+        return q
+
+    # a planted tree of s vertices and root degree d has d - 1 children of s - 1 vertices
+    states = {d: {(0, 0): {0: 1}} for d in range(1, n)}
+    for sigma in range(1, n):
+        for d, st in states.items():
+            if (d - 1, sigma - 1) in st:
+                planted[(d, sigma)] = st.pop((d - 1, sigma - 1))
+        for d in states:
+            states[d] = _fold(states[d], layer(d, sigma), sigma, d - 1, 0, n - 2, 0)
+    rooted: dict[int, int] = {}  # a root of degree D with D children
+    for root in range(1, n):
+        st = {(0, 0): {0: 1}}
+        for sigma in range(1, n):
+            st = _fold(st, layer(root, sigma), sigma, root, n - 1, n - 1, n - 1)
+        for x, c in st.get((root, n - 1), {}).items():
+            rooted[x] = rooted.get(x, 0) + c
+    pairs: dict[int, int] = {}
+    for (d1, s1), a in planted.items():
+        for (d2, s2), b in planted.items():
+            if s1 + s2 == n:
+                _mul(a, {y + edge[d1][d2]: c for y, c in b.items()}, pairs)
+        if 2 * s1 == n:
+            for x, c in a.items():
+                pairs[2 * x + edge[d1][d1]] -= c
+    assert all(c % 2 == 0 for c in pairs.values())
+    free = {x: rooted.get(x, 0) - pairs.get(x, 0) // 2 for x in rooted.keys() | pairs.keys()}
+    assert all(c >= 0 for c in free.values())
+    return {x: c for x, c in free.items() if c}
 
 
 def stream_blocks(n: int) -> list[list[tuple[int, ...]]]:

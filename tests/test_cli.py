@@ -153,6 +153,17 @@ class TestScan:
         assert out.endswith(",JkE?K?@_C??\n# n=11 negative=1 listed=1\nJkE?K?@_??_\n")
         assert os.listdir(tmp_path) == []
 
+    def test_csv_without_witness_out_starts_no_stream(self, capsys, tmp_path, monkeypatch):
+        code, listed, _ = run(capsys, "scan", "12", "--witness-out", str(tmp_path / "neg.g6"))
+        assert code == 0
+
+        def no_stream(n, skip=None):
+            raise AssertionError("the tree stream was started")
+
+        monkeypatch.setattr(survey.treegen, "free_tree_sequences", no_stream)
+        code, out, _ = run(capsys, "scan", "12")
+        assert code == 0 and out == listed
+
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "scan", "2..5")
         assert code == 2
@@ -284,6 +295,15 @@ class TestNearTies:
         code, out, _ = run(capsys, "near-ties", "8", "--top-k", "3")
         assert code == 0
         assert len(out.splitlines()) == 5
+
+    def test_more_than_the_bound_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(survey, "MAX_NEAR_TIES", 10)
+        out_path = tmp_path / "ties.csv"
+        out_path.write_text("previous\n")
+        code, out, err = run(capsys, "near-ties", "8", "--top-k", "11", "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err == "error: top_k 11 would list more than 10 trees\n"
+        assert out_path.read_text() == "previous\n"
 
 
 class TestVerify:

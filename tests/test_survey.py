@@ -83,6 +83,9 @@ class TestClassifyTrees:
         assert survey.classify_trees(12, workers=3) == one
         assert sizes == [4, 3]
         assert job_counts == [4, 3]  # one part per pool process
+        monkeypatch.setattr(survey.os, "cpu_count", lambda: 1)
+        assert survey.classify_trees(12, workers=3) == one
+        assert sizes == [4, 3]  # one part runs in this process, with no pool
 
 
 @functools.cache
@@ -140,13 +143,22 @@ class TestClassCensusMatchesStream:
         rec = survey.classify_trees(12, witness_cap=0)
         assert rec.negative == 6 and rec.negative_witnesses == ()
 
-    def test_no_stream_without_negative_trees(self, monkeypatch):
-        def no_stream(n):
-            raise AssertionError("the tree stream was started")
+    @pytest.mark.parametrize("tol", [1e-9, 0.5])
+    def test_no_tree_streamed_without_negative_trees(self, monkeypatch, tol):
+        # every gap at orders 3..10 is positive: the block skip leaves out
+        # the whole stream, with no cap taken from the census
+        streamed = []
+        stream = treegen.free_tree_sequences
 
-        monkeypatch.setattr(survey.treegen, "free_tree_sequences", no_stream)
-        rec = survey.classify_trees(10)
-        assert rec.negative == 0 and rec.negative_witnesses == ()
+        def counted(n, skip=None):
+            for seq in stream(n, skip):
+                streamed.append(seq)
+                yield seq
+
+        monkeypatch.setattr(survey.treegen, "free_tree_sequences", counted)
+        for n in range(3, 11):
+            assert survey._witnesses(treeclasses.Tables(n), tol, 100) == []
+        assert streamed == []
 
 
 @functools.cache
@@ -291,6 +303,29 @@ class TestNearTies:
 
     def test_clamps_to_total(self):
         assert len(survey.find_near_ties(8, 10**6)) == 23
+
+    def test_more_than_max_trees_refused_before_listing(self, monkeypatch):
+        first_10 = survey.find_near_ties(8, 23)[:10]
+        monkeypatch.setattr(survey, "MAX_NEAR_TIES", 10)
+        near_k = []
+        census = survey._census
+
+        def recorded(tables, tol, workers, k, **kwargs):
+            near_k.append(k)
+            return census(tables, tol, workers, k, **kwargs)
+
+        monkeypatch.setattr(survey, "_census", recorded)
+        assert len(survey.find_near_ties(6, 10**6)) == 6  # every tree of order 6
+        assert survey.find_near_ties(8, 10) == first_10
+        assert near_k == [11, 10]  # the near list is cut at MAX + 1 trees
+
+        def no_listing(self, cls):
+            raise AssertionError("a tree was listed")
+
+        monkeypatch.setattr(treeclasses.Tables, "expand", no_listing)
+        for k in (11, 10**6):
+            with pytest.raises(ValueError, match=f"^top_k {k} would list more than 10 trees$"):
+                survey.find_near_ties(8, k)
 
     def test_ascending(self):
         ties = survey.find_near_ties(11, 5)

@@ -6,7 +6,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from conftest import fsum_class_sums, sequence_to_graph, stream_blocks
+from conftest import fsum_class_sums, otter_classes, sequence_to_graph, stream_blocks
 from graphtheta import survey, treegen
 from graphtheta.indices import DEFAULT_ZERO_TOL, edge_terms
 from graphtheta.treeclasses import Tables
@@ -33,6 +33,15 @@ def census(tables):
 @pytest.mark.parametrize("n", range(1, 16))
 def test_class_counts_match_stream(n):
     assert census(Tables(n)) == Counter(map(class_of, treegen.free_tree_sequences(n)))
+
+
+@pytest.mark.parametrize("n", range(3, 18))
+def test_class_counts_match_otters_theorem(n):
+    tables = Tables(n)
+    counts = Counter()
+    for unit in tables.units:
+        counts.update(tables.classes(unit))
+    assert counts == otter_classes(n)
 
 
 def test_totals_match_a000055():
