@@ -101,27 +101,43 @@ def _scan_partition(args, tables: treeclasses.Tables | None = None) -> tuple[Cou
     ``tables`` are the order's tables, made here if None.
 
     This is the census pool's entry point.  One fold is live at a time:
-    each class is scored as it comes, with one certified sign, and
-    dropped.  The merge of the near lists stays exact: a part keeps
-    every entry whose |gap| is at most that of the part's own near_k-th
-    tree, which is never below the merged near_k-th tree's |gap|.
+    each class is signed as it comes, from its exact gap outside the
+    band of tol (``Tables.band``) and by ``Tables.score`` inside it, and
+    dropped.  Its ABC and ABS doubles are made only when its exact gap
+    does not rule out a double |gap| within the near list's bound
+    (``Tables.band`` of that bound).  The merge of
+    the near lists stays exact: a part keeps every entry whose |gap| is
+    at most that of the part's own near_k-th tree, which is never below
+    the merged near_k-th tree's |gap|.
     """
     n, parts, part, tol, near_k = args
     if tables is None:
         tables = treeclasses.Tables(n)
-    signs: Counter = Counter()  # Sign -> trees
+    signs: Counter = Counter()  # Sign -> trees, of the classes in the band
+    positive = negative = 0  # trees of the classes outside it
+    edge = tables.band(tol)
     near: list = []
     bound = math.inf  # |gap| of the near_k-th tree kept so far
+    near_edge = math.inf  # tables.band(bound)
     for unit in tables.units[part::parts]:
         # a class is met once per fold unit it comes from
         for cls, trees in tables.classes(unit).items():
-            abc, abs_, sign = tables.score(cls, tol)
-            signs[sign] += trees
-            a = abs(abc - abs_)
-            if a <= bound:
-                near.append((a, cls, trees, abc, abs_))
-                if len(near) >= 2 * near_k:
-                    near, bound = _nearest(near, near_k)
+            gap = tables.gap(cls)
+            if gap > edge:
+                positive += trees
+            elif gap < -edge:
+                negative += trees
+            else:
+                signs[tables.score(cls, tol)[2]] += trees
+            if abs(gap) <= near_edge:
+                abc, abs_ = tables.sums(cls)
+                a = abs(abc - abs_)
+                if a <= bound:
+                    near.append((a, cls, trees, abc, abs_))
+                    if len(near) >= 2 * near_k:
+                        near, bound = _nearest(near, near_k)
+                        near_edge = tables.band(bound)
+    signs.update({Sign.POSITIVE: positive, Sign.NEGATIVE: negative})
     return signs, _nearest(near, near_k)[0]
 
 
@@ -134,8 +150,8 @@ def _witnesses(tables: treeclasses.Tables, tol: float, cap: int) -> list[tuple[i
     that ``Tables.positive_block`` proves holds no tree signed negative
     at any tol: at orders 3..10, where every gap is positive, it
     streams no tree.  A streamed tree is signed by its class: each class
-    met is scored once, and the memo holds only the classes of the
-    streamed trees."""
+    met is signed once (``Tables.sign``), and the memo holds only the
+    classes of the streamed trees."""
     found: list[tuple[int, ...]] = []
     if cap:
         negative: dict[int, bool] = {}  # class -> its sign is negative
@@ -143,7 +159,7 @@ def _witnesses(tables: treeclasses.Tables, tol: float, cap: int) -> list[tuple[i
             cls = tables.class_of(seq)
             neg = negative.get(cls)
             if neg is None:
-                neg = negative[cls] = tables.score(cls, tol)[2] is Sign.NEGATIVE
+                neg = negative[cls] = tables.sign(cls, tol) is Sign.NEGATIVE
             if neg:
                 found.append(seq)
                 if len(found) == cap:
@@ -221,6 +237,8 @@ def classify_trees(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if witness_cap < 0:
         raise ValueError(f"witness cap must be >= 0, got {witness_cap}")
+    if not 0 < tol < math.inf:  # also false for NaN
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     tables = treeclasses.Tables(n)  # the folds, witness pass and near-tie listing share it
     signs, near, witnesses = _census(tables, tol, workers, 1, witness_cap=witness_cap)
     best = _near_ties(tables, near, 1)[0]

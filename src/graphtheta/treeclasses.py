@@ -42,10 +42,15 @@ centroid (Polya 1937; Otter 1948; Harary-Palmer 1973, ch. 3-4):
   joined by an edge: the unit ``BICENTROID``.
 
 ``Tables.classes(unit)`` gives the classes of one unit, so a caller can
-score and drop them one fold at a time, or split the units between
+sign and drop them one fold at a time, or split the units between
 processes.  ``Tables.score(cls, tol)`` is the one class scorer: the ABC
 and ABS sums of a class, each one correctly rounded division of its
-carried sum by 2**S, and their certified sign.  ``Tables.class_of``
+carried sum by 2**S (``Tables.sums``), and their certified sign.  Most
+classes need none of it: outside a narrow band around +-tol, the sign
+that ``score`` would give is that of the exact integer gap G = A - B of
+the two sum fields (``Tables.gap``), so a class is signed with one
+integer comparison, and ``score`` runs only inside the band
+(``Tables.band``, ``Tables.sign``; proof below).  ``Tables.class_of``
 gives the class of one streamed tree, so a tree is signed by its
 class.  It splits the tree's level bytes at the root's children and
 reads each branch's root degree and class from a memo on the instance,
@@ -103,13 +108,36 @@ rounded ABC sum below the rounded ABS sum, impossible when the exact
 sums are in the other order (each is rounded once, and rounding is
 monotone), or if the recheck is below -tol, which needs a negative real
 gap.
+
+The band.  Let a class of a tree of order n have the exact sums A and B
+over 2**S, and G = A - B.  ``score`` rounds three times: A / 2**S and
+B / 2**S, each correctly rounded, and their difference.  Each term is
+below 1, so A / 2**S and B / 2**S lie in [0, n - 1), below 2**k for
+k = (n - 1).bit_length(); their doubles lie in [0, 2**k], and so does
+the magnitude of the difference, which is exact if it is 2**k.  A value
+below 2**k lies where doubles are at most 2**(k - 53) apart, so each
+rounding is off by at most 2**(k - 54),
+and the double gap d differs from G / 2**S by at most 3 * 2**(k - 54):
+in units of 2**-S, by at most the slack 3 * 2**(S + k - 54), an
+integer since S >= 53 from n = 3 (below, every term is an exact 0).
+So if |G| - slack > tol * 2**S, then |d| * 2**S > tol * 2**S, that is
+|d| > tol, strictly, with d on G's side of zero.  ``certified_sign``
+then returns d's sign from the double alone: the 50-digit recheck runs
+only for |d| <= tol, which cannot occur here, so no case is left where
+the double lands on +-tol.  tol * 2**S is an exact double, 2**S being a
+power of two (or inf, and then every class is in the band), and
+|G| - slack > tol * 2**S holds for the integer |G| - slack exactly when
+|G| > slack + floor(tol * 2**S): ``band`` returns that integer.  The
+same bound with tol replaced by any x >= 0 says that a class with |G|
+above ``band(x)`` has a double |gap| above x, which is how the census
+leaves out, with no division, every class its near list would drop.
 """
 
 from __future__ import annotations
 
 from functools import wraps
 from itertools import combinations_with_replacement, product
-from math import inf
+from math import floor, inf
 from typing import Iterator
 
 from .indices import Sign, certified_sign, edge_terms
@@ -209,6 +237,9 @@ class Tables:
         self._branches: dict[bytes, tuple[int, int]] = {}  # see _below
         # one ulp 2**-53 for each of a tree's 2(n-1) terms: see the module docstring
         self._margin = 2 * (n - 1) * (self._unit >> 53)
+        # three roundings in score, each at most half an ulp below 2**k: see
+        # the module docstring
+        self._slack = 3 * self._unit << (n - 1).bit_length() >> 54
         self._least: dict[tuple, int | float] = {}  # see _memo
         self.half = n // 2  # the largest planted size needed
         self.branch = (n - 1) // 2  # the largest child of a centroid
@@ -308,7 +339,7 @@ class Tables:
             cls += below + edge[d]
         return deg, cls
 
-    def _gap(self, cls: int) -> int:
+    def gap(self, cls: int) -> int:
         """The exact ABC - ABS sum of a packed class or edge monomial,
         over ``_unit``."""
         return (cls & self._sum_mask) - (cls >> self._abs_at & self._sum_mask)
@@ -326,7 +357,7 @@ class Tables:
             got = self._branches[first] = self._below(first, 1)
         d1, cls = got
         h1 = max(first, default=1) - 1  # the first subtree's height
-        return self._gap(cls) + self.least_child(d1, self.n - 1 - len(first), h1)
+        return self.gap(cls) + self.least_child(d1, self.n - 1 - len(first), h1)
 
     def positive_block(self, seq: tuple[int, ...]) -> bool:
         """True if ``block_bound`` proves that no tree of the block of
@@ -361,7 +392,7 @@ class Tables:
         ``least_planted``, and the term of its edge to the parent.  The
         degrees of every edge must add up to at most n."""
         edge = self._edge[p]
-        return min(self._gap(edge[d]) + self.least_planted(d, s, h) for d in range(1, s + 1))
+        return min(self.gap(edge[d]) + self.least_planted(d, s, h) for d in range(1, s + 1))
 
     @_memo
     def _least_children(self, p: int, j: int, t: int) -> int | float:
@@ -372,17 +403,38 @@ class Tables:
         return min((self.least_child(p, c, 0) + self._least_children(p, j - 1, t - c)
                     for c in range(1, t - j + 2)), default=inf)
 
+    def band(self, x: float) -> int | float:
+        """The band of a bound x >= 0 on a double |gap|: the largest
+        exact |gap|, over ``_unit``, of a tree's class whose double gap
+        in ``score`` may lie within x of zero.  A class with a larger
+        |gap| has a double gap beyond x or -x, on its exact gap's side
+        (the module docstring's proof, with |gap| - slack > x * 2**S
+        taken in integers).  inf if x * 2**S is not finite."""
+        edge = x * self._unit  # exact: _unit is a power of two
+        return self._slack + floor(edge) if edge < inf else inf
+
+    def sign(self, cls: int, tol: float) -> Sign:
+        """The certified sign that ``score`` gives a class at ``tol``,
+        read from its exact gap outside the band of tol; only inside it
+        does ``score`` run."""
+        gap = self.gap(cls)
+        if abs(gap) > self.band(tol):
+            return Sign.POSITIVE if gap > 0 else Sign.NEGATIVE
+        return self.score(cls, tol)[2]
+
+    def sums(self, cls: int) -> tuple[float, float]:
+        """The ABC and ABS sums of a class: each an integer over
+        ``_unit`` that one correctly rounded division turns into the
+        double that ``math.fsum`` gives over the class's edge terms, in
+        any edge order."""
+        mask = self._sum_mask
+        return (cls & mask) / self._unit, (cls >> self._abs_at & mask) / self._unit
+
     def score(self, cls: int, tol: float) -> tuple[float, float, Sign]:
         """The ABC and ABS sums of a class and the certified sign of
-        their gap at ``tol``.
-
-        The class carries each sum exactly, as an integer over
-        ``_unit``; one correctly rounded division turns it into the
-        double that ``math.fsum`` gives over the class's edge terms, in
-        any edge order.  The degree pairs are decoded only for the
+        their gap at ``tol``.  The degree pairs are decoded only for the
         in-band recheck of ``certified_sign``."""
-        abc = (cls & self._sum_mask) / self._unit
-        abs_ = (cls >> self._abs_at & self._sum_mask) / self._unit
+        abc, abs_ = self.sums(cls)
         return abc, abs_, certified_sign(abc - abs_, self.pairs(cls), tol)
 
     # --- listing the trees of a class ---------------------------------

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import functools
 import hashlib
@@ -53,6 +54,14 @@ class TestClassifyTrees:
             census(26)
         with pytest.raises(ValueError, match="^order 63 exceeds short-form graph6 bound 62$"):
             census(63)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_rejects_bad_tolerance(self, tol, monkeypatch):
+        # most classes are signed with no call to certified_sign, which
+        # would reject it
+        monkeypatch.setattr(survey, "_census", None)  # checked before any census
+        with pytest.raises(ValueError, match="^tolerance must be finite and positive"):
+            survey.classify_trees(12, tol=tol)
 
     def test_pool_has_no_more_processes_than_cpus(self, monkeypatch):
         sizes = []
@@ -178,13 +187,13 @@ def reference_witnesses(n, cap=survey.DEFAULT_WITNESS_CAP, tol=DEFAULT_ZERO_TOL)
 class TestWitnessPass:
     def test_each_class_scored_at_most_once(self, monkeypatch):
         scored = []
-        score = treeclasses.Tables.score
+        sign = treeclasses.Tables.sign
 
         def counted(self, cls, tol):
             scored.append(cls)
-            return score(self, cls, tol)
+            return sign(self, cls, tol)
 
-        monkeypatch.setattr(treeclasses.Tables, "score", counted)
+        monkeypatch.setattr(treeclasses.Tables, "sign", counted)
         found = survey._witnesses(treeclasses.Tables(16), DEFAULT_ZERO_TOL,
                                   survey.DEFAULT_WITNESS_CAP)
         assert len(found) == survey.DEFAULT_WITNESS_CAP
@@ -499,3 +508,20 @@ class TestRecheck:
         found = {t.graph6: (t.abc - t.abs, rechecked(t.graph6)) for t in ties[:k]}
         assert {g6: (gap.hex(), hp.hex()) for g6, (gap, hp) in found.items()} == self.CANDIDATES_16
         assert sum(abs(hp) > self.TOL_16 for _, hp in found.values()) == 13
+
+
+@pytest.mark.parametrize("tol", [5e-324, 1e-9, TestRecheck.TOL_16, 0.02, 0.5, 1e300])
+def test_sign_from_exact_gap_agrees_with_score(tol):
+    # every class of every fold unit: Tables.sign and the census's counts
+    # against Tables.score, which divides both sums and certifies the gap
+    for n in range(3, 18):
+        tables = treeclasses.Tables(n)
+        # one 50-digit recheck per class, however often it is scored
+        tables.score = functools.cache(tables.score)
+        expected = collections.Counter()
+        for unit in tables.units:
+            for cls, trees in tables.classes(unit).items():
+                sign = tables.score(cls, tol)[2]
+                assert tables.sign(cls, tol) is sign
+                expected[sign] += trees
+        assert survey._scan_partition((n, 1, 0, tol, 1), tables)[0] == expected

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import fsum_class_sums, otter_classes, sequence_to_graph, stream_blocks
 from graphtheta import survey, treegen
-from graphtheta.indices import DEFAULT_ZERO_TOL, edge_terms
+from graphtheta.indices import DEFAULT_ZERO_TOL, Sign, edge_terms
 from graphtheta.treeclasses import Tables
 
 # OEIS A000055, free trees of order n = 1..20
@@ -201,3 +201,42 @@ def test_positive_block_needs_a_bound_above_the_margin(n, monkeypatch):
     assert tables.positive_block(seq)
     # the error bound of the module docstring, 2(n-1) * 2**-54, over _unit
     assert tables._margin * 2**54 >= 2 * (n - 1) * tables._unit
+
+
+# --- the band of tol -----------------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 17, 25])
+@pytest.mark.parametrize("tol", [5e-324, 2.0**-20, 1e-9, 0.02])
+def test_only_classes_inside_the_band_are_scored(n, tol, monkeypatch):
+    tables = Tables(n)
+    # the slack of the module docstring: three roundings, each at most half
+    # an ulp of a double below 2**k, k = (n-1).bit_length(), over _unit
+    slack = 3 * 2**((n - 1).bit_length() - 54) * tables._unit
+    assert slack == int(slack)
+    edge = math.floor(tol * tables._unit) + int(slack)  # the largest |gap| in the band
+    base = tables._unit  # both sums well above the gaps below
+    classes = {}
+    for gap in (edge - 1, edge, edge + 1):
+        for g in (gap, -gap):
+            classes[base + max(g, 0) | (base + max(-g, 0)) << tables._abs_at] = g
+    assert [tables.gap(cls) for cls in classes] == list(classes.values())
+    scored = []
+
+    def stub(self, cls, tol):
+        scored.append(cls)
+        return 0.0, 0.0, Sign.ZERO_WITHIN_TOL
+
+    monkeypatch.setattr(Tables, "score", stub)
+    inside = [cls for cls, g in classes.items() if abs(g) <= edge]
+    for cls, g in classes.items():
+        expected = Sign.ZERO_WITHIN_TOL if abs(g) <= edge else (
+            Sign.POSITIVE if g > 0 else Sign.NEGATIVE)
+        assert tables.sign(cls, tol) is expected
+    assert scored == inside
+    # the census reads the same band
+    scored.clear()
+    monkeypatch.setattr(tables, "units", [0])
+    monkeypatch.setattr(tables, "classes", lambda unit: dict.fromkeys(classes, 1))
+    signs = survey._scan_partition((n, 1, 0, tol, 1), tables)[0]
+    assert scored == inside
+    assert signs == Counter({Sign.ZERO_WITHIN_TOL: 4, Sign.POSITIVE: 1, Sign.NEGATIVE: 1})
