@@ -4,7 +4,8 @@ Subcommands: index, scan, near-ties, verify, enum.  Exit codes:
 0 success / statement verified, 1 verification counterexample,
 2 usage or input errors (a verify with no graph to check among them),
 or a census worker that died.  A regular file named by --out or
---witness-out is replaced only when the command succeeds.
+--witness-out is replaced only when the command succeeds; ``scan``
+refuses one file named by both.
 
 Numeric fields in CSV output are printed with 9 significant digits;
 JSON carries full binary64 round-trip values.  ``index`` writes each CSV
@@ -163,6 +164,9 @@ def _cmd_scan(args) -> int:
         print(f"invalid scan range {args.range}", file=sys.stderr)
         return 2
     treegen.check_order(hi)  # before the census of the orders below it
+    outs = [path for path in (args.out, args.witness_out) if path and path != "-"]
+    if len(outs) == 2 and os.path.realpath(outs[0]) == os.path.realpath(outs[1]):
+        raise ValueError(f"--out and --witness-out name one file: {args.witness_out}")
     cap = survey.DEFAULT_WITNESS_CAP if args.witness_cap is None else args.witness_cap
     if args.format == "csv" and not args.witness_out:
         cap = min(cap, 0)  # no witness is written; a negative cap is still refused

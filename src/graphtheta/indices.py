@@ -19,7 +19,7 @@ with ``math.fsum``.  The tree census writes each ABC and ABS term as an
 integer over 2**S and carries a class's exact integer sums in the class
 itself.  It signs most classes from the exact difference of those sums
 alone, and for the rest divides each sum once
-(``treeclasses.Tables.score``), which gives the same bits as
+(``treeclasses.Tables.sums``), which gives the same bits as
 ``math.fsum``, and certifies their gap here.
 """
 

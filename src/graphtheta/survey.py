@@ -79,7 +79,7 @@ class VerificationReport(NamedTuple):
 # --- tree census ------------------------------------------------------
 
 def _nearest(entries: list, k: int) -> tuple[list, float]:
-    """The near-list entries ``(|gap|, class, trees, abc, abs)`` whose
+    """The near-list entries ``(|gap|, class, trees)`` whose
     |gap| is at most that of the k-th tree, ascending, and that |gap|
     (inf while the entries hold fewer than k trees).  Classes are
     ``treeclasses`` packed ints.  A class met in several fold units has
@@ -87,7 +87,7 @@ def _nearest(entries: list, k: int) -> tuple[list, float]:
     the same as over the merged classes."""
     entries = sorted(entries)
     trees = 0
-    for a, _, count, _, _ in entries:
+    for a, _, count in entries:
         trees += count
         if trees >= k:
             return [e for e in entries if e[0] <= a], a
@@ -102,7 +102,7 @@ def _scan_partition(args, tables: treeclasses.Tables | None = None) -> tuple[Cou
 
     This is the census pool's entry point.  One fold is live at a time:
     each class is signed as it comes, from its exact gap outside the
-    band of tol (``Tables.band``) and by ``Tables.score`` inside it, and
+    band of tol (``Tables.band``) and by ``Tables.sign`` inside it, and
     dropped.  Its ABC and ABS doubles are made only when its exact gap
     does not rule out a double |gap| within the near list's bound
     (``Tables.band`` of that bound).  The merge of
@@ -123,17 +123,18 @@ def _scan_partition(args, tables: treeclasses.Tables | None = None) -> tuple[Cou
         # a class is met once per fold unit it comes from
         for cls, trees in tables.classes(unit).items():
             gap = tables.gap(cls)
+            # Tables.sign's band test, inline: a call per class made this loop about 4x slower
             if gap > edge:
                 positive += trees
             elif gap < -edge:
                 negative += trees
             else:
-                signs[tables.score(cls, tol)[2]] += trees
+                signs[tables.sign(cls, tol)] += trees
             if abs(gap) <= near_edge:
                 abc, abs_ = tables.sums(cls)
                 a = abs(abc - abs_)
                 if a <= bound:
-                    near.append((a, cls, trees, abc, abs_))
+                    near.append((a, cls, trees))
                     if len(near) >= 2 * near_k:
                         near, bound = _nearest(near, near_k)
                         near_edge = tables.band(bound)
@@ -211,13 +212,12 @@ def _near_ties(tables: treeclasses.Tables, near: list, k: int) -> list[TieRecord
     ``tables``, with the smallest |gap|; equal gaps in stream order,
     which is ascending graph6 order
     (tests/test_treegen.py::test_stream_in_ascending_graph6_order)."""
-    classes = {cls: (a, abc, abs_) for a, cls, _, abc, abs_ in near}
-    rows = [(a, seq, abc, abs_) for cls, (a, abc, abs_) in classes.items()
-            for seq in tables.expand(cls)]
+    classes = {cls: a for a, cls, _ in near}
+    rows = [(a, seq, cls) for cls, a in classes.items() for seq in tables.expand(cls)]
     rows.sort(key=lambda r: r[1], reverse=True)  # the stream's order
     rows.sort(key=lambda r: r[0])
-    return [TieRecord(graph6=treegen.sequence_to_graph6(seq), abc=abc, abs=abs_, abs_gap=a)
-            for a, seq, abc, abs_ in rows[:k]]
+    return [TieRecord(treegen.sequence_to_graph6(seq), *tables.sums(cls), abs_gap=a)
+            for a, seq, cls in rows[:k]]
 
 
 def classify_trees(
@@ -267,7 +267,7 @@ def find_near_ties(n: int, top_k: int) -> list[TieRecord]:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     tables = treeclasses.Tables(n)
     near = _census(tables, DEFAULT_ZERO_TOL, 1, min(top_k, MAX_NEAR_TIES + 1))[1]
-    if min(top_k, sum(trees for _, _, trees, _, _ in near)) > MAX_NEAR_TIES:
+    if min(top_k, sum(trees for _, _, trees in near)) > MAX_NEAR_TIES:
         raise ValueError(f"top_k {top_k} would list more than {MAX_NEAR_TIES} trees")
     return _near_ties(tables, near, top_k)
 

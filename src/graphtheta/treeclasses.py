@@ -43,14 +43,13 @@ centroid (Polya 1937; Otter 1948; Harary-Palmer 1973, ch. 3-4):
 
 ``Tables.classes(unit)`` gives the classes of one unit, so a caller can
 sign and drop them one fold at a time, or split the units between
-processes.  ``Tables.score(cls, tol)`` is the one class scorer: the ABC
-and ABS sums of a class, each one correctly rounded division of its
-carried sum by 2**S (``Tables.sums``), and their certified sign.  Most
-classes need none of it: outside a narrow band around +-tol, the sign
-that ``score`` would give is that of the exact integer gap G = A - B of
-the two sum fields (``Tables.gap``), so a class is signed with one
-integer comparison, and ``score`` runs only inside the band
-(``Tables.band``, ``Tables.sign``; proof below).  ``Tables.class_of``
+processes.  ``Tables.sign(cls, tol)`` is the one class signer.  Outside
+a narrow band around +-tol (``Tables.band``; proof below), a class's
+certified sign is that of the exact integer gap G = A - B of the two
+sum fields (``Tables.gap``), so most classes are signed with one
+integer comparison.  Only inside the band does ``sign`` make the ABC
+and ABS sums, each one correctly rounded division of its carried sum
+by 2**S (``Tables.sums``), and certify their gap.  ``Tables.class_of``
 gives the class of one streamed tree, so a tree is signed by its
 class.  It splits the tree's level bytes at the root's children and
 reads each branch's root degree and class from a memo on the instance,
@@ -70,17 +69,17 @@ throughout, and no ``Graph`` is built.
 The witness pass streams trees in order until its last negative one,
 and ``Tables.positive_block`` lets it leave out a *block*, the stream
 trees that share the root's first subtree T1, when a lower bound proves
-none of them negative.  The bound reads three tables of exact minima,
+none of them negative.  The bound reads two tables of exact minima,
 integers over 2**S like the class sums, filled as the pass asks for
 them and kept in the ``_least`` memo of the instance:
 
-* ``least_planted(d, s, h)``: the least sum of the ABC - ABS terms
-  inside a planted tree of s vertices, root degree d (the edge to the
-  parent counted) and height at least h;
-* ``least_child(p, s, h)``: the same plus the term of the edge to a
-  parent of degree p, least over the root degree;
-* ``_least_children(p, j, t)``: the least sum over j children of a
-  vertex of degree p, t vertices in all.
+* ``least_child(p, s, h)``: the least sum of the ABC - ABS terms of a
+  planted tree of s vertices and height at least h under a parent of
+  degree p, the term of its edge to the parent included, least over
+  its root degree;
+* ``_least_children(p, j, t, h)``: the least sum over j children of a
+  vertex of degree p, t vertices in all, one of them of height at
+  least h (any heights if h < 0).
 
 Children add their sums independently, so each minimum is one over
 sizes and degrees of smaller minima; a height of at least h asks only
@@ -95,22 +94,11 @@ stream takes a rooting only if ``treegen._accepts`` it, which needs the
 rest at least as high as T1, so R's height is at least h1.  The tree's
 exact sum is inner(T1) + term(deg c, d1) + inner(R), so at least
 ``block_bound`` = inner(T1) + least_child(d1, n - s1, h1) for every
-tree of the block.
-
-Why a bound above ``_margin`` keeps every tree of the block positive at
-any tol: the class sums are exact sums of the double terms, and each of
-the 2(n-1) terms is below 1, so within half an ulp, 2**-54, of its real
-value.  The real gap is then above bound - 2(n-1) * 2**-54, and
-``_margin``, 2(n-1) * 2**-53, leaves it positive, with room to spare
-for the error of the 50-digit recheck of ``certified_sign``.  A tree is
-signed negative only if its double gap is below -tol, which needs the
-rounded ABC sum below the rounded ABS sum, impossible when the exact
-sums are in the other order (each is rounded once, and rounding is
-monotone), or if the recheck is below -tol, which needs a negative real
-gap.
+tree of the block.  A bound above ``band(0)`` proves the block
+positive at any tol (the band, below).
 
 The band.  Let a class of a tree of order n have the exact sums A and B
-over 2**S, and G = A - B.  ``score`` rounds three times: A / 2**S and
+over 2**S, and G = A - B.  ``sign`` rounds three times: A / 2**S and
 B / 2**S, each correctly rounded, and their difference.  Each term is
 below 1, so A / 2**S and B / 2**S lie in [0, n - 1), below 2**k for
 k = (n - 1).bit_length(); their doubles lie in [0, 2**k], and so does
@@ -131,6 +119,11 @@ power of two (or inf, and then every class is in the band), and
 same bound with tol replaced by any x >= 0 says that a class with |G|
 above ``band(x)`` has a double |gap| above x, which is how the census
 leaves out, with no division, every class its near list would drop.
+At x = 0 it guards the witness pass: G > ``band(0)``, the slack, gives
+a double gap above 0, and a real gap above the positive
+G / 2**S - 2(n - 1) * 2**-54, since each of the 2(n - 1) terms is within
+half an ulp, 2**-54, of its real value and 3 * 2**k > 2(n - 1).  So
+neither the double gap nor the 50-digit recheck can fall below -tol.
 """
 
 from __future__ import annotations
@@ -235,9 +228,7 @@ class Tables:
                        for b in range(n + 1)] for a in range(n + 1)]
         self._guard = sum(1 << (s + self.width - 1) for s in shift.values())
         self._branches: dict[bytes, tuple[int, int]] = {}  # see _below
-        # one ulp 2**-53 for each of a tree's 2(n-1) terms: see the module docstring
-        self._margin = 2 * (n - 1) * (self._unit >> 53)
-        # three roundings in score, each at most half an ulp below 2**k: see
+        # three roundings in sign, each at most half an ulp below 2**k: see
         # the module docstring
         self._slack = 3 * self._unit << (n - 1).bit_length() >> 54
         self._least: dict[tuple, int | float] = {}  # see _memo
@@ -361,8 +352,9 @@ class Tables:
 
     def positive_block(self, seq: tuple[int, ...]) -> bool:
         """True if ``block_bound`` proves that no tree of the block of
-        ``seq`` is signed negative, at any tol."""
-        return self.block_bound(seq) > self._margin
+        ``seq`` is signed negative, at any tol: if it is above
+        ``band(0)``, the slack."""
+        return self.block_bound(seq) > self._slack
 
     def drop_stream_memos(self) -> None:
         """Free the memos that ``class_of`` and ``positive_block`` fill as
@@ -372,41 +364,32 @@ class Tables:
         self._least.clear()
 
     @_memo
-    def least_planted(self, d: int, s: int, h: int) -> int | float:
-        """The least sum, over ``_unit``, of the ABC - ABS terms of the
-        s - 1 edges inside a planted tree of s vertices whose root has
-        degree d (its edge to the parent counted) and whose height is at
-        least h; inf if there is no such tree."""
-        if d == 1:
-            return 0 if s == 1 and h == 0 else inf
-        if h == 0:
-            return self._least_children(d, d - 1, s - 1)
-        # one child reaches height h - 1; the other d - 2 may be any
-        return min((self.least_child(d, c, h - 1) + self._least_children(d, d - 2, s - 1 - c)
-                    for c in range(1, s - d + 2)), default=inf)
-
-    @_memo
     def least_child(self, p: int, s: int, h: int) -> int | float:
-        """The least sum over a planted tree of s vertices and height at
-        least h, under a parent of degree p: its inner terms, as in
-        ``least_planted``, and the term of its edge to the parent.  The
-        degrees of every edge must add up to at most n."""
+        """The least sum, over ``_unit``, of the ABC - ABS terms of a
+        planted tree of s vertices and height at least h under a parent
+        of degree p: the terms of its s - 1 inner edges and of its edge
+        to the parent, least over its root degree d; inf if there is no
+        such tree.  The degrees of every edge must add up to at most n."""
         edge = self._edge[p]
-        return min(self.gap(edge[d]) + self.least_planted(d, s, h) for d in range(1, s + 1))
+        # the root's d - 1 children: one of height at least h - 1
+        return min(self.gap(edge[d]) + self._least_children(d, d - 1, s - 1, h - 1)
+                   for d in range(1, s + 1))
 
     @_memo
-    def _least_children(self, p: int, j: int, t: int) -> int | float:
+    def _least_children(self, p: int, j: int, t: int, h: int) -> int | float:
         """The least sum over j planted children, t vertices in all, of a
-        vertex of degree p: ``least_child`` at any height, added up."""
+        vertex of degree p, one of them of height at least h (any heights
+        if h < 0): ``least_child`` of each, added up."""
         if j == 0:
-            return 0 if t == 0 else inf
-        return min((self.least_child(p, c, 0) + self._least_children(p, j - 1, t - c)
+            return 0 if t == 0 and h < 0 else inf
+        first = max(h, 0)  # the first child meets the height; the other j - 1 may be any
+        return min((self.least_child(p, c, first) + self._least_children(p, j - 1, t - c, -1)
                     for c in range(1, t - j + 2)), default=inf)
 
     def band(self, x: float) -> int | float:
         """The band of a bound x >= 0 on a double |gap|: the largest
         exact |gap|, over ``_unit``, of a tree's class whose double gap
-        in ``score`` may lie within x of zero.  A class with a larger
+        in ``sign`` may lie within x of zero.  A class with a larger
         |gap| has a double gap beyond x or -x, on its exact gap's side
         (the module docstring's proof, with |gap| - slack > x * 2**S
         taken in integers).  inf if x * 2**S is not finite."""
@@ -414,13 +397,15 @@ class Tables:
         return self._slack + floor(edge) if edge < inf else inf
 
     def sign(self, cls: int, tol: float) -> Sign:
-        """The certified sign that ``score`` gives a class at ``tol``,
-        read from its exact gap outside the band of tol; only inside it
-        does ``score`` run."""
+        """The certified sign of a class's gap at ``tol``: that of its
+        exact gap outside the band of tol, and inside it that of the gap
+        of its ``sums``, whose degree pairs are decoded only for the
+        50-digit recheck of ``certified_sign``."""
         gap = self.gap(cls)
         if abs(gap) > self.band(tol):
             return Sign.POSITIVE if gap > 0 else Sign.NEGATIVE
-        return self.score(cls, tol)[2]
+        abc, abs_ = self.sums(cls)
+        return certified_sign(abc - abs_, self.pairs(cls), tol)
 
     def sums(self, cls: int) -> tuple[float, float]:
         """The ABC and ABS sums of a class: each an integer over
@@ -429,13 +414,6 @@ class Tables:
         any edge order."""
         mask = self._sum_mask
         return (cls & mask) / self._unit, (cls >> self._abs_at & mask) / self._unit
-
-    def score(self, cls: int, tol: float) -> tuple[float, float, Sign]:
-        """The ABC and ABS sums of a class and the certified sign of
-        their gap at ``tol``.  The degree pairs are decoded only for the
-        in-band recheck of ``certified_sign``."""
-        abc, abs_ = self.sums(cls)
-        return abc, abs_, certified_sign(abc - abs_, self.pairs(cls), tol)
 
     # --- listing the trees of a class ---------------------------------
 

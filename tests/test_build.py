@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import os
 import shutil
@@ -82,6 +83,27 @@ def test_star_import_resolves_every_public_name():
     exec("from graphtheta import *", namespace)
     assert set(graphtheta.__all__) <= namespace.keys()
     assert len(graphtheta.__all__) == len(set(graphtheta.__all__))
+
+
+def test_every_definition_is_referenced_in_the_package():
+    # a function, method or class that nothing in the package names is
+    # dead code, or library API that only a test calls
+    defined, referenced = {}, set()
+    for path in sorted((ROOT / "src" / "graphtheta").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.update((node.name.rpartition(".")[2], node.asname))
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                referenced.update(ast.literal_eval(node.value))
+    assert {name: at for name, at in defined.items() if name not in referenced} == {}
 
 
 def test_tracer_sites_import():

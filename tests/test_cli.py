@@ -182,18 +182,26 @@ class TestScan:
         code, out, err = run(capsys, "scan", "12", "--witness-cap", "-1")
         assert code == 2 and "witness cap must be >= 0" in err and out == ""
 
-    def test_out_and_witness_out_same_path(self, capsys, tmp_path):
-        path = tmp_path / "both.txt"
-        code, _, _ = run(capsys, "scan", "11", "--out", str(path),
-                         "--witness-out", str(path))
-        assert code == 0
-        assert path.read_text() in (
-            "# n=11 negative=1 listed=1\nJkE?K?@_??_\n",
-            "# schema: scan-v1\n"
-            "n,total,positive,negative,zero,negative_ratio,min_abs_gap,min_abs_gap_graph6\n"
-            "11,235,234,1,0,0.00425531915,0.0187849065,JkE?K?@_C??\n",
-        )
-        assert os.listdir(tmp_path) == ["both.txt"]
+    def test_out_and_witness_out_same_path(self, capsys, tmp_path, monkeypatch):
+        # standard output is not a file: "-" may go with any --out
+        code, out, _ = run(capsys, "scan", "11", "--out", "-", "--witness-out", "-")
+        assert code == 0 and out.endswith("# n=11 negative=1 listed=1\nJkE?K?@_??_\n")
+
+        # one file would keep only one of the two outputs
+        def no_census(*args, **kwargs):
+            raise AssertionError("census ran for outputs that share a file")
+
+        monkeypatch.setattr(survey, "classify_trees", no_census)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        for out_path, witness_path in (("both.txt", "both.txt"),
+                                       ("both.txt", "sub/../both.txt"),
+                                       (str(tmp_path / "both.txt"), "./both.txt")):
+            code, out, err = run(capsys, "scan", "11", "--out", out_path,
+                                 "--witness-out", witness_path)
+            assert code == 2 and out == ""
+            assert err == f"error: --out and --witness-out name one file: {witness_path}\n"
+            assert os.listdir(tmp_path) == ["sub"]
 
     @pytest.mark.parametrize("flag", ["--out", "--witness-out"])
     def test_unwritable_output_exit_2_before_the_census(self, capsys, tmp_path, monkeypatch,

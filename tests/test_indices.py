@@ -5,7 +5,6 @@ import pytest
 
 from graphtheta.graphs import DisconnectedGraphError, GraphError, from_edge_list
 from graphtheta.indices import (
-    DEFAULT_ZERO_TOL,
     Sign,
     edge_terms,
     gap_extended_precision,
@@ -34,8 +33,7 @@ def class_sums(pairs, n=6):
     """The (abc, abs) sums of a multiset of degree pairs, by the class
     scorer of order n (every pair must have a + b <= n)."""
     tables = Tables(n)
-    abc, abs_, _ = tables.score(sum(tables._edge[a][b] for a, b in pairs), DEFAULT_ZERO_TOL)
-    return abc, abs_
+    return tables.sums(sum(tables._edge[a][b] for a, b in pairs))
 
 
 def margin(x, y):

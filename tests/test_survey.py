@@ -226,6 +226,24 @@ class TestWitnessPass:
         found = survey._witnesses(treeclasses.Tables(n), 1e-9, 100)
         assert hashlib.sha256(repr(found).encode()).hexdigest() == self.WITNESS_SHA256[n]
 
+    # the trees the pass streams: a weaker block bound streams more, with the
+    # same witnesses (without the height in block_bound, 11,134 at order 17)
+    STREAMED = {11: 6, 12: 92, 13: 354, 14: 1042, 15: 1669, 16: 3651, 17: 2779, 18: 6384}
+
+    @pytest.mark.parametrize("n", sorted(STREAMED))
+    def test_streamed_trees_are_pinned(self, n):
+        tables = treeclasses.Tables(n)
+        streamed = []
+        class_of = tables.class_of
+
+        def counted(seq):
+            streamed.append(seq)
+            return class_of(seq)
+
+        tables.class_of = counted
+        survey._witnesses(tables, 1e-9, 100)
+        assert len(streamed) == self.STREAMED[n]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_witnesses_at_order_18_match_tree_by_tree(self, workers):
         rec = survey.classify_trees(18, workers=workers)
@@ -513,15 +531,19 @@ class TestRecheck:
 @pytest.mark.parametrize("tol", [5e-324, 1e-9, TestRecheck.TOL_16, 0.02, 0.5, 1e300])
 def test_sign_from_exact_gap_agrees_with_score(tol):
     # every class of every fold unit: Tables.sign and the census's counts
-    # against Tables.score, which divides both sums and certifies the gap
+    # against a scorer that divides both sums and certifies the gap
     for n in range(3, 18):
         tables = treeclasses.Tables(n)
-        # one 50-digit recheck per class, however often it is scored
-        tables.score = functools.cache(tables.score)
+
+        @functools.cache  # one 50-digit recheck per class, however often it is scored
+        def score(cls):
+            abc, abs_ = tables.sums(cls)
+            return certified_sign(abc - abs_, tables.pairs(cls), tol)
+
         expected = collections.Counter()
         for unit in tables.units:
             for cls, trees in tables.classes(unit).items():
-                sign = tables.score(cls, tol)[2]
+                sign = score(cls)
                 assert tables.sign(cls, tol) is sign
                 expected[sign] += trees
         assert survey._scan_partition((n, 1, 0, tol, 1), tables)[0] == expected

@@ -7,7 +7,7 @@ from collections import Counter, defaultdict
 import pytest
 
 from conftest import fsum_class_sums, otter_classes, sequence_to_graph, stream_blocks
-from graphtheta import survey, treegen
+from graphtheta import survey, treeclasses, treegen
 from graphtheta.indices import DEFAULT_ZERO_TOL, Sign, edge_terms
 from graphtheta.treeclasses import Tables
 
@@ -73,7 +73,7 @@ def test_rejects_order_below_one():
 
 
 def assert_carried_sums(tables, cls):
-    abc, abs_, _ = tables.score(cls, DEFAULT_ZERO_TOL)
+    abc, abs_ = tables.sums(cls)
     ref_abc, ref_abs = fsum_class_sums(tables, cls)
     assert (abc.hex(), abs_.hex()) == (ref_abc.hex(), ref_abs.hex())
     # a class is the sum of its edges' monomials, carried sums included
@@ -174,7 +174,8 @@ def test_min_gap_tables_match_brute_force_to_10_vertices():
         for h in range(s + 1):
             reach = [(d, v) for (d, ss, hh), v in best.items() if ss == s and hh >= h]
             for d in range(1, s + 1):
-                assert tables.least_planted(d, s, h) == min(
+                # the root's d - 1 children, one of height at least h - 1
+                assert tables._least_children(d, d - 1, s - 1, h - 1) == min(
                     (v for dd, v in reach if dd == d), default=math.inf), (d, s, h)
             for p in range(1, 11):
                 assert tables.least_child(p, s, h) == min(
@@ -193,14 +194,22 @@ def test_block_bound_is_at_most_each_blocks_least_sum(n):
 # from order 3: at order 2 every term is an exact 0 and _unit is 1
 @pytest.mark.parametrize("n", [3, 9, 17, 25])
 def test_positive_block_needs_a_bound_above_the_margin(n, monkeypatch):
+    # the margin is band(0), the slack of the module docstring
     tables = Tables(n)
     seq = next(treegen.free_tree_sequences(n))
-    monkeypatch.setattr(tables, "block_bound", lambda seq: tables._margin)
+    monkeypatch.setattr(tables, "block_bound", lambda seq: tables.band(0))
     assert not tables.positive_block(seq)
-    monkeypatch.setattr(tables, "block_bound", lambda seq: tables._margin + 1)
+    monkeypatch.setattr(tables, "block_bound", lambda seq: tables.band(0) + 1)
     assert tables.positive_block(seq)
-    # the error bound of the module docstring, 2(n-1) * 2**-54, over _unit
-    assert tables._margin * 2**54 >= 2 * (n - 1) * tables._unit
+    assert tables.band(0) == 3 * 2**((n - 1).bit_length() - 54) * tables._unit
+
+
+def test_slack_exceeds_the_real_gaps_error_at_every_order():
+    # band(0) guards the witness pass only if the slack, 3 * 2**(k - 54)
+    # over 2**S, is above the 2(n-1) * 2**-54 between the exact sum of a
+    # tree's double terms and its real gap
+    for n in range(3, 63):
+        assert 3 * 2**(n - 1).bit_length() > 2 * (n - 1)
 
 
 # --- the band of tol -----------------------------------------------------
@@ -218,16 +227,18 @@ def test_only_classes_inside_the_band_are_scored(n, tol, monkeypatch):
     classes = {}
     for gap in (edge - 1, edge, edge + 1):
         for g in (gap, -gap):
-            classes[base + max(g, 0) | (base + max(-g, 0)) << tables._abs_at] = g
+            # a count in the first type field tells the classes' pairs apart
+            tag = len(classes) + 1 << tables._types_at
+            classes[tag | base + max(g, 0) | (base + max(-g, 0)) << tables._abs_at] = g
     assert [tables.gap(cls) for cls in classes] == list(classes.values())
     scored = []
 
-    def stub(self, cls, tol):
-        scored.append(cls)
-        return 0.0, 0.0, Sign.ZERO_WITHIN_TOL
+    def stub(gap, pairs, tol):
+        scored.append(tuple(pairs))
+        return Sign.ZERO_WITHIN_TOL
 
-    monkeypatch.setattr(Tables, "score", stub)
-    inside = [cls for cls, g in classes.items() if abs(g) <= edge]
+    monkeypatch.setattr(treeclasses, "certified_sign", stub)
+    inside = [tuple(tables.pairs(cls)) for cls, g in classes.items() if abs(g) <= edge]
     for cls, g in classes.items():
         expected = Sign.ZERO_WITHIN_TOL if abs(g) <= edge else (
             Sign.POSITIVE if g > 0 else Sign.NEGATIVE)
