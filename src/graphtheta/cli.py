@@ -41,11 +41,14 @@ def _tolerance(text: str) -> float:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    n = int(text)
-    return n, n
+    """The orders lo, hi of a scan range "lo..hi" or "n"; ValueError
+    unless both are integers with 3 <= lo <= hi."""
+    lo, dots, hi = text.partition("..")
+    with suppress(ValueError):
+        orders = int(lo), int(hi if dots else lo)
+        if 3 <= orders[0] <= orders[1]:
+            return orders
+    raise ValueError(f"invalid scan range {text}")
 
 
 _tmp_ids = itertools.count()
@@ -160,9 +163,6 @@ def _cmd_scan(args) -> int:
     from . import survey
 
     lo, hi = _parse_range(args.range)
-    if not 3 <= lo <= hi:
-        print(f"invalid scan range {args.range}", file=sys.stderr)
-        return 2
     treegen.check_order(hi)  # before the census of the orders below it
     outs = [path for path in (args.out, args.witness_out) if path and path != "-"]
     if len(outs) == 2 and os.path.realpath(outs[0]) == os.path.realpath(outs[1]):

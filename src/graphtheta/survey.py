@@ -76,15 +76,24 @@ class VerificationReport(NamedTuple):
     min_margin: float | None = None
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless the zero tolerance is finite and above 0."""
+    if not 0 < tol < math.inf:  # also false for NaN
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+
+
 # --- tree census ------------------------------------------------------
 
-def _nearest(entries: list, k: int) -> tuple[list, float]:
-    """The near-list entries ``(|gap|, class, trees)`` whose
-    |gap| is at most that of the k-th tree, ascending, and that |gap|
-    (inf while the entries hold fewer than k trees).  Classes are
-    ``treeclasses`` packed ints.  A class met in several fold units has
-    one entry per unit, all with its |gap|, so the k-th tree's |gap| is
-    the same as over the merged classes."""
+def _nearest(entries: list, k: int) -> tuple[list, int | float]:
+    """The near-list entries ``(|gap|, class, trees)`` whose |gap| is at
+    most that of the k-th tree, ascending, and that |gap| (inf while the
+    entries hold fewer than k trees).  A |gap| is the class's exact
+    integer |ABC - ABS| over 2**S (``treeclasses.Tables.gap``), which
+    orders and ties the classes as their double |gap| does
+    (tests/test_survey.py::test_exact_and_double_gaps_rank_classes_alike).
+    Classes are ``treeclasses`` packed ints.  A class met in several
+    fold units has one entry per unit, all with its |gap|, so the k-th
+    tree's |gap| is the same as over the merged classes."""
     entries = sorted(entries)
     trees = 0
     for a, _, count in entries:
@@ -103,12 +112,11 @@ def _scan_partition(args, tables: treeclasses.Tables | None = None) -> tuple[Cou
     This is the census pool's entry point.  One fold is live at a time:
     each class is signed as it comes, from its exact gap outside the
     band of tol (``Tables.band``) and by ``Tables.sign`` inside it, and
-    dropped.  Its ABC and ABS doubles are made only when its exact gap
-    does not rule out a double |gap| within the near list's bound
-    (``Tables.band`` of that bound).  The merge of
-    the near lists stays exact: a part keeps every entry whose |gap| is
-    at most that of the part's own near_k-th tree, which is never below
-    the merged near_k-th tree's |gap|.
+    dropped.  A class enters the near list when its exact |gap| is at
+    most that of the near_k-th tree kept so far; no double is made
+    here.  The merge of the near lists stays exact: a part keeps every
+    entry whose |gap| is at most that of the part's own near_k-th tree,
+    which is never below the merged near_k-th tree's |gap|.
     """
     n, parts, part, tol, near_k = args
     if tables is None:
@@ -117,8 +125,7 @@ def _scan_partition(args, tables: treeclasses.Tables | None = None) -> tuple[Cou
     positive = negative = 0  # trees of the classes outside it
     edge = tables.band(tol)
     near: list = []
-    bound = math.inf  # |gap| of the near_k-th tree kept so far
-    near_edge = math.inf  # tables.band(bound)
+    bound = math.inf  # exact |gap| of the near_k-th tree kept so far
     for unit in tables.units[part::parts]:
         # a class is met once per fold unit it comes from
         for cls, trees in tables.classes(unit).items():
@@ -130,14 +137,10 @@ def _scan_partition(args, tables: treeclasses.Tables | None = None) -> tuple[Cou
                 negative += trees
             else:
                 signs[tables.sign(cls, tol)] += trees
-            if abs(gap) <= near_edge:
-                abc, abs_ = tables.sums(cls)
-                a = abs(abc - abs_)
-                if a <= bound:
-                    near.append((a, cls, trees))
-                    if len(near) >= 2 * near_k:
-                        near, bound = _nearest(near, near_k)
-                        near_edge = tables.band(bound)
+            if abs(gap) <= bound:
+                near.append((abs(gap), cls, trees))
+                if len(near) >= 2 * near_k:
+                    near, bound = _nearest(near, near_k)
     signs.update({Sign.POSITIVE: positive, Sign.NEGATIVE: negative})
     return signs, _nearest(near, near_k)[0]
 
@@ -155,6 +158,8 @@ def _witnesses(tables: treeclasses.Tables, tol: float, cap: int) -> list[tuple[i
     classes of the streamed trees."""
     found: list[tuple[int, ...]] = []
     if cap:
+        # a memo, not the band test inline, which certifies each in-band tree again: orders
+        # 11..16 took 1.01 vs 1.98 s at tol 0.5, 0.114 vs 0.157 s at 0.02 (2-CPU host, 1 CPU)
         negative: dict[int, bool] = {}  # class -> its sign is negative
         for seq in treegen.free_tree_sequences(tables.n, skip=tables.positive_block):
             cls = tables.class_of(seq)
@@ -211,13 +216,18 @@ def _near_ties(tables: treeclasses.Tables, near: list, k: int) -> list[TieRecord
     """The k trees of the near list's classes, listed from the order's
     ``tables``, with the smallest |gap|; equal gaps in stream order,
     which is ascending graph6 order
-    (tests/test_treegen.py::test_stream_in_ascending_graph6_order)."""
+    (tests/test_treegen.py::test_stream_in_ascending_graph6_order).
+    The trees are ranked by their classes' exact |gap|, and a printed
+    row's ABC, ABS and |gap| are the doubles of its class's ``sums``."""
     classes = {cls: a for a, cls, _ in near}
     rows = [(a, seq, cls) for cls, a in classes.items() for seq in tables.expand(cls)]
     rows.sort(key=lambda r: r[1], reverse=True)  # the stream's order
     rows.sort(key=lambda r: r[0])
-    return [TieRecord(treegen.sequence_to_graph6(seq), *tables.sums(cls), abs_gap=a)
-            for a, seq, cls in rows[:k]]
+    ties = []
+    for _, seq, cls in rows[:k]:
+        abc, abs_ = tables.sums(cls)
+        ties.append(TieRecord(treegen.sequence_to_graph6(seq), abc, abs_, abs(abc - abs_)))
+    return ties
 
 
 def classify_trees(
@@ -237,8 +247,7 @@ def classify_trees(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if witness_cap < 0:
         raise ValueError(f"witness cap must be >= 0, got {witness_cap}")
-    if not 0 < tol < math.inf:  # also false for NaN
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    _check_tol(tol)
     tables = treeclasses.Tables(n)  # the folds, witness pass and near-tie listing share it
     signs, near, witnesses = _census(tables, tol, workers, 1, witness_cap=witness_cap)
     best = _near_ties(tables, near, 1)[0]
@@ -355,13 +364,15 @@ def verify_statement(
     tol: float | None = None,
 ) -> VerificationReport:
     """Check ``statement`` on every graph of ``universes`` at ``tol``
-    (None: the statement's own tolerance).
+    (None: the statement's own tolerance), which must be finite and
+    above 0.
 
     The graphs are taken to be connected, as every universe checks when
     it is built or loaded, and so is the line graph of a connected root:
     the pairs are scored with no connectivity search."""
     if tol is None:
         tol = statement.tol
+    _check_tol(tol)
     t0 = time.perf_counter()
     checked = holds = 0
     failures = []
@@ -399,13 +410,15 @@ def verify_subdivision_invariance(
     tol: float = 1e-12,
 ) -> VerificationReport:
     """p2: inserting a vertex on an edge at a degree-2 vertex keeps the
-    gap fixed.  Randomized trees and unicyclic graphs, seeded.
+    gap fixed, to within ``tol`` (finite and above 0).  Randomized
+    trees and unicyclic graphs, seeded.
 
     Each graph is connected as built (a random tree, perhaps with one
     more edge), and so is its subdivision: both are scored from their
     degree pairs with no connectivity search."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_tol(tol)
     rng = random.Random(seed)
     t0 = time.perf_counter()
     checked = 0

@@ -115,12 +115,9 @@ only for |d| <= tol, which cannot occur here, so no case is left where
 the double lands on +-tol.  tol * 2**S is an exact double, 2**S being a
 power of two (or inf, and then every class is in the band), and
 |G| - slack > tol * 2**S holds for the integer |G| - slack exactly when
-|G| > slack + floor(tol * 2**S): ``band`` returns that integer.  The
-same bound with tol replaced by any x >= 0 says that a class with |G|
-above ``band(x)`` has a double |gap| above x, which is how the census
-leaves out, with no division, every class its near list would drop.
-At x = 0 it guards the witness pass: G > ``band(0)``, the slack, gives
-a double gap above 0, and a real gap above the positive
+|G| > slack + floor(tol * 2**S): ``band`` returns that integer.  With
+tol = 0 the same argument guards the witness pass: G > ``band(0)``, the
+slack, gives a double gap above 0, and a real gap above the positive
 G / 2**S - 2(n - 1) * 2**-54, since each of the 2(n - 1) terms is within
 half an ulp, 2**-54, of its real value and 3 * 2**k > 2(n - 1).  So
 neither the double gap nor the 50-digit recheck can fall below -tol.
@@ -386,14 +383,14 @@ class Tables:
         return min((self.least_child(p, c, first) + self._least_children(p, j - 1, t - c, -1)
                     for c in range(1, t - j + 2)), default=inf)
 
-    def band(self, x: float) -> int | float:
-        """The band of a bound x >= 0 on a double |gap|: the largest
-        exact |gap|, over ``_unit``, of a tree's class whose double gap
-        in ``sign`` may lie within x of zero.  A class with a larger
-        |gap| has a double gap beyond x or -x, on its exact gap's side
-        (the module docstring's proof, with |gap| - slack > x * 2**S
-        taken in integers).  inf if x * 2**S is not finite."""
-        edge = x * self._unit  # exact: _unit is a power of two
+    def band(self, tol: float) -> int | float:
+        """The band of a zero tolerance tol >= 0: the largest exact
+        |gap|, over ``_unit``, of a tree's class whose double gap in
+        ``sign`` may lie within tol of zero.  A class with a larger |gap|
+        has a double gap beyond tol or -tol, on its exact gap's side (the
+        module docstring's proof, with |gap| - slack > tol * 2**S taken
+        in integers).  inf if tol * 2**S is not finite."""
+        edge = tol * self._unit  # exact: _unit is a power of two
         return self._slack + floor(edge) if edge < inf else inf
 
     def sign(self, cls: int, tol: float) -> Sign:

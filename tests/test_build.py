@@ -85,25 +85,47 @@ def test_star_import_resolves_every_public_name():
     assert len(graphtheta.__all__) == len(set(graphtheta.__all__))
 
 
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_every_definition_is_referenced_in_the_package():
     # a function, method or class that nothing in the package names is
-    # dead code, or library API that only a test calls
+    # dead code, or library API that only a test calls; so is a
+    # module-level name that nothing in the package reads
     defined, referenced = {}, set()
+    assigned, read = {}, set()
     for path in sorted((ROOT / "src" / "graphtheta").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        for stmt in tree.body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name) and not is_dunder(node.id):
+                        assigned.setdefault(node.id, f"{path.name}:{node.lineno}")
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
+                if not is_dunder(node.name):
                     defined.setdefault(node.name, f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.Name):
                 referenced.add(node.id)
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
+                read.add(node.attr)
             elif isinstance(node, ast.alias):
-                referenced.update((node.name.rpartition(".")[2], node.asname))
+                names = (node.name.rpartition(".")[2], node.asname)
+                referenced.update(names)
+                read.update(names)
             elif isinstance(node, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
                 referenced.update(ast.literal_eval(node.value))
     assert {name: at for name, at in defined.items() if name not in referenced} == {}
+    # perfbench reads treegen.BACKEND, which goes once the run record names the kernel
+    read.add("BACKEND")
+    assert {name: at for name, at in assigned.items() if name not in read} == {}
 
 
 def test_tracer_sites_import():

@@ -283,6 +283,13 @@ def test_order_above_tree_bound_exit_2_at_once(capsys, tmp_path, monkeypatch, ar
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+@pytest.mark.parametrize("text", ["3..", "x", "3..5..7", "..5", "3..2", "2..5", "2"])
+def test_invalid_scan_range_exit_2_with_one_message(capsys, monkeypatch, text):
+    monkeypatch.setattr(survey, "_census", None)  # checked before any census
+    code, out, err = run(capsys, "scan", text)
+    assert (code, out, err) == (2, "", f"error: invalid scan range {text}\n")
+
+
 def test_statement_choices_are_the_surveys():
     assert STATEMENTS == tuple(sorted({*survey.STATEMENTS, "p2"}))
 

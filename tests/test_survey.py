@@ -366,6 +366,22 @@ class TestNearTies:
         assert [(t.graph6, t.abs_gap.hex()) for t in ties] == rows
 
 
+def test_exact_and_double_gaps_rank_classes_alike():
+    # the near list ranks classes by their exact |gap| over 2**S and prints
+    # their double |gap|: over every class, both keys give one order, and
+    # two classes tie under one exactly when they tie under the other
+    for n in range(3, 18):
+        tables = treeclasses.Tables(n)
+        keys = set()
+        for unit in tables.units:
+            for cls in tables.classes(unit):
+                abc, abs_ = tables.sums(cls)
+                keys.add((abs(tables.gap(cls)), abs(abc - abs_)))
+        exact, doubles = zip(*sorted(keys))
+        assert list(doubles) == sorted(doubles), n
+        assert len(set(exact)) == len(set(doubles)) == len(keys), n
+
+
 class TestSmallestNegativeTree:
     def test_found_at_order_11_unique(self):
         # orders 3..10 have no negative tree, and order 11 has exactly one
@@ -456,6 +472,16 @@ class TestVerifiers:
         margin = None if r.min_margin is None else r.min_margin.hex()
         assert (r.checked, r.hypothesis_holds, (len(failures), digest), margin) \
             == ORDER10_VERDICTS[name, tol]
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_verifiers_reject_bad_tolerance(self, tol, monkeypatch):
+        # before any graph is scored: t1 holds on no graph of order 4, and
+        # p2's gaps within an infinite tol would all read as verified
+        monkeypatch.setattr(survey, "pairs_report", None)
+        with pytest.raises(ValueError, match="^tolerance must be finite and positive"):
+            survey.verify_subdivision_invariance(trials=50, seed=1, tol=tol)
+        with pytest.raises(ValueError, match="^tolerance must be finite and positive"):
+            verify("t1", [internal_universe(4)], tol)
 
     def test_line_graphs_order5(self):
         report = verify("t1", [internal_universe(5)])

@@ -35,7 +35,7 @@ def test_class_counts_match_stream(n):
     assert census(Tables(n)) == Counter(map(class_of, treegen.free_tree_sequences(n)))
 
 
-@pytest.mark.parametrize("n", range(3, 18))
+@pytest.mark.parametrize("n", range(3, 19))
 def test_class_counts_match_otters_theorem(n):
     tables = Tables(n)
     counts = Counter()
