@@ -1,24 +1,33 @@
 """Exhaustive enumeration of small connected graphs up to isomorphism.
 
-The internal generator covers orders 1..7 by vertex augmentation:
-every connected graph of order k+1 arises from a connected graph of
-order k by attaching a new vertex to a nonempty neighbor set (every
-connected graph has a non-cut vertex), so expanding each order-k
-representative with its neighbor sets and deduplicating by canonical
-key yields one representative per isomorphism class.
+The internal generator covers orders 1..7 by vertex augmentation: each
+order-(k+1) candidate is an order-k representative B (the base) with a
+new vertex v attached to a nonempty neighbor set S, and the candidates
+are deduplicated by canonical key.  Bases go in key order, and each
+base's sets go by size, then lexicographically.
+
+A candidate is keyed only when no base vertex u is a non-cut vertex of
+higher degree than v, that is, when no u has deg(u) > |S| in B + v and
+S meeting every component of B - u.  Every class is still reached.  A
+connected graph G has non-cut vertices; let w be one of greatest degree
+among them.  G - w is connected, so it is isomorphic to a base B, and
+the set S that w's neighbors map to gives a candidate isomorphic to G
+by an isomorphism taking v to w.  So in that candidate v is a non-cut
+vertex of greatest degree among them, and the candidate passes the
+rule; the twin swaps below make it a twin-normal one that passes too.
 
 Each base tries only its twin-normal neighbor sets: those that hold
 every lower-numbered twin (:func:`~graphtheta.canon.lower_twins`) of
 each vertex they hold.  Swapping two twins is an automorphism of the
-base, so replacing a member of a set that is not twin-normal by a lower
-twin outside it gives an isomorphic graph, from a set of the same size
-that comes earlier in the generation order (by size, then
-lexicographically).  Repeated swaps end at a twin-normal set, so the
-first set to reach each class is twin-normal, and the representative
-of each class is the same labelled graph as in a search over every
-set.  Each candidate is keyed by
-:func:`~graphtheta.canon.canonical_key` on adjacency bitmasks, and a
-``Graph`` is made only for each representative.
+base that, extended to B + v, fixes v, so it keeps or skips candidates
+alike under the rule above.  Replacing a member of a set that is not
+twin-normal by a lower twin outside it gives an isomorphic candidate,
+from a set of the same size that comes earlier.  Repeated swaps end at
+a twin-normal set, so each class's first kept candidate in generation
+order is twin-normal, and it is the class's representative.  Each
+candidate is keyed by :func:`~graphtheta.canon.canonical_key` on
+adjacency bitmasks, and a ``Graph`` is made only for each
+representative.
 
 Larger orders are ingested from external graph6 files.
 """
@@ -70,11 +79,20 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
     for base in _connected_classes(n - 1):
         base_masks = [sum(1 << v for v in nbrs) for nbrs in base.adj]
         before = lower_twins(base_masks, base.degrees)
+        # each base vertex u: its degree, its bit, the components of B - u
+        rivals = [(d, 1 << u, _components(base_masks, u))
+                  for u, d in enumerate(base.degrees)]
+        top = max(base.degrees)
         for subset, subset_mask in subsets:
             if any(before[v] & ~subset_mask for v in subset):
                 continue  # not twin-normal
+            k = len(subset)
+            if k <= top and any(
+                    (d > k or subset_mask & bit) and all(c & subset_mask for c in comps)
+                    for d, bit, comps in rivals if d >= k):
+                continue  # a non-cut vertex outranks the new one
             masks = base_masks + [subset_mask]
-            degrees = list(base.degrees) + [len(subset)]
+            degrees = list(base.degrees) + [k]
             for v in subset:
                 masks[v] |= new
                 degrees[v] += 1
@@ -84,6 +102,25 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
                        for v, nbrs in enumerate(base.adj)]
                 seen[key] = _from_adjacency(n, adj + [subset])
     return tuple(g for _, g in sorted(seen.items()))
+
+
+def _components(masks: list[int], u: int) -> list[int]:
+    """The vertex bitmasks of the components of the graph less u."""
+    left = (1 << len(masks)) - 1 & ~(1 << u)
+    comps = []
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & left & ~comp
+            comp |= frontier
+        comps.append(comp)
+        left &= ~comp
+    return comps
 
 
 def internal_universe(n: int) -> GraphUniverse:

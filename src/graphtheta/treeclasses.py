@@ -118,8 +118,11 @@ power of two (or inf, and then every class is in the band), and
 |G| > slack + floor(tol * 2**S): ``band`` returns that integer.  With
 tol = 0 the same argument guards the witness pass: G > ``band(0)``, the
 slack, gives a double gap above 0, and a real gap above the positive
-G / 2**S - 2(n - 1) * 2**-54, since each of the 2(n - 1) terms is within
-half an ulp, 2**-54, of its real value and 3 * 2**k > 2(n - 1).  So
+G / 2**S - 3(n - 1) * 2**-54, since each of the 2(n - 1) terms is within
+1.5 * 2**-54 of its real value and 3 * 2**k > 3(n - 1), as 2**k > n - 1.
+A term takes two roundings, the quotient's and the square root's, so it
+is not within half an ulp: ABC(4, 57) is off by 1.445 * 2**-54, the most
+of any term with a + b <= 62, the graph6 order bound.  So
 neither the double gap nor the 50-digit recheck can fall below -tol.
 """
 

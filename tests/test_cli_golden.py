@@ -26,7 +26,10 @@ GOLDEN = {
     "verify t2 --max-order 7": "ee06ec24150a799df695b2d1a9eca1eb1508f5ee2876bae13f54f860b45aae43",
     "verify t3 --max-order 7": "3c70ff5543bfd37e10e553561a61703977882066fa8e5910ddaf278c42fca9ee",
     "enum trees 12": "e74f2d9e2ca9736d213b89ef046dffd1102857e9e3602f39560502d7c121da87",
-    "enum connected 6": "353aaf07c688f00e6e18cd2c0a0cf5ef209ae0ee11b0a4c85a072a29d37e7012",
+    # recorded once the universe build keyed only the candidates whose new
+    # vertex is a non-cut vertex of greatest degree
+    "enum connected 6": "923cd15b9f24e9d57434a10e56791991c97579ecbcb9714e837c3cf997ddff48",
+    "enum connected 7": "778389f2ebc1383318b681ec3bd26023a3006fccfd4996b85f7d95000f6552d4",
     "index --format csv": "046713464eb56b917becaaabc53f503142589eeabc9415f8a872449b124de530",
     "index --format json": "8ea3aa0301db6cb842e545e8e2d97a61ac5163824bef0ba7b7872f51a6e5fb68",
     # recorded before a class carried its own ABC and ABS sums and
@@ -53,6 +56,7 @@ def stdout_of(capsys, *argv) -> bytes:
     "near-ties 16 --top-k 4 --format json",
     "enum trees 12",
     "enum connected 6",
+    "enum connected 7",
 ])
 def test_stdout(capsys, command):
     assert sha256(stdout_of(capsys, *command.split())) == GOLDEN[command]

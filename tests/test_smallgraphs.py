@@ -22,8 +22,10 @@ UNIVERSE_KEYS_SHA256 = "1e51995c4cab85eddca41c4164a2620b81b14313c468ae39dad02480
 def generate_and_dedup(n):
     """Reference build: every representative of order n-1 with every
     nonempty neighbor set of a new vertex, first by size, then
-    lexicographically; the first graph of each key is kept, and the
-    result is sorted by key."""
+    lexicographically.  A candidate is dropped when some old vertex u
+    has a higher degree than the new vertex and the graph without u is
+    connected.  The first graph of each key is kept, and the result is
+    sorted by key."""
     if n == 1:
         return (from_edge_list(1, []),)
     seen = {}
@@ -32,8 +34,17 @@ def generate_and_dedup(n):
         for r in range(1, n):
             for subset in combinations(range(n - 1), r):
                 g = from_edge_list(n, edges + [(v, n - 1) for v in subset])
-                seen.setdefault(canonical_key(g), g)
+                if not any(g.degrees[u] > r and is_connected(_without(g, u))
+                           for u in range(n - 1)):
+                    seen.setdefault(canonical_key(g), g)
     return tuple(g for _, g in sorted(seen.items()))
+
+
+def _without(g, u):
+    """g less vertex u, the vertices above u numbered one lower."""
+    def label(v):
+        return v - (v > u)
+    return from_edge_list(g.n - 1, [(label(a), label(b)) for a, b in g.edges() if u not in (a, b)])
 
 
 def brute_force_connected(n):
@@ -146,8 +157,8 @@ def test_trusted_representatives_equal_validated_graph():
 
 
 def test_build_work_counts(monkeypatch):
-    # one key per candidate, and no other search; one twin computation per
-    # class of orders 1..6, for the neighbor sets that the next order tries
+    # one key per kept candidate, and no other search; one twin computation
+    # per class of orders 1..6, for the neighbor sets that the next order tries
     keys, twins = [], []
 
     def counted_key(masks, degrees):
@@ -165,7 +176,18 @@ def test_build_work_counts(monkeypatch):
         graphs = [g for n in range(1, 8) for g in internal_universe(n)]
     finally:
         smallgraphs._connected_classes.cache_clear()
-    assert len(keys) == 5299
+    assert len(keys) == 1685
     assert len(set(keys)) == len(graphs) - 1 == 995  # order 1 needs no key
     assert len(twins) == sum(CONNECTED_COUNTS[:6]) == 143
     assert max(twins) == 6
+
+
+def test_order_8_build_reaches_every_class():
+    # above MAX_INTERNAL_ORDER, so no other test builds it: A001349 gives 11117
+    try:
+        graphs = smallgraphs._connected_classes(8)
+        assert len(graphs) == 11117
+        assert all(g.n == 8 and is_connected(g) for g in graphs)
+        assert len({canonical_key(g) for g in graphs}) == 11117
+    finally:
+        smallgraphs._connected_classes.cache_clear()

@@ -144,6 +144,14 @@ class TestClassCensusMatchesStream:
         tol = TestRecheck.TOL_16
         assert survey.classify_trees(16, tol=tol, workers=workers) == reference_census(16, tol)
 
+    @pytest.mark.parametrize("n, total, negative", [
+        (18, 123867, 30849), (19, 317955, 103658), (20, 823065, 334931)])
+    def test_orders_18_to_20_pinned(self, n, total, negative):
+        # too many trees for the reference: totals from OEIS A000055
+        rec = survey.classify_trees(n, witness_cap=0)
+        assert (rec.total, rec.negative, rec.zero) == (total, negative, 0)
+        assert rec.positive == total - negative
+
     def test_no_stream_without_witnesses(self, monkeypatch):
         def no_stream(n):
             raise AssertionError("the tree stream was started")

@@ -206,10 +206,20 @@ def test_positive_block_needs_a_bound_above_the_margin(n, monkeypatch):
 
 def test_slack_exceeds_the_real_gaps_error_at_every_order():
     # band(0) guards the witness pass only if the slack, 3 * 2**(k - 54)
-    # over 2**S, is above the 2(n-1) * 2**-54 between the exact sum of a
-    # tree's double terms and its real gap
+    # over 2**S, is above the 3(n-1) * 2**-54 between the exact sum of a
+    # tree's double terms and its real gap: 2(n-1) terms, each within
+    # 1.5 * 2**-54 of its real value
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        for a in range(1, 62):
+            for b in range(1, 63 - a):
+                _, _, abc, abs_ = edge_terms(a, b)
+                real_abc = mpmath.sqrt(mpmath.mpf(a + b - 2) / (a * b))
+                real_abs = mpmath.sqrt(mpmath.mpf(a + b - 2) / (a + b))
+                for term, real in ((abc, real_abc), (abs_, real_abs)):
+                    assert abs(mpmath.mpf(term) - real) <= 1.5 * 2**-54, (a, b)
     for n in range(3, 63):
-        assert 3 * 2**(n - 1).bit_length() > 2 * (n - 1)
+        assert 3 * 2**(n - 1).bit_length() > 3 * (n - 1)
 
 
 # --- the band of tol -----------------------------------------------------
