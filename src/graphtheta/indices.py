@@ -4,8 +4,8 @@ Each index is a sum over the edges of a term in the degree pair
 (d_u, d_v): Randic 1/sqrt(d_u*d_v), sum-connectivity 1/sqrt(d_u+d_v),
 ABC sqrt((d_u+d_v-2)/(d_u*d_v)) and ABS sqrt((d_u+d_v-2)/(d_u+d_v)).
 Each term is written once, in ``edge_terms``, a cached function of the
-degree pair that ``pairs_report`` and the tree census's class tables
-(``treeclasses.Tables``) both read.  ``pairs_report`` scores a graph from
+degree pair that ``pairs_report`` and the tree census's exact terms
+(``treeclasses.Terms``) both read.  ``pairs_report`` scores a graph from
 its edges' degree pairs: ``index_report`` takes them from a ``Graph``,
 the ``index`` command from ``graph6.parse_degree_pairs``, with no
 ``Graph``, and ``verify`` from each statement's ``pairs`` (a graph's
@@ -78,9 +78,14 @@ def pairs_report(pairs: Iterable[tuple[int, int]]) -> IndexReport:
     return IndexReport(randic=randic, sum_connectivity=sc, abc=abc, abs=abs_, gap=abc - abs_)
 
 
-def sign_of_gap(gap: float, tol: float = DEFAULT_ZERO_TOL) -> Sign:
+def _check_tol(tol: float) -> None:
+    """Raise GraphError unless the zero tolerance is finite and above 0."""
     if not 0 < tol < math.inf:  # also false for NaN
         raise GraphError(f"tolerance must be finite and positive, got {tol}")
+
+
+def sign_of_gap(gap: float, tol: float = DEFAULT_ZERO_TOL) -> Sign:
+    _check_tol(tol)
     if abs(gap) <= tol:
         return Sign.ZERO_WITHIN_TOL
     return Sign.POSITIVE if gap > 0 else Sign.NEGATIVE

@@ -29,6 +29,7 @@ from .graph6 import to_graph6
 from .indices import (
     DEFAULT_ZERO_TOL,
     Sign,
+    _check_tol,
     certified_sign,
     pairs_report,
 )
@@ -76,12 +77,6 @@ class VerificationReport(NamedTuple):
     min_margin: float | None = None
 
 
-def _check_tol(tol: float) -> None:
-    """Raise ValueError unless the zero tolerance is finite and above 0."""
-    if not 0 < tol < math.inf:  # also false for NaN
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
-
-
 # --- tree census ------------------------------------------------------
 
 def _nearest(entries: list, k: int) -> tuple[list, int | float]:
@@ -111,7 +106,7 @@ def _scan_partition(args, tables: treeclasses.Tables | None = None) -> tuple[Cou
 
     This is the census pool's entry point.  One fold is live at a time:
     each class is signed as it comes, from its exact gap outside the
-    band of tol (``Tables.band``) and by ``Tables.sign`` inside it, and
+    band of tol (``Terms.band``) and by ``Tables.sign`` inside it, and
     dropped.  A class enters the near list when its exact |gap| is at
     most that of the near_k-th tree kept so far; no double is made
     here.  The merge of the near lists stays exact: a part keeps every
@@ -123,7 +118,7 @@ def _scan_partition(args, tables: treeclasses.Tables | None = None) -> tuple[Cou
         tables = treeclasses.Tables(n)
     signs: Counter = Counter()  # Sign -> trees, of the classes in the band
     positive = negative = 0  # trees of the classes outside it
-    edge = tables.band(tol)
+    edge = tables.terms.band(tol)
     near: list = []
     bound = math.inf  # exact |gap| of the near_k-th tree kept so far
     for unit in tables.units[part::parts]:

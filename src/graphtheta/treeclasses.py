@@ -16,7 +16,8 @@ centroid (Polya 1937; Otter 1948; Harary-Palmer 1973, ch. 3-4):
   each field stays clear, which lets ``expand`` test a field-wise
   subtraction for underflow.
 * Every ABC and ABS edge term is a double M / 2**S (S = 53-54 up to
-  n = 25), so below the type fields a class carries two more fields:
+  n = 25), and ``Terms`` holds each edge type's two M.  Below the
+  type fields a class carries two more fields:
   the sum of M over its edges' ABC terms, then over their ABS terms.
   Each edge monomial holds its type's M values there, and the folds
   only add packed ints or scale them by an integer, so every packed
@@ -44,7 +45,7 @@ centroid (Polya 1937; Otter 1948; Harary-Palmer 1973, ch. 3-4):
 ``Tables.classes(unit)`` gives the classes of one unit, so a caller can
 sign and drop them one fold at a time, or split the units between
 processes.  ``Tables.sign(cls, tol)`` is the one class signer.  Outside
-a narrow band around +-tol (``Tables.band``; proof below), a class's
+a narrow band around +-tol (``Terms.band``; proof below), a class's
 certified sign is that of the exact integer gap G = A - B of the two
 sum fields (``Tables.gap``), so most classes are signed with one
 integer comparison.  Only inside the band does ``sign`` make the ABC
@@ -70,8 +71,8 @@ The witness pass streams trees in order until its last negative one,
 and ``Tables.positive_block`` lets it leave out a *block*, the stream
 trees that share the root's first subtree T1, when a lower bound proves
 none of them negative.  The bound reads two tables of exact minima,
-integers over 2**S like the class sums, filled as the pass asks for
-them and kept in the ``_least`` memo of the instance:
+integers over 2**S like the class sums, that ``Terms`` fills as the
+pass asks for them and keeps in its ``_least`` memo:
 
 * ``least_child(p, s, h)``: the least sum of the ABC - ABS terms of a
   planted tree of s vertices and height at least h under a parent of
@@ -83,8 +84,8 @@ them and kept in the ``_least`` memo of the instance:
 
 Children add their sums independently, so each minimum is one over
 sizes and degrees of smaller minima; a height of at least h asks only
-that one child reach h - 1.  An edge's term is read from the sum fields
-of its packed monomial, so every minimum is exact.
+that one child reach h - 1.  An edge's term is its type's ABC M less
+its ABS M, so every minimum is exact and needs no planted table.
 
 The bound.  A stream tree is rooted at a center c.  Let T1 have s1
 vertices, root degree d1 (its edge to c counted) and height h1.  The
@@ -187,8 +188,7 @@ def _fold(
 
 
 def _memo(method):
-    """Keep a method's results in its instance's ``_least`` memo, so the
-    min-gap tables go with the order's tables."""
+    """Keep a method's results in its instance's ``_least`` memo."""
     @wraps(method)
     def cached(self, *args):
         key = (method.__name__, *args)
@@ -200,38 +200,93 @@ def _memo(method):
     return cached
 
 
-class Tables:
-    """The planted tables of order n, from which the classes of every
-    fold unit are counted and any class's trees are listed."""
+class Terms:
+    """The exact ABC and ABS edge terms of the trees of order n, each an
+    integer over ``unit`` = 2**S, with the band of ``Tables.sign`` and
+    the min-gap tables; no planted table is built."""
 
     def __init__(self, n: int) -> None:
         if n < 1:
             raise ValueError(f"tree order must be >= 1, got {n}")
         self.n = n
-        self.width = max(5, n.bit_length() + 1)
         # in a tree, the two ends of an edge have degrees summing to <= n
         self.types = [(a, b) for a in range(1, n) for b in range(a, n - a + 1)]
         # every ABC and ABS term is a double M / 2**S: S from their ratios
         ratios = [[t.as_integer_ratio() for t in edge_terms(a, b)[2:]] for a, b in self.types]
-        self._unit = max((den for r in ratios for _, den in r), default=1)  # 2**S
-        # below the type fields, the sums of M over the edges: ABC, then ABS,
-        # each wide enough for as many edges as a type field can count
-        self._abs_at = self._unit.bit_length() - 1 + self.width - 1
-        self._sum_mask = (1 << self._abs_at) - 1
-        self._types_at = 2 * self._abs_at
-        shift = {ab: self._types_at + i * self.width for i, ab in enumerate(self.types)}
-        monomial = {ab: 1 << shift[ab] | abc * (self._unit // p)
-                    | abs_ * (self._unit // q) << self._abs_at
-                    for ab, ((abc, p), (abs_, q)) in zip(self.types, ratios)}
-        # the packed monomial of one edge between degrees a and b, or 0
-        self._edge = [[monomial[min(a, b), max(a, b)] if a + b <= n and a and b else 0
-                       for b in range(n + 1)] for a in range(n + 1)]
-        self._guard = sum(1 << (s + self.width - 1) for s in shift.values())
-        self._branches: dict[bytes, tuple[int, int]] = {}  # see _below
+        self.unit = max((den for r in ratios for _, den in r), default=1)  # 2**S
+        # each type's ABC and ABS numerators M over unit
+        self.numerators = [(abc * (self.unit // p), abs_ * (self.unit // q))
+                           for (abc, p), (abs_, q) in ratios]
+        # the ABC - ABS term over unit of one edge between degrees a and b
+        self._gap = self.per_edge({ab: abc - abs_ for ab, (abc, abs_)
+                                   in zip(self.types, self.numerators)})
         # three roundings in sign, each at most half an ulp below 2**k: see
         # the module docstring
-        self._slack = 3 * self._unit << (n - 1).bit_length() >> 54
+        self.slack = 3 * self.unit << (n - 1).bit_length() >> 54
         self._least: dict[tuple, int | float] = {}  # see _memo
+
+    def per_edge(self, of_type: dict[tuple[int, int], int]) -> list[list[int]]:
+        """A table whose [a][b] is ``of_type`` of the type of an edge
+        between degrees a and b, or 0 if no tree of order n has one."""
+        n = self.n
+        return [[of_type[min(a, b), max(a, b)] if a + b <= n and a and b else 0
+                 for b in range(n + 1)] for a in range(n + 1)]
+
+    def band(self, tol: float) -> int | float:
+        """The band of a zero tolerance tol >= 0: the largest exact
+        |gap|, over ``unit``, of a tree's class whose double gap in
+        ``Tables.sign`` may lie within tol of zero.  A class with a
+        larger |gap| has a double gap beyond tol or -tol, on its exact
+        gap's side (the module docstring's proof, with |gap| - slack >
+        tol * 2**S taken in integers).  inf if tol * 2**S is not
+        finite."""
+        edge = tol * self.unit  # exact: unit is a power of two
+        return self.slack + floor(edge) if edge < inf else inf
+
+    @_memo
+    def least_child(self, p: int, s: int, h: int) -> int | float:
+        """The least sum, over ``unit``, of the ABC - ABS terms of a
+        planted tree of s vertices and height at least h under a parent
+        of degree p: the terms of its s - 1 inner edges and of its edge
+        to the parent, least over its root degree d; inf if there is no
+        such tree.  The degrees of every edge must add up to at most n."""
+        gap = self._gap[p]
+        # the root's d - 1 children: one of height at least h - 1
+        return min(gap[d] + self._least_children(d, d - 1, s - 1, h - 1)
+                   for d in range(1, s + 1))
+
+    @_memo
+    def _least_children(self, p: int, j: int, t: int, h: int) -> int | float:
+        """The least sum over j planted children, t vertices in all, of a
+        vertex of degree p, one of them of height at least h (any heights
+        if h < 0): ``least_child`` of each, added up."""
+        if j == 0:
+            return 0 if t == 0 and h < 0 else inf
+        first = max(h, 0)  # the first child meets the height; the other j - 1 may be any
+        return min((self.least_child(p, c, first) + self._least_children(p, j - 1, t - c, -1)
+                    for c in range(1, t - j + 2)), default=inf)
+
+
+class Tables:
+    """The planted tables of order n, from which the classes of every
+    fold unit are counted and any class's trees are listed."""
+
+    def __init__(self, n: int) -> None:
+        self.terms = terms = Terms(n)
+        self.n = n
+        self.width = max(5, n.bit_length() + 1)
+        # below the type fields, the sums of M over the edges: ABC, then ABS,
+        # each wide enough for as many edges as a type field can count
+        self._abs_at = terms.unit.bit_length() - 1 + self.width - 1
+        self._sum_mask = (1 << self._abs_at) - 1
+        self._types_at = 2 * self._abs_at
+        shift = {ab: self._types_at + i * self.width for i, ab in enumerate(terms.types)}
+        monomial = {ab: 1 << shift[ab] | abc | abs_ << self._abs_at
+                    for ab, (abc, abs_) in zip(terms.types, terms.numerators)}
+        # the packed monomial of one edge between degrees a and b, or 0
+        self._edge = terms.per_edge(monomial)
+        self._guard = sum(1 << (s + self.width - 1) for s in shift.values())
+        self._branches: dict[bytes, tuple[int, int]] = {}  # see _below
         self.half = n // 2  # the largest planted size needed
         self.branch = (n - 1) // 2  # the largest child of a centroid
         self.units = [d for d in range(n) if d * self.branch >= n - 1]
@@ -303,7 +358,7 @@ class Tables:
         while cls:
             i = ((cls & -cls).bit_length() - 1) // self.width
             c = (cls >> (i * self.width)) & mask
-            yield from [self.types[i]] * c
+            yield from [self.terms.types[i]] * c
             cls -= c << (i * self.width)
 
     def class_of(self, seq: tuple[int, ...]) -> int:
@@ -332,13 +387,13 @@ class Tables:
 
     def gap(self, cls: int) -> int:
         """The exact ABC - ABS sum of a packed class or edge monomial,
-        over ``_unit``."""
+        over ``Terms.unit``."""
         return (cls & self._sum_mask) - (cls >> self._abs_at & self._sum_mask)
 
     def block_bound(self, seq: tuple[int, ...]) -> int | float:
-        """A lower bound, over ``_unit``, on the exact ABC - ABS sum of
-        every stream tree whose root's first subtree is that of ``seq``:
-        the sum inside that subtree plus ``least_child`` of the rest of
+        """A lower bound, over ``Terms.unit``, on the exact ABC - ABS sum
+        of every stream tree whose root's first subtree is that of ``seq``:
+        the sum inside that subtree plus ``Terms.least_child`` of the rest of
         the tree, planted under the subtree's root, at the height the
         stream's center rule asks of it."""
         desc = bytes(seq)[1:]
@@ -348,53 +403,20 @@ class Tables:
             got = self._branches[first] = self._below(first, 1)
         d1, cls = got
         h1 = max(first, default=1) - 1  # the first subtree's height
-        return self.gap(cls) + self.least_child(d1, self.n - 1 - len(first), h1)
+        return self.gap(cls) + self.terms.least_child(d1, self.n - 1 - len(first), h1)
 
     def positive_block(self, seq: tuple[int, ...]) -> bool:
         """True if ``block_bound`` proves that no tree of the block of
         ``seq`` is signed negative, at any tol: if it is above
-        ``band(0)``, the slack."""
-        return self.block_bound(seq) > self._slack
+        ``Terms.band(0)``, the slack."""
+        return self.block_bound(seq) > self.terms.slack
 
     def drop_stream_memos(self) -> None:
         """Free the memos that ``class_of`` and ``positive_block`` fill as
-        the tree stream is read, its branches and the min-gap tables, so
-        they last no longer than the witness pass."""
+        the tree stream is read, its branches and the min-gap tables of
+        ``terms``, so they last no longer than the witness pass."""
         self._branches.clear()
-        self._least.clear()
-
-    @_memo
-    def least_child(self, p: int, s: int, h: int) -> int | float:
-        """The least sum, over ``_unit``, of the ABC - ABS terms of a
-        planted tree of s vertices and height at least h under a parent
-        of degree p: the terms of its s - 1 inner edges and of its edge
-        to the parent, least over its root degree d; inf if there is no
-        such tree.  The degrees of every edge must add up to at most n."""
-        edge = self._edge[p]
-        # the root's d - 1 children: one of height at least h - 1
-        return min(self.gap(edge[d]) + self._least_children(d, d - 1, s - 1, h - 1)
-                   for d in range(1, s + 1))
-
-    @_memo
-    def _least_children(self, p: int, j: int, t: int, h: int) -> int | float:
-        """The least sum over j planted children, t vertices in all, of a
-        vertex of degree p, one of them of height at least h (any heights
-        if h < 0): ``least_child`` of each, added up."""
-        if j == 0:
-            return 0 if t == 0 and h < 0 else inf
-        first = max(h, 0)  # the first child meets the height; the other j - 1 may be any
-        return min((self.least_child(p, c, first) + self._least_children(p, j - 1, t - c, -1)
-                    for c in range(1, t - j + 2)), default=inf)
-
-    def band(self, tol: float) -> int | float:
-        """The band of a zero tolerance tol >= 0: the largest exact
-        |gap|, over ``_unit``, of a tree's class whose double gap in
-        ``sign`` may lie within tol of zero.  A class with a larger |gap|
-        has a double gap beyond tol or -tol, on its exact gap's side (the
-        module docstring's proof, with |gap| - slack > tol * 2**S taken
-        in integers).  inf if tol * 2**S is not finite."""
-        edge = tol * self._unit  # exact: _unit is a power of two
-        return self._slack + floor(edge) if edge < inf else inf
+        self.terms._least.clear()
 
     def sign(self, cls: int, tol: float) -> Sign:
         """The certified sign of a class's gap at ``tol``: that of its
@@ -402,18 +424,18 @@ class Tables:
         of its ``sums``, whose degree pairs are decoded only for the
         50-digit recheck of ``certified_sign``."""
         gap = self.gap(cls)
-        if abs(gap) > self.band(tol):
+        if abs(gap) > self.terms.band(tol):
             return Sign.POSITIVE if gap > 0 else Sign.NEGATIVE
         abc, abs_ = self.sums(cls)
         return certified_sign(abc - abs_, self.pairs(cls), tol)
 
     def sums(self, cls: int) -> tuple[float, float]:
         """The ABC and ABS sums of a class: each an integer over
-        ``_unit`` that one correctly rounded division turns into the
+        ``Terms.unit`` that one correctly rounded division turns into the
         double that ``math.fsum`` gives over the class's edge terms, in
         any edge order."""
-        mask = self._sum_mask
-        return (cls & mask) / self._unit, (cls >> self._abs_at & mask) / self._unit
+        mask, unit = self._sum_mask, self.terms.unit
+        return (cls & mask) / unit, (cls >> self._abs_at & mask) / unit
 
     # --- listing the trees of a class ---------------------------------
 

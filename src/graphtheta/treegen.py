@@ -38,9 +38,9 @@ from .graph6 import MAX_ORDER, _body_to_graph6, _edge_bits
 # Which kernel runs; perfbench's set-up imports and records it.
 BACKEND = "python"
 # The largest order that scan, near-ties and enum trees accept: the
-# largest with a recorded census (scan 23..25: 93 s, 141 MB).  The class
-# tables grow about 4x per 4 orders past it, and the tree stream 3x per
-# order.
+# largest with a recorded census (`scan 23..25 --workers 2 --witness-out F`:
+# 9-10 s, 147 MB peak RSS, 2-CPU host, Python 3.11.7).  The class tables
+# grow about 4x per 4 orders past it, and the tree stream 3x per order.
 MAX_TREE_ORDER = 25
 
 

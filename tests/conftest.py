@@ -134,7 +134,7 @@ def fsum_class_sums(tables, cls: int) -> tuple[float, float]:
     mask = (1 << tables.width) - 1
     abc: list[float] = []
     abs_: list[float] = []
-    for i, (a, b) in enumerate(tables.types):
+    for i, (a, b) in enumerate(tables.terms.types):
         c = cls >> tables._types_at + i * tables.width & mask
         _, _, t_abc, t_abs = edge_terms(a, b)
         abc += [t_abc] * c

@@ -9,7 +9,7 @@ import pytest
 from conftest import fsum_class_sums, otter_classes, sequence_to_graph, stream_blocks
 from graphtheta import survey, treeclasses, treegen
 from graphtheta.indices import DEFAULT_ZERO_TOL, Sign, edge_terms
-from graphtheta.treeclasses import Tables
+from graphtheta.treeclasses import Tables, Terms
 
 # OEIS A000055, free trees of order n = 1..20
 A000055 = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320,
@@ -119,15 +119,15 @@ def test_class_of_over_the_order_17_witness_prefix():
 
 # --- the min-gap tables and the block bound ----------------------------
 
-def exact_gap(tables, pairs):
+def exact_gap(terms, pairs):
     """The ABC - ABS sum of some edges' double terms, an integer over
-    the tables' unit, read from each term's exact ratio."""
+    the terms' unit, read from each term's exact ratio."""
     total = 0
     for a, b in pairs:
         for sign, term in ((1, edge_terms(a, b)[2]), (-1, edge_terms(a, b)[3])):
             num, den = term.as_integer_ratio()
-            assert tables._unit % den == 0
-            total += sign * num * (tables._unit // den)
+            assert terms.unit % den == 0
+            total += sign * num * (terms.unit // den)
     return total
 
 
@@ -161,7 +161,7 @@ def planted_stats(t):
 
 
 def test_min_gap_tables_match_brute_force_to_10_vertices():
-    tables = Tables(20)  # every edge below has degrees adding up to <= 20
+    terms = Terms(20)  # every edge below has degrees adding up to <= 20
     trees = planted_trees(10)
     sizes = Counter(planted_stats(t)[0] for t in trees)
     assert [sizes[s] for s in range(1, 11)] == [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
@@ -169,39 +169,68 @@ def test_min_gap_tables_match_brute_force_to_10_vertices():
     for t in trees:
         s, h, pairs = planted_stats(t)
         key = (len(t) + 1, s, h)
-        best[key] = min(best[key], exact_gap(tables, pairs))
+        best[key] = min(best[key], exact_gap(terms, pairs))
     for s in range(1, 11):
         for h in range(s + 1):
             reach = [(d, v) for (d, ss, hh), v in best.items() if ss == s and hh >= h]
             for d in range(1, s + 1):
                 # the root's d - 1 children, one of height at least h - 1
-                assert tables._least_children(d, d - 1, s - 1, h - 1) == min(
+                assert terms._least_children(d, d - 1, s - 1, h - 1) == min(
                     (v for dd, v in reach if dd == d), default=math.inf), (d, s, h)
             for p in range(1, 11):
-                assert tables.least_child(p, s, h) == min(
-                    (exact_gap(tables, [(p, d)]) + v for d, v in reach), default=math.inf), (p, s, h)
+                assert terms.least_child(p, s, h) == min(
+                    (exact_gap(terms, [(p, d)]) + v for d, v in reach), default=math.inf), (p, s, h)
+
+
+def least_gap(terms):
+    """The least exact gap of the trees of the terms' order: a tree
+    rooted at a vertex of degree D is D planted children of n - 1
+    vertices in all, of any heights."""
+    n = terms.n
+    return min(terms._least_children(d, d, n - 1, -1) for d in range(1, n))
+
+
+def test_least_gap_is_the_least_class_gap_at_every_order():
+    for n in range(3, 18):
+        tables = Tables(n)
+        assert least_gap(Terms(n)) == min(
+            tables.gap(cls) for unit in tables.units for cls in tables.classes(unit)), n
+
+
+def test_least_gap_of_order_62_builds_no_planted_table(monkeypatch):
+    # every planted table is folded by _fold, and only Tables builds them
+    monkeypatch.setattr(treeclasses, "_fold", None)
+    monkeypatch.setattr(treeclasses, "Tables", None)
+    terms = Terms(62)
+    assert terms.unit == 2**55
+    assert least_gap(terms) == -143165599843289388
 
 
 @pytest.mark.parametrize("n", range(2, 16))
 def test_block_bound_is_at_most_each_blocks_least_sum(n):
     tables = Tables(n)
     for trees in stream_blocks(n):
-        least = min(exact_gap(tables, sequence_to_graph(seq).edge_degree_pairs())
+        least = min(exact_gap(tables.terms, sequence_to_graph(seq).edge_degree_pairs())
                     for seq in trees)
         assert tables.block_bound(trees[0]) <= least
 
 
-# from order 3: at order 2 every term is an exact 0 and _unit is 1
 @pytest.mark.parametrize("n", [3, 9, 17, 25])
 def test_positive_block_needs_a_bound_above_the_margin(n, monkeypatch):
     # the margin is band(0), the slack of the module docstring
     tables = Tables(n)
     seq = next(treegen.free_tree_sequences(n))
-    monkeypatch.setattr(tables, "block_bound", lambda seq: tables.band(0))
+    monkeypatch.setattr(tables, "block_bound", lambda seq: tables.terms.band(0))
     assert not tables.positive_block(seq)
-    monkeypatch.setattr(tables, "block_bound", lambda seq: tables.band(0) + 1)
+    monkeypatch.setattr(tables, "block_bound", lambda seq: tables.terms.band(0) + 1)
     assert tables.positive_block(seq)
-    assert tables.band(0) == 3 * 2**((n - 1).bit_length() - 54) * tables._unit
+
+
+# from order 3: at order 2 every term is an exact 0 and unit is 1
+@pytest.mark.parametrize("n", [3, 9, 17, 25, 62])
+def test_slack_is_three_half_ulps_below_2_to_the_k(n):
+    terms = Terms(n)
+    assert terms.band(0) == terms.slack == 3 * 2**((n - 1).bit_length() - 54) * terms.unit
 
 
 def test_slack_exceeds_the_real_gaps_error_at_every_order():
@@ -228,12 +257,13 @@ def test_slack_exceeds_the_real_gaps_error_at_every_order():
 @pytest.mark.parametrize("tol", [5e-324, 2.0**-20, 1e-9, 0.02])
 def test_only_classes_inside_the_band_are_scored(n, tol, monkeypatch):
     tables = Tables(n)
+    unit = Terms(n).unit
     # the slack of the module docstring: three roundings, each at most half
-    # an ulp of a double below 2**k, k = (n-1).bit_length(), over _unit
-    slack = 3 * 2**((n - 1).bit_length() - 54) * tables._unit
+    # an ulp of a double below 2**k, k = (n-1).bit_length(), over unit
+    slack = 3 * 2**((n - 1).bit_length() - 54) * unit
     assert slack == int(slack)
-    edge = math.floor(tol * tables._unit) + int(slack)  # the largest |gap| in the band
-    base = tables._unit  # both sums well above the gaps below
+    edge = math.floor(tol * unit) + int(slack)  # the largest |gap| in the band
+    base = unit  # both sums well above the gaps below
     classes = {}
     for gap in (edge - 1, edge, edge + 1):
         for g in (gap, -gap):
