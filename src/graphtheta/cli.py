@@ -4,8 +4,10 @@ Subcommands: index, scan, near-ties, verify, enum.  Exit codes:
 0 success / statement verified, 1 verification counterexample,
 2 usage or input errors (a verify with no graph to check among them),
 or a census worker that died.  A regular file named by --out or
---witness-out is replaced only when the command succeeds; ``scan``
-refuses one file named by both.
+--witness-out is replaced when the command runs to its end, whatever
+its exit code, and left as it was when an error stops the command.
+So ``index`` replaces it with the rows of its good lines even when it
+exits 2 for bad ones.  ``scan`` refuses one file named by both.
 
 Numeric fields in CSV output are printed with 9 significant digits;
 JSON carries full binary64 round-trip values.  ``index`` writes each CSV

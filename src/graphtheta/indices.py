@@ -15,12 +15,10 @@ search.
 Whole-graph values are correctly rounded sums of the edge terms: the
 surveys turn on the sign of gaps as small as ~1e-4, which must sit far
 above accumulated rounding error.  ``pairs_report`` accumulates them
-with ``math.fsum``.  The tree census writes each ABC and ABS term as an
-integer over 2**S and carries a class's exact integer sums in the class
-itself.  It signs most classes from the exact difference of those sums
-alone, and for the rest divides each sum once
-(``treeclasses.Tables.sums``), which gives the same bits as
-``math.fsum``, and certifies their gap here.
+with ``math.fsum``.  The tree census writes each ABC - ABS term as an
+integer over 2**S and carries a class's exact integer gap in the class
+itself.  It signs most classes from that gap alone, and the rest with
+``pairs_report`` of the class's degree pairs, certified here.
 """
 
 from __future__ import annotations

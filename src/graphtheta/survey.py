@@ -213,15 +213,17 @@ def _near_ties(tables: treeclasses.Tables, near: list, k: int) -> list[TieRecord
     which is ascending graph6 order
     (tests/test_treegen.py::test_stream_in_ascending_graph6_order).
     The trees are ranked by their classes' exact |gap|, and a printed
-    row's ABC, ABS and |gap| are the doubles of its class's ``sums``."""
+    row's ABC, ABS and |gap| are the doubles of its class's
+    ``pairs_report``, made once per printed class."""
     classes = {cls: a for a, cls, _ in near}
     rows = [(a, seq, cls) for cls, a in classes.items() for seq in tables.expand(cls)]
     rows.sort(key=lambda r: r[1], reverse=True)  # the stream's order
     rows.sort(key=lambda r: r[0])
+    reports = {cls: pairs_report(tables.pairs(cls)) for cls in {r[2] for r in rows[:k]}}
     ties = []
     for _, seq, cls in rows[:k]:
-        abc, abs_ = tables.sums(cls)
-        ties.append(TieRecord(treegen.sequence_to_graph6(seq), abc, abs_, abs(abc - abs_)))
+        r = reports[cls]
+        ties.append(TieRecord(treegen.sequence_to_graph6(seq), r.abc, r.abs, abs(r.gap)))
     return ties
 
 

@@ -16,20 +16,20 @@ centroid (Polya 1937; Otter 1948; Harary-Palmer 1973, ch. 3-4):
   each field stays clear, which lets ``expand`` test a field-wise
   subtraction for underflow.
 * Every ABC and ABS edge term is a double M / 2**S (S = 53-54 up to
-  n = 25), and ``Terms`` holds each edge type's two M.  Below the
-  type fields a class carries two more fields:
-  the sum of M over its edges' ABC terms, then over their ABS terms.
-  Each edge monomial holds its type's M values there, and the folds
+  n = 25), so an edge type's ABC - ABS term is an exact integer g over
+  2**S, and ``Terms`` holds each type's g.  Below the type fields a
+  class carries one more field: the sum of g + 2**S over its edges.
+  Each edge monomial holds its type's g + 2**S there, and the folds
   only add packed ints or scale them by an integer, so every packed
-  int carries the exact sums of the edges it counts.  A sum field has
-  S + width - 1 bits and never overflows: a packed int counts fewer
-  than 2**(width-1) edges (at most n-1 in a tree, and the type fields'
-  top bits stay clear), and every term is below 1, so M < 2**S.  The
-  sums are linear in the type counts, so a subtraction that takes no
-  type field below zero takes neither sum below zero, and borrows
-  nothing from the type fields.  The sums sit at the bottom so that a
-  packed int stays as long as its highest edge type makes it, plus
-  the two sum fields.
+  int of e edges carries their exact gap G as that sum less e * 2**S
+  (``Tables.gap``).  Both terms of an edge lie in [0, 1), so each
+  summand lies in (0, 2**(S+1)), and a packed int counts fewer than
+  2**(width-1) edges (at most n-1 in a tree, and the type fields' top
+  bits stay clear): the field has S + width bits and never overflows.
+  The summands are positive, so a subtraction that takes no type field
+  below zero takes the sum below zero neither, and borrows nothing from
+  the type fields.  The field sits at the bottom so that a packed int
+  stays as long as its highest edge type makes it, plus the one field.
 * ``planted[(d, s)]`` maps each class of the s-1 edges inside a planted
   tree of s vertices and root degree d to its number of trees.  For a
   vertex of degree D, the multisets of its children are built one child
@@ -46,32 +46,31 @@ centroid (Polya 1937; Otter 1948; Harary-Palmer 1973, ch. 3-4):
 sign and drop them one fold at a time, or split the units between
 processes.  ``Tables.sign(cls, tol)`` is the one class signer.  Outside
 a narrow band around +-tol (``Terms.band``; proof below), a class's
-certified sign is that of the exact integer gap G = A - B of the two
-sum fields (``Tables.gap``), so most classes are signed with one
-integer comparison.  Only inside the band does ``sign`` make the ABC
-and ABS sums, each one correctly rounded division of its carried sum
-by 2**S (``Tables.sums``), and certify their gap.  ``Tables.class_of``
-gives the class of one streamed tree, so a tree is signed by its
-class.  It splits the tree's level bytes at the root's children and
-reads each branch's root degree and class from a memo on the instance,
-keyed by the level bytes of the branch's descendants (absolute depths,
-so a key also fixes the branch's depth) and filled recursively on a
-miss.  Consecutive trees of the stream share most of their branches:
-the witness pass of order 17 streams 2,779 trees and meets 2,099
-branches.  ``Tables.expand(cls)`` lists the trees of one class as the
-canonical level sequences that ``treegen.free_tree_sequences`` gives
-them, in stream order.  It roots each tree at every centroid, one root
-degree at a time with branches of at most n/2 vertices, so a tree with
-two centroids is made twice and kept once by its stream form.  One
-lister, ``_rooted``, makes those rootings and the planted trees they
-are built from, memoized by class; the trees stay level sequences
-throughout, and no ``Graph`` is built.
+certified sign is that of its exact gap G (``Tables.gap``), so most
+classes are signed with one integer comparison.  Only inside the band
+does ``sign`` decode the class's degree pairs, score them with
+``indices.pairs_report`` as ``index`` scores a graph, and certify that
+gap.  ``Tables.class_of`` gives the class of one streamed tree, so a
+tree is signed by its class.  It splits the tree's level bytes at the
+root's children and reads each branch's root degree and class from a
+memo on the instance, keyed by the level bytes of the branch's
+descendants (absolute depths, so a key also fixes the branch's depth)
+and filled recursively on a miss.  Consecutive trees of the stream
+share most of their branches: the witness pass of order 17 streams
+2,779 trees and meets 2,099 branches.  ``Tables.expand(cls)`` lists the
+trees of one class as the canonical level sequences that
+``treegen.free_tree_sequences`` gives them, in stream order.  It roots
+each tree at every centroid, one root degree at a time with branches of
+at most n/2 vertices, so a tree with two centroids is made twice and
+kept once by its stream form.  One lister, ``_rooted``, makes those
+rootings and the planted trees they are built from, memoized by class;
+the trees stay level sequences throughout, and no ``Graph`` is built.
 
 The witness pass streams trees in order until its last negative one,
 and ``Tables.positive_block`` lets it leave out a *block*, the stream
 trees that share the root's first subtree T1, when a lower bound proves
 none of them negative.  The bound reads two tables of exact minima,
-integers over 2**S like the class sums, that ``Terms`` fills as the
+integers over 2**S like the class gaps, that ``Terms`` fills as the
 pass asks for them and keeps in its ``_least`` memo:
 
 * ``least_child(p, s, h)``: the least sum of the ABC - ABS terms of a
@@ -84,8 +83,8 @@ pass asks for them and keeps in its ``_least`` memo:
 
 Children add their sums independently, so each minimum is one over
 sizes and degrees of smaller minima; a height of at least h asks only
-that one child reach h - 1.  An edge's term is its type's ABC M less
-its ABS M, so every minimum is exact and needs no planted table.
+that one child reach h - 1.  An edge's term is its type's g, so every
+minimum is exact and needs no planted table.
 
 The bound.  A stream tree is rooted at a center c.  Let T1 have s1
 vertices, root degree d1 (its edge to c counted) and height h1.  The
@@ -98,15 +97,17 @@ exact sum is inner(T1) + term(deg c, d1) + inner(R), so at least
 tree of the block.  A bound above ``band(0)`` proves the block
 positive at any tol (the band, below).
 
-The band.  Let a class of a tree of order n have the exact sums A and B
-over 2**S, and G = A - B.  ``sign`` rounds three times: A / 2**S and
-B / 2**S, each correctly rounded, and their difference.  Each term is
-below 1, so A / 2**S and B / 2**S lie in [0, n - 1), below 2**k for
-k = (n - 1).bit_length(); their doubles lie in [0, 2**k], and so does
-the magnitude of the difference, which is exact if it is 2**k.  A value
-below 2**k lies where doubles are at most 2**(k - 53) apart, so each
-rounding is off by at most 2**(k - 54),
-and the double gap d differs from G / 2**S by at most 3 * 2**(k - 54):
+The band.  Let a class of a tree of order n have the exact ABC and ABS
+sums A and B over 2**S, so G = A - B.  Inside the band, ``sign`` takes
+the gap of ``pairs_report``, which rounds three times: two correctly
+rounded ``math.fsum``, whose exact values are A / 2**S and B / 2**S,
+and their difference.  Each term is below 1, so A / 2**S and B / 2**S
+lie in [0, n - 1), below 2**k for k = (n - 1).bit_length(); their
+doubles lie in [0, 2**k], and so does the magnitude of the difference,
+which is exact if it is 2**k.  A value below 2**k lies where doubles
+are at most 2**(k - 53) apart, so each rounding is off by at most
+2**(k - 54), and the double gap d differs from G / 2**S by at most
+3 * 2**(k - 54):
 in units of 2**-S, by at most the slack 3 * 2**(S + k - 54), an
 integer since S >= 53 from n = 3 (below, every term is an exact 0).
 So if |G| - slack > tol * 2**S, then |d| * 2**S > tol * 2**S, that is
@@ -134,7 +135,7 @@ from itertools import combinations_with_replacement, product
 from math import floor, inf
 from typing import Iterator
 
-from .indices import Sign, certified_sign, edge_terms
+from .indices import Sign, certified_sign, edge_terms, pairs_report
 from .treegen import stream_form
 
 BICENTROID = -1  # the unit of the trees with two centroids
@@ -201,7 +202,7 @@ def _memo(method):
 
 
 class Terms:
-    """The exact ABC and ABS edge terms of the trees of order n, each an
+    """The exact ABC - ABS edge terms of the trees of order n, each an
     integer over ``unit`` = 2**S, with the band of ``Tables.sign`` and
     the min-gap tables; no planted table is built."""
 
@@ -214,12 +215,11 @@ class Terms:
         # every ABC and ABS term is a double M / 2**S: S from their ratios
         ratios = [[t.as_integer_ratio() for t in edge_terms(a, b)[2:]] for a, b in self.types]
         self.unit = max((den for r in ratios for _, den in r), default=1)  # 2**S
-        # each type's ABC and ABS numerators M over unit
-        self.numerators = [(abc * (self.unit // p), abs_ * (self.unit // q))
-                           for (abc, p), (abs_, q) in ratios]
+        # each type's exact ABC - ABS term over unit
+        self.gaps = [abc * (self.unit // p) - abs_ * (self.unit // q)
+                     for (abc, p), (abs_, q) in ratios]
         # the ABC - ABS term over unit of one edge between degrees a and b
-        self._gap = self.per_edge({ab: abc - abs_ for ab, (abc, abs_)
-                                   in zip(self.types, self.numerators)})
+        self._gap = self.per_edge(dict(zip(self.types, self.gaps)))
         # three roundings in sign, each at most half an ulp below 2**k: see
         # the module docstring
         self.slack = 3 * self.unit << (n - 1).bit_length() >> 54
@@ -275,14 +275,13 @@ class Tables:
         self.terms = terms = Terms(n)
         self.n = n
         self.width = max(5, n.bit_length() + 1)
-        # below the type fields, the sums of M over the edges: ABC, then ABS,
-        # each wide enough for as many edges as a type field can count
-        self._abs_at = terms.unit.bit_length() - 1 + self.width - 1
-        self._sum_mask = (1 << self._abs_at) - 1
-        self._types_at = 2 * self._abs_at
+        # below the type fields, the sum of gap + unit over the edges, each
+        # summand below 2 * unit: S + width bits for as many edges as a type
+        # field can count
+        self._types_at = terms.unit.bit_length() - 1 + self.width
+        self._gap_mask = (1 << self._types_at) - 1
         shift = {ab: self._types_at + i * self.width for i, ab in enumerate(terms.types)}
-        monomial = {ab: 1 << shift[ab] | abc | abs_ << self._abs_at
-                    for ab, (abc, abs_) in zip(terms.types, terms.numerators)}
+        monomial = {ab: 1 << shift[ab] | g + terms.unit for ab, g in zip(terms.types, terms.gaps)}
         # the packed monomial of one edge between degrees a and b, or 0
         self._edge = terms.per_edge(monomial)
         self._guard = sum(1 << (s + self.width - 1) for s in shift.values())
@@ -385,10 +384,12 @@ class Tables:
             cls += below + edge[d]
         return deg, cls
 
-    def gap(self, cls: int) -> int:
-        """The exact ABC - ABS sum of a packed class or edge monomial,
-        over ``Terms.unit``."""
-        return (cls & self._sum_mask) - (cls >> self._abs_at & self._sum_mask)
+    def gap(self, cls: int, edges: int | None = None) -> int:
+        """The exact ABC - ABS sum, over ``Terms.unit``, of the class of a
+        tree of order n, or of a packed int of ``edges`` edges."""
+        if edges is None:
+            edges = self.n - 1
+        return (cls & self._gap_mask) - edges * self.terms.unit
 
     def block_bound(self, seq: tuple[int, ...]) -> int | float:
         """A lower bound, over ``Terms.unit``, on the exact ABC - ABS sum
@@ -402,8 +403,9 @@ class Tables:
         if got is None:
             got = self._branches[first] = self._below(first, 1)
         d1, cls = got
+        edges = len(first)  # one to each descendant's parent
         h1 = max(first, default=1) - 1  # the first subtree's height
-        return self.gap(cls) + self.terms.least_child(d1, self.n - 1 - len(first), h1)
+        return self.gap(cls, edges) + self.terms.least_child(d1, self.n - 1 - edges, h1)
 
     def positive_block(self, seq: tuple[int, ...]) -> bool:
         """True if ``block_bound`` proves that no tree of the block of
@@ -421,21 +423,13 @@ class Tables:
     def sign(self, cls: int, tol: float) -> Sign:
         """The certified sign of a class's gap at ``tol``: that of its
         exact gap outside the band of tol, and inside it that of the gap
-        of its ``sums``, whose degree pairs are decoded only for the
-        50-digit recheck of ``certified_sign``."""
+        ``pairs_report`` makes from its decoded degree pairs, as ``index``
+        signs a graph."""
         gap = self.gap(cls)
         if abs(gap) > self.terms.band(tol):
             return Sign.POSITIVE if gap > 0 else Sign.NEGATIVE
-        abc, abs_ = self.sums(cls)
-        return certified_sign(abc - abs_, self.pairs(cls), tol)
-
-    def sums(self, cls: int) -> tuple[float, float]:
-        """The ABC and ABS sums of a class: each an integer over
-        ``Terms.unit`` that one correctly rounded division turns into the
-        double that ``math.fsum`` gives over the class's edge terms, in
-        any edge order."""
-        mask, unit = self._sum_mask, self.terms.unit
-        return (cls & mask) / unit, (cls >> self._abs_at & mask) / unit
+        pairs = list(self.pairs(cls))
+        return certified_sign(pairs_report(pairs).gap, pairs, tol)
 
     # --- listing the trees of a class ---------------------------------
 

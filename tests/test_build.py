@@ -92,9 +92,11 @@ def is_dunder(name):
 def test_every_definition_is_referenced_in_the_package():
     # a function, method or class that nothing in the package names is
     # dead code, or library API that only a test calls; so is a
-    # module-level name that nothing in the package reads
+    # module-level name, or a field set as self.X, that nothing in the
+    # package reads
     defined, referenced = {}, set()
     assigned, read = {}, set()
+    fields, loaded = {}, set()
     for path in sorted((ROOT / "src" / "graphtheta").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for stmt in tree.body:
@@ -115,6 +117,10 @@ def test_every_definition_is_referenced_in_the_package():
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
                 read.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+                elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                    fields.setdefault(node.attr, f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.alias):
                 names = (node.name.rpartition(".")[2], node.asname)
                 referenced.update(names)
@@ -126,6 +132,7 @@ def test_every_definition_is_referenced_in_the_package():
     # perfbench reads treegen.BACKEND, which goes once the run record names the kernel
     read.add("BACKEND")
     assert {name: at for name, at in assigned.items() if name not in read} == {}
+    assert {name: at for name, at in fields.items() if name not in loaded} == {}
 
 
 def test_tracer_sites_import():

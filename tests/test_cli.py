@@ -60,6 +60,21 @@ class TestIndex:
         assert "line 2" in err
         assert len(out.splitlines()) == 3  # schema + header + 1 good row
 
+    def test_bad_lines_still_replace_the_out_file(self, capsys, tmp_path):
+        # index runs to its last line, so --out gets every good row even
+        # when a bad line makes it exit 2
+        inp, dest = tmp_path / "mixed.g6", tmp_path / "F.csv"
+        inp.write_text("Bw\nC?\nBad!\n")
+        dest.write_text("old\n")
+        code, out, err = run(capsys, "index", "--in", str(inp), "--out", str(dest))
+        assert (code, out) == (2, "")
+        assert err == ("line 2: graph is not connected\n"
+                       "line 3: trailing garbage after graph6 body: 'd!'\n")
+        assert dest.read_text() == ("# schema: index-v1\n"
+                                    "graph6,n,m,randic,sum_connectivity,abc,abs,gap,sign\n"
+                                    "Bw,3,3,1.5,1.5,2.12132034,2.12132034,0,zero\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["F.csv", "mixed.g6"]
+
     def test_graph6_prefix_only_exit_2(self, capsys, tmp_path):
         inp = tmp_path / "prefix.g6"
         inp.write_text(">>graph6<<\nA_\n")

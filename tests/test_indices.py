@@ -9,6 +9,7 @@ from graphtheta.indices import (
     edge_terms,
     gap_extended_precision,
     index_report,
+    pairs_report,
     sign_of_gap,
 )
 from graphtheta.treeclasses import Tables
@@ -30,10 +31,12 @@ def abs_edge(a, b):
 
 
 def class_sums(pairs, n=6):
-    """The (abc, abs) sums of a multiset of degree pairs, by the class
-    scorer of order n (every pair must have a + b <= n)."""
+    """The (abc, abs) sums of a multiset of degree pairs, packed as a
+    class of order n (every pair must have a + b <= n) and scored from
+    the pairs the class decodes to, as the census scores a class."""
     tables = Tables(n)
-    return tables.sums(sum(tables._edge[a][b] for a, b in pairs))
+    r = pairs_report(tables.pairs(sum(tables._edge[a][b] for a, b in pairs)))
+    return r.abc, r.abs
 
 
 def margin(x, y):

@@ -383,8 +383,7 @@ def test_exact_and_double_gaps_rank_classes_alike():
         keys = set()
         for unit in tables.units:
             for cls in tables.classes(unit):
-                abc, abs_ = tables.sums(cls)
-                keys.add((abs(tables.gap(cls)), abs(abc - abs_)))
+                keys.add((abs(tables.gap(cls)), abs(pairs_report(tables.pairs(cls)).gap)))
         exact, doubles = zip(*sorted(keys))
         assert list(doubles) == sorted(doubles), n
         assert len(set(exact)) == len(set(doubles)) == len(keys), n
@@ -565,7 +564,7 @@ class TestRecheck:
 @pytest.mark.parametrize("tol", [5e-324, 1e-9, TestRecheck.TOL_16, 0.02, 0.5, 1e300])
 def test_sign_from_exact_gap_agrees_with_score(tol, monkeypatch):
     # every class of every fold unit: Tables.sign and the census's counts
-    # against a scorer that divides both sums and certifies the gap
+    # against a scorer that certifies the pairs_report gap of every class
     # the 50-digit recheck is a pure function of the degree pairs: each
     # class's runs once, for score, Tables.sign and the census alike
     recheck = functools.cache(gap_extended_precision)
@@ -575,8 +574,8 @@ def test_sign_from_exact_gap_agrees_with_score(tol, monkeypatch):
 
         @functools.cache  # one 50-digit recheck per class, however often it is scored
         def score(cls):
-            abc, abs_ = tables.sums(cls)
-            return certified_sign(abc - abs_, tables.pairs(cls), tol)
+            pairs = list(tables.pairs(cls))
+            return certified_sign(pairs_report(pairs).gap, pairs, tol)
 
         expected = collections.Counter()
         for unit in tables.units:

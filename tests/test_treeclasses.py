@@ -8,7 +8,7 @@ import pytest
 
 from conftest import fsum_class_sums, otter_classes, sequence_to_graph, stream_blocks
 from graphtheta import survey, treeclasses, treegen
-from graphtheta.indices import DEFAULT_ZERO_TOL, Sign, edge_terms
+from graphtheta.indices import DEFAULT_ZERO_TOL, Sign, edge_terms, pairs_report
 from graphtheta.treeclasses import Tables, Terms
 
 # OEIS A000055, free trees of order n = 1..20
@@ -73,11 +73,14 @@ def test_rejects_order_below_one():
 
 
 def assert_carried_sums(tables, cls):
-    abc, abs_ = tables.sums(cls)
+    pairs = list(tables.pairs(cls))
+    r = pairs_report(pairs)
     ref_abc, ref_abs = fsum_class_sums(tables, cls)
-    assert (abc.hex(), abs_.hex()) == (ref_abc.hex(), ref_abs.hex())
-    # a class is the sum of its edges' monomials, carried sums included
-    assert sum(tables._edge[a][b] for a, b in tables.pairs(cls)) == cls
+    assert (r.abc.hex(), r.abs.hex()) == (ref_abc.hex(), ref_abs.hex())
+    # a class is the sum of its edges' monomials, carried gap included
+    assert sum(tables._edge[a][b] for a, b in pairs) == cls
+    # and its gap is the exact sum of its edges' gaps
+    assert tables.gap(cls) == exact_gap(tables.terms, pairs)
 
 
 @pytest.mark.parametrize("n", range(1, 18))
@@ -94,6 +97,28 @@ def test_carried_sums_equal_fsum_on_sampled_unit_entries(n):
     entries = [cls for unit in tables.units for cls in tables.classes(unit)]
     for cls in random.Random(n).sample(entries, 2000):
         assert_carried_sums(tables, cls)
+
+
+@pytest.mark.parametrize("n", range(3, 26))
+def test_gap_field_holds_the_most_edges_a_type_field_counts(n):
+    # a type field counts at most 2**(width-1) - 1 edges: packed from that
+    # many edges of the type of largest gap, then of smallest, the gap
+    # field's sum must not carry into the type fields.  No tree of order
+    # <= 25 comes near it, so only this class catches a gap field one bit
+    # short
+    tables = Tables(n)
+    terms = tables.terms
+    most = 2**(tables.width - 1) - 1
+    guard = tables._guard
+    for g, ab in (max(zip(terms.gaps, terms.types)), min(zip(terms.gaps, terms.types))):
+        edge = tables._edge[ab[0]][ab[1]]
+        cls = most * edge
+        assert list(tables.pairs(cls)) == [ab] * most
+        assert tables.gap(cls, most) == most * g == exact_gap(terms, [ab] * most)
+        # _children's guard test: taking the class from itself borrows
+        # nothing from the type fields, and one more edge underflows one
+        assert (cls | guard) - cls == guard
+        assert ((cls | guard) - (cls + edge)) & guard != guard
 
 
 def class_from_degree_pairs(tables, seq):
@@ -263,13 +288,13 @@ def test_only_classes_inside_the_band_are_scored(n, tol, monkeypatch):
     slack = 3 * 2**((n - 1).bit_length() - 54) * unit
     assert slack == int(slack)
     edge = math.floor(tol * unit) + int(slack)  # the largest |gap| in the band
-    base = unit  # both sums well above the gaps below
+    base = (n - 1) * unit  # the gap field of n - 1 edges whose gaps add up to 0
     classes = {}
     for gap in (edge - 1, edge, edge + 1):
         for g in (gap, -gap):
             # a count in the first type field tells the classes' pairs apart
             tag = len(classes) + 1 << tables._types_at
-            classes[tag | base + max(g, 0) | (base + max(-g, 0)) << tables._abs_at] = g
+            classes[tag | base + g] = g
     assert [tables.gap(cls) for cls in classes] == list(classes.values())
     scored = []
 
