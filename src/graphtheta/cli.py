@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="sign census over all trees of each order")
     p.add_argument("range", help="order range, e.g. 3..15 or 11")
     p.add_argument("--workers", type=int, default=1,
-                   help="processes for the folds, a pool when more than one (>= 1, "
+                   help="processes for the folds, forked when more than one (>= 1, "
                         "at most the CPU count); the main process runs the witness pass")
     p.add_argument("--witness-cap", type=int, default=None,
                    help="negative witnesses listed per order (>= 0)")

@@ -98,24 +98,23 @@ def _nearest(entries: list, k: int) -> tuple[list, int | float]:
     return entries, math.inf
 
 
-def _scan_partition(args, tables: treeclasses.Tables | None = None) -> tuple[Counter, list]:
-    """Count and score the classes of order n in every ``parts``-th fold
-    unit (``treeclasses.Tables.units``), from unit ``part``: the trees
-    by sign, and the near list of its near_k nearest trees (``_nearest``).
-    ``tables`` are the order's tables, made here if None.
+def _scan_partition(
+    tables: treeclasses.Tables, parts: int, part: int, tol: float, near_k: int,
+) -> tuple[Counter, list]:
+    """Count and score the classes of the order of ``tables`` in every
+    ``parts``-th fold unit (``treeclasses.Tables.units``), from unit
+    ``part``: the trees by sign, and the near list of its near_k nearest
+    trees (``_nearest``).
 
-    This is the census pool's entry point.  One fold is live at a time:
-    each class is signed as it comes, from its exact gap outside the
-    band of tol (``Terms.band``) and by ``Tables.sign`` inside it, and
-    dropped.  A class enters the near list when its exact |gap| is at
-    most that of the near_k-th tree kept so far; no double is made
-    here.  The merge of the near lists stays exact: a part keeps every
-    entry whose |gap| is at most that of the part's own near_k-th tree,
-    which is never below the merged near_k-th tree's |gap|.
+    This is what each census worker runs (``_census``).  One fold is
+    live at a time: each class is signed as it comes, from its exact gap
+    outside the band of tol (``Terms.band``) and by ``Tables.sign``
+    inside it, and dropped.  A class enters the near list when its exact
+    |gap| is at most that of the near_k-th tree kept so far; no double
+    is made here.  The merge of the near lists stays exact: a part keeps
+    every entry whose |gap| is at most that of the part's own near_k-th
+    tree, which is never below the merged near_k-th tree's |gap|.
     """
-    n, parts, part, tol, near_k = args
-    if tables is None:
-        tables = treeclasses.Tables(n)
     signs: Counter = Counter()  # Sign -> trees, of the classes in the band
     positive = negative = 0  # trees of the classes outside it
     edge = tables.terms.band(tol)
@@ -169,6 +168,36 @@ def _witnesses(tables: treeclasses.Tables, tol: float, cap: int) -> list[tuple[i
     return found
 
 
+def _start_fold(args: tuple) -> tuple[int, int]:
+    """Fork a child that writes ``_scan_partition(*args)``, pickled, to
+    a pipe and exits, by ``os._exit``: 0 when it is written, 1 on any
+    error.  Returns the child's pid and the read end of its pipe.
+
+    The child shares this process's ``Tables`` copy-on-write, and it
+    runs no exit handler and flushes no buffer of this process's files.
+    """
+    import pickle
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(r)
+                with open(w, "wb", closefd=False) as out:
+                    pickle.dump(_scan_partition(*args), out, pickle.HIGHEST_PROTOCOL)
+                code = 0
+            finally:
+                os._exit(code)
+    except BaseException:
+        os.close(r)
+        raise
+    finally:
+        os.close(w)
+    return pid, r
+
+
 def _census(
     tables: treeclasses.Tables, tol: float, workers: int, near_k: int, witness_cap: int = 0,
 ) -> tuple[Counter, list, list[tuple[int, ...]]]:
@@ -176,32 +205,48 @@ def _census(
     a near list, and its first ``witness_cap`` negative trees in stream
     order, found by this process's witness pass for any worker count.
 
-    With one part (one worker, or one CPU) this process folds every unit
-    too, from the same ``tables``.  With more, the pool's parts, one per
-    process and so no more than CPUs, take the fold units in turn while
-    this process runs the witness pass.  The merge reads entries, not
-    parts, so the result does not depend on the worker count.  A pool
-    worker that dies raises ChildProcessError.
+    With one part (one worker, one CPU, or no ``os.fork``) this process
+    folds every unit too, from the same ``tables``.  With more, one
+    forked child per part, and so no more than CPUs, takes the fold
+    units in turn (``_start_fold``) while this process runs the witness
+    pass.  The merge reads entries, not parts, so the result does not
+    depend on the worker count.  A child that dies raises
+    ChildProcessError.  No child outlives the call, whatever it raises.
     """
-    n = tables.n
-    parts = min(workers, os.cpu_count() or 1)
-    jobs = [(n, parts, part, tol, near_k) for part in range(parts)]
+    parts = min(workers, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     if parts == 1:
-        partials = [_scan_partition(jobs[0], tables)]
+        partials = [_scan_partition(tables, 1, 0, tol, near_k)]
         witnesses = _witnesses(tables, tol, witness_cap)
     else:
-        # imported here: only a pool needs multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+        # imported here: every verify and near-ties process imports this module
+        import pickle
+        import signal
 
-        # the executor may fork all its processes at once: no more than CPUs
+        children = []  # (pid, read end of its pipe), by part
+        codes = []  # exit codes of the children reaped, by part
         try:
-            with ProcessPoolExecutor(max_workers=parts) as pool:
-                results = pool.map(_scan_partition, jobs)  # submitted here, read below
-                witnesses = _witnesses(tables, tol, witness_cap)
-                partials = list(results)
-        except BrokenProcessPool as exc:
-            raise ChildProcessError(f"a census worker died: {exc}") from exc
+            # fork is safe here: a census process starts no thread
+            for part in range(parts):
+                children.append(_start_fold((tables, parts, part, tol, near_k)))
+            witnesses = _witnesses(tables, tol, witness_cap)
+            results = []
+            for _, r in children:
+                with open(r, "rb", closefd=False) as f:
+                    results.append(f.read())
+            for pid, _ in children:
+                codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        finally:
+            for part, (pid, r) in enumerate(children):
+                os.close(r)
+                if part >= len(codes):  # not reaped
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+        for part, code in enumerate(codes):
+            if code:
+                how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+                       else f"exited with status {code}")
+                raise ChildProcessError(f"a census worker died: part {part} {how}")
+        partials = [pickle.loads(data) for data in results]
     signs = sum((s for s, _ in partials), Counter())
     near = _nearest([e for _, part_near in partials for e in part_near], near_k)[0]
     return signs, near, witnesses

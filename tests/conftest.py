@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from itertools import combinations
 
@@ -10,6 +11,12 @@ from graphtheta.graphs import Graph, GraphError, _from_adjacency, from_edge_list
 from graphtheta.indices import edge_terms
 from graphtheta.treeclasses import Tables, _fold, _mul
 from graphtheta.treegen import free_tree_sequences
+
+
+def assert_no_child_left() -> None:
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def parent_array(seq: tuple[int, ...]) -> list[int]:

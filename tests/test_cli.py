@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import signal
 import stat
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from graphtheta.graphs import GraphError, from_edge_list
 from graphtheta.indices import certified_sign, index_report
 from graphtheta.treegen import free_tree_sequences
 
-from conftest import cycle_graph, path_graph, sequence_to_graph
+from conftest import assert_no_child_left, cycle_graph, path_graph, sequence_to_graph
 
 _scan_partition = survey._scan_partition
 
@@ -27,11 +28,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _partition_1_dies(args):
-    """Census pool entry point whose partition 1 exits like a killed worker."""
-    if args[2] == 1:
-        os._exit(1)
-    return _scan_partition(args)
+def _partition_1_dies(tables, parts, part, tol, near_k):
+    """Census worker whose part 1 exits like a killed worker, with a
+    status of its own (a worker's own error exits with 1)."""
+    if part == 1:
+        os._exit(3)
+    return _scan_partition(tables, parts, part, tol, near_k)
+
+
+def _partition_1_killed(tables, parts, part, tol, near_k):
+    """Census worker whose part 1 is killed by SIGKILL mid-fold."""
+    if part == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _scan_partition(tables, parts, part, tol, near_k)
 
 
 class TestIndex:
@@ -248,15 +257,40 @@ class TestScan:
         monkeypatch.setattr(survey, "_scan_partition", _partition_1_dies)
         monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)  # so there is a part 1
         code, out, err = run(capsys, "scan", "9", "--workers", "2")
-        assert code == 2 and err.startswith("error: ") and out == ""
+        assert code == 2 and out == ""
+        assert err == "error: a census worker died: part 1 exited with status 3\n"
+        assert_no_child_left()
+
+    def test_killed_worker_exit_2_and_files_kept(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(survey, "_scan_partition", _partition_1_killed)
+        monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)  # so there is a part 1
+        out_path, wit_path = tmp_path / "scan.csv", tmp_path / "w.txt"
+        out_path.write_text("previous\n")
+        wit_path.write_text("witnesses\n")
+        code, out, err = run(capsys, "scan", "12", "--workers", "2", "--out", str(out_path),
+                             "--witness-out", str(wit_path))
+        assert code == 2 and out == ""
+        assert err == "error: a census worker died: part 1 was killed by SIGKILL\n"
+        assert out_path.read_text() == "previous\n"
+        assert wit_path.read_text() == "witnesses\n"
+        assert sorted(os.listdir(tmp_path)) == ["scan.csv", "w.txt"]
+        assert_no_child_left()
 
     def test_cli_import_loads_no_multiprocessing(self):
-        # only a census with --workers > 1 starts a pool
+        # a census with --workers > 1 forks its workers; no module loads a pool or pickle
         src = os.path.dirname(os.path.dirname(graphtheta.__file__))
-        code = "import sys, graphtheta.cli; sys.exit('multiprocessing' in sys.modules)"
+        code = (
+            "import sys, graphtheta.cli, graphtheta.survey\n"
+            "assert 'pickle' not in sys.modules\n"
+            "graphtheta.survey.os.cpu_count = lambda: 2\n"
+            "assert graphtheta.cli.main(['scan', '12', '--workers', '2']) == 0\n"
+            "mods = {'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
+            "sys.exit(f'loaded {sorted(mods)}' if mods else 0)\n"
+        )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].startswith(b"12,551,")
 
 
 def test_index_and_enum_trees_load_no_census_universe_or_json(tmp_path):

@@ -1,5 +1,4 @@
 import collections
-import concurrent.futures
 import functools
 import hashlib
 
@@ -20,7 +19,8 @@ from graphtheta.indices import (
 from graphtheta.smallgraphs import internal_universe
 
 from conftest import (
-    complete_graph, cycle_graph, random_connected_graphs, sequence_to_graph,
+    assert_no_child_left, complete_graph, cycle_graph, random_connected_graphs,
+    sequence_to_graph,
 )
 
 
@@ -64,37 +64,56 @@ class TestClassifyTrees:
             survey.classify_trees(12, tol=tol)
 
     def test_pool_has_no_more_processes_than_cpus(self, monkeypatch):
-        sizes = []
-        job_counts = []
+        jobs = []  # per census, the (parts, part) of each child it forks
+        start_fold = survey._start_fold
 
-        class InProcessPool:
-            """Records the pool size and job count asked for and runs the
-            jobs here."""
+        def counting_start_fold(args):
+            jobs[-1].append(args[1:3])
+            return start_fold(args)
 
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                jobs = list(jobs)
-                job_counts.append(len(jobs))
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(survey, "_start_fold", counting_start_fold)
         monkeypatch.setattr(survey.os, "cpu_count", lambda: 4)
-        one = survey.classify_trees(12)
-        assert survey.classify_trees(12, workers=8) == one
-        assert survey.classify_trees(12, workers=3) == one
-        assert sizes == [4, 3]
-        assert job_counts == [4, 3]  # one part per pool process
+
+        def census(workers):
+            jobs.append([])
+            return survey.classify_trees(12, workers=workers)
+
+        one = census(1)
+        assert census(8) == one
+        assert census(3) == one
+        assert [len(run) for run in jobs] == [0, 4, 3]  # children forked
+        assert jobs[1:] == [[(4, part) for part in range(4)],
+                            [(3, part) for part in range(3)]]  # one part per child
         monkeypatch.setattr(survey.os, "cpu_count", lambda: 1)
-        assert survey.classify_trees(12, workers=3) == one
-        assert sizes == [4, 3]  # one part runs in this process, with no pool
+        assert census(3) == one
+        assert jobs[-1] == []  # one part runs in this process, with no child
+        assert_no_child_left()
+
+    def test_no_fork_folds_in_this_process(self, monkeypatch):
+        one = survey.classify_trees(12)
+        monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
+        monkeypatch.delattr(survey.os, "fork")
+        monkeypatch.setattr(survey, "_start_fold", None)  # never reached
+        assert survey.classify_trees(12, workers=2) == one
+
+    def test_failed_witness_pass_leaves_no_child(self, monkeypatch):
+        forked = []
+        start_fold = survey._start_fold
+
+        def counting_start_fold(args):
+            forked.append(args[2])
+            return start_fold(args)
+
+        def witness_fails(*args):
+            raise RuntimeError("witness pass failed")
+
+        monkeypatch.setattr(survey, "_start_fold", counting_start_fold)
+        monkeypatch.setattr(survey, "_witnesses", witness_fails)
+        monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
+        with pytest.raises(RuntimeError, match="^witness pass failed$"):
+            survey.classify_trees(16, workers=2)
+        assert forked == [0, 1]  # both children were forked before the pass raised
+        assert_no_child_left()
 
 
 @functools.cache
@@ -324,12 +343,13 @@ class TestNearTies:
     @pytest.mark.parametrize("k", [1, 4, 14])
     @pytest.mark.parametrize("n", [12, 15, 16])
     def test_merge_of_parts(self, n, k, parts):
-        # the pool's merge, in this process: every part's near list, joined
+        # the census merge, in this process: every part's near list, joined
         # and cut once more; k = 14 at order 16 cuts through 13 tied trees
+        tables = treeclasses.Tables(n)
         near = [e for part in range(parts)
-                for e in survey._scan_partition((n, parts, part, DEFAULT_ZERO_TOL, k))[1]]
+                for e in survey._scan_partition(tables, parts, part, DEFAULT_ZERO_TOL, k)[1]]
         merged, _ = survey._nearest(near, k)
-        assert survey._near_ties(treeclasses.Tables(n), merged, k) == survey.find_near_ties(n, k)
+        assert survey._near_ties(tables, merged, k) == survey.find_near_ties(n, k)
 
     def test_p3_single_tree(self):
         ties = survey.find_near_ties(3, 1)
@@ -583,4 +603,4 @@ def test_sign_from_exact_gap_agrees_with_score(tol, monkeypatch):
                 sign = score(cls)
                 assert tables.sign(cls, tol) is sign
                 expected[sign] += trees
-        assert survey._scan_partition((n, 1, 0, tol, 1), tables)[0] == expected
+        assert survey._scan_partition(tables, 1, 0, tol, 1)[0] == expected

@@ -313,6 +313,6 @@ def test_only_classes_inside_the_band_are_scored(n, tol, monkeypatch):
     scored.clear()
     monkeypatch.setattr(tables, "units", [0])
     monkeypatch.setattr(tables, "classes", lambda unit: dict.fromkeys(classes, 1))
-    signs = survey._scan_partition((n, 1, 0, tol, 1), tables)[0]
+    signs = survey._scan_partition(tables, 1, 0, tol, 1)[0]
     assert scored == inside
     assert signs == Counter({Sign.ZERO_WITHIN_TOL: 4, Sign.POSITIVE: 1, Sign.NEGATIVE: 1})
