@@ -217,7 +217,7 @@ def _reject_unread_verify_flags(args) -> None:
     would not read."""
     ext = getattr(args, "in")
     if args.statement == "p2":
-        where, unread = "verify p2", ("in", "order", "max_order")
+        where, unread = "verify p2", ("in", "order", "max_order", "tol")
     else:
         where = f"verify {args.statement}" + (" with --in" if ext else "")
         unread = ("trials", "seed", "max_order" if ext else "order")
@@ -258,14 +258,12 @@ def _cmd_verify(args) -> int:
         if args.statement == "p2":
             # p2 gets only the flags given; the rest keep its verifier's defaults
             report = survey.verify_subdivision_invariance(**{
-                k: getattr(args, k) for k in ("trials", "seed", "tol")
-                if getattr(args, k) is not None
+                k: getattr(args, k) for k in ("trials", "seed") if getattr(args, k) is not None
             })
         else:
             statement = survey.STATEMENTS[args.statement]
-            report = survey.verify_statement(
-                statement, _universes_for(args, statement.min_order), args.tol
-            )
+            universes = _universes_for(args, statement.min_order)
+            report = survey.verify_statement(statement, universes, args.tol or DEFAULT_ZERO_TOL)
         _write_json(out, report._asdict())
     if report.conclusion_failures:
         for g6 in report.conclusion_failures:
@@ -339,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None, help="p2 trials")
     p.add_argument("--seed", type=int, default=None, help="p2 RNG seed")
     p.add_argument("--tol", type=_tolerance, default=None,
-                   help="zero tolerance (default: the statement's own)")
+                   help=f"zero tolerance (default {DEFAULT_ZERO_TOL}; p2 is exact, reads none)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_verify)
 

@@ -4,7 +4,9 @@ Reproduces the tree censuses (sign of the ABC-ABS gap per order, near
 ties), and empirically verifies the structural statements over
 enumerated universes: the min-degree-2 bound (p1), subdivision
 invariance of the gap (p2), line graphs (t1), and the two
-pendent-count hypotheses (t2, t3).
+pendent-count hypotheses (t2, t3), each at a zero tolerance but p2, which
+is exact: a subdivision adds one (2, 2) degree pair, the one pair with
+a + b >= 3 whose ABC and ABS radicands agree (ab = a + b: (a-1)(b-1) = 1).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 import random
 import time
 from collections import Counter
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import treeclasses, treegen
 from .graphs import (
@@ -34,7 +36,9 @@ from .indices import (
     pairs_report,
 )
 from .linegraph import line_graph_pairs
-from .smallgraphs import GraphUniverse
+
+if TYPE_CHECKING:  # a census process loads no universe module
+    from .smallgraphs import GraphUniverse
 
 DEFAULT_WITNESS_CAP = 100
 MAX_NEAR_TIES = 50_000  # trees listed at most: each costs ~0.5 KB and 0.25 ms at order 17
@@ -338,7 +342,6 @@ class Statement(NamedTuple):
     conclusion: Callable[[Graph, list[tuple[int, int]], float, float], bool]
     min_order: int  # smallest internal universe order the CLI checks
     reports_margin: bool  # report the smallest -gap over the hypothesis graphs
-    tol: float  # zero tolerance when the caller gives none
 
 
 def _min_degree2(g: Graph) -> bool:
@@ -383,19 +386,18 @@ STATEMENTS = {
     for s in (
         # p1: min degree >= 2 forces gap <= 0, zero exactly on cycles
         Statement("p1", _min_degree2, Graph.edge_degree_pairs, _zero_exactly_on_cycles, 1,
-                  False, 1e-12),
+                  False),
         # t1: the line graph of a connected root of order >= 5, other than
         # a path or cycle, has ABS > ABC
-        Statement("t1", _line_graph_root, line_graph_pairs, _gap_negative, 5, True,
-                  DEFAULT_ZERO_TOL),
+        Statement("t1", _line_graph_root, line_graph_pairs, _gap_negative, 5, True),
         # t2: at most floor(m/2) pendent vertices and no degree-2 vertex
         # force ABS > ABC
         Statement("t2", bounded_pendents_no_degree2, Graph.edge_degree_pairs, _gap_negative,
-                  1, True, DEFAULT_ZERO_TOL),
+                  1, True),
         # t3: at most floor(m/2) pendent vertices and no degree-2 vertex
         # with a neighbor of degree 2, 3 or 4 force ABS > ABC
         Statement("t3", bounded_pendents_isolated_degree2, Graph.edge_degree_pairs,
-                  _gap_negative, 1, True, DEFAULT_ZERO_TOL),
+                  _gap_negative, 1, True),
     )
 }
 
@@ -403,17 +405,14 @@ STATEMENTS = {
 def verify_statement(
     statement: Statement,
     universes: Sequence[GraphUniverse],
-    tol: float | None = None,
+    tol: float = DEFAULT_ZERO_TOL,
 ) -> VerificationReport:
-    """Check ``statement`` on every graph of ``universes`` at ``tol``
-    (None: the statement's own tolerance), which must be finite and
-    above 0.
+    """Check ``statement`` on every graph of ``universes`` at ``tol``,
+    which must be finite and above 0.
 
     The graphs are taken to be connected, as every universe checks when
     it is built or loaded, and so is the line graph of a connected root:
     the pairs are scored with no connectivity search."""
-    if tol is None:
-        tol = statement.tol
     _check_tol(tol)
     t0 = time.perf_counter()
     checked = holds = 0
@@ -446,21 +445,21 @@ def _random_tree_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
     return [(rng.randrange(i), i) for i in range(1, n)]
 
 
-def verify_subdivision_invariance(
-    trials: int = 10_000,
-    seed: int = 0,
-    tol: float = 1e-12,
-) -> VerificationReport:
-    """p2: inserting a vertex on an edge at a degree-2 vertex keeps the
-    gap fixed, to within ``tol`` (finite and above 0).  Randomized
-    trees and unicyclic graphs, seeded.
+def _sorted_pairs(g: Graph) -> list[tuple[int, int]]:
+    """The degree pairs of ``g``'s edges, each as (min, max), sorted."""
+    return sorted((a, b) if a <= b else (b, a) for a, b in g.edge_degree_pairs())
 
-    Each graph is connected as built (a random tree, perhaps with one
-    more edge), and so is its subdivision: both are scored from their
-    degree pairs with no connectivity search."""
+
+def verify_subdivision_invariance(trials: int = 10_000, seed: int = 0) -> VerificationReport:
+    """p2: inserting a vertex on an edge at a degree-2 vertex keeps the
+    gap fixed.  Randomized trees and unicyclic graphs, seeded.
+
+    Each trial is decided exactly, with no tolerance: the subdivided
+    graph's degree pairs must be the original's plus one (2, 2), whose
+    ABC and ABS terms are both sqrt(1/2).  It is the one pair with
+    a + b >= 3 that adds 0 to the gap: ab = a + b means (a-1)(b-1) = 1."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_tol(tol)
     rng = random.Random(seed)
     t0 = time.perf_counter()
     checked = 0
@@ -482,8 +481,8 @@ def verify_subdivision_invariance(
         checked += 1
         x = rng.choice(deg2)
         w = rng.choice(g.adj[x])
-        subdivided = pairs_report(subdivide_at_degree2(g, x, (x, w)).edge_degree_pairs()).gap
-        if abs(pairs_report(g.edge_degree_pairs()).gap - subdivided) > tol:
+        subdivided = subdivide_at_degree2(g, x, (x, w))
+        if _sorted_pairs(subdivided) != sorted([*_sorted_pairs(g), (2, 2)]):
             failures.append(to_graph6(g))
     return VerificationReport(
         statement="p2",

@@ -277,14 +277,16 @@ class TestScan:
         assert_no_child_left()
 
     def test_cli_import_loads_no_multiprocessing(self):
-        # a census with --workers > 1 forks its workers; no module loads a pool or pickle
+        # a census with --workers > 1 forks its workers; no module loads a pool
+        # or pickle, and the census loads no universe module
         src = os.path.dirname(os.path.dirname(graphtheta.__file__))
         code = (
             "import sys, graphtheta.cli, graphtheta.survey\n"
             "assert 'pickle' not in sys.modules\n"
             "graphtheta.survey.os.cpu_count = lambda: 2\n"
             "assert graphtheta.cli.main(['scan', '12', '--workers', '2']) == 0\n"
-            "mods = {'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
+            "mods = {'multiprocessing', 'concurrent.futures', 'graphtheta.smallgraphs',\n"
+            "        'graphtheta.canon'} & set(sys.modules)\n"
             "sys.exit(f'loaded {sorted(mods)}' if mods else 0)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
@@ -393,11 +395,14 @@ class TestVerify:
         assert code == 0 and err == ""
         assert json.loads(out)["conclusion_failures"] == []
 
-    def test_p2_reads_tol(self, capsys):
-        # at tol 1e-300, rounding differences between the two gaps count
-        code, out, _ = run(capsys, "verify", "p2", "--trials", "300", "--seed", "9",
-                           "--tol", "1e-300")
-        assert code == 1 and json.loads(out)["conclusion_failures"]
+    def test_p2_rejects_tol(self, capsys):
+        # p2's tie is checked exactly on degree pairs, so no tol is read and
+        # no rounding of two gaps can make a counterexample
+        argv = ["verify", "p2", "--trials", "300", "--seed", "9"]
+        code, out, err = run(capsys, *argv, "--tol", "1e-300")
+        assert (code, out, err) == (2, "", "error: verify p2 does not read --tol\n")
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and json.loads(out)["conclusion_failures"] == []
 
     def test_p2_reproducible(self, capsys):
         code1, out1, _ = run(capsys, "verify", "p2", "--trials", "300", "--seed", "9")
@@ -433,6 +438,7 @@ class TestVerify:
     @pytest.mark.parametrize("argv, unread", [
         ("p2 --in k2.g6 --order 2 --max-order 99", "--in, --order, --max-order"),
         ("p2 --max-order 5", "--max-order"),
+        ("p2 --trials 5 --tol 1e-9", "--tol"),
         ("t1 --max-order 5 --trials 7 --seed 3", "--trials, --seed"),
         ("p1 --max-order 4 --order 5", "--order"),
         ("p1 --in k2.g6 --order 2 --max-order 9", "--max-order"),

@@ -421,12 +421,14 @@ class TestSmallestNegativeTree:
         assert classify_shape(g) is Shape.OTHER
 
 
-# sha256 of the "gap.hex() subdivided.hex()" lines of verify p2, seed 1, 300 trials
-P2_GAPS_SHA256 = "1a417570c6618ef9693e768a8426b1385ad5c44b0b5d708f8ae3d4db7e9b6fbb"
+# sha256 of the "graph6 x w" lines of verify p2's subdivisions, seed 1, 300 trials
+P2_DRAWS_SHA256 = "cfc171eb654391f67aa1f2d93ab7caae8adfcf36dd2029fc11afe866467f5529"
 
 
 def verify(name, universes, tol=None):
-    return survey.verify_statement(survey.STATEMENTS[name], universes, tol)
+    """``verify_statement`` of the statement ``name``, at its default tol for None."""
+    return survey.verify_statement(
+        survey.STATEMENTS[name], universes, **({} if tol is None else {"tol": tol}))
 
 
 # verify_statement over 200 seeded connected order-10 graphs, recorded
@@ -467,26 +469,40 @@ class TestVerifiers:
         again = survey.verify_subdivision_invariance(trials=500, seed=42)
         assert again.conclusion_failures == report.conclusion_failures == ()
 
-    def test_subdivision_gaps_pinned(self, monkeypatch):
-        # the (gap, subdivided gap) of every trial, recorded before p2
-        # moved to trusted construction: the same RNG draws, graphs and bits
-        gaps = []
-
-        def recorded(pairs):
-            report = pairs_report(pairs)
-            gaps.append((len(pairs), report.gap))
-            return report
-
-        monkeypatch.setattr(survey, "pairs_report", recorded)
-        report = survey.verify_subdivision_invariance(trials=300, seed=1)
-        assert not report.conclusion_failures and report.checked == 300 and len(gaps) == 600
+    def test_subdivision_draws_pinned(self, monkeypatch):
+        # the graph and subdivided edge of every trial, recorded while p2
+        # compared two fsum gaps within a tol: the same RNG draws and graphs
+        subdivide = survey.subdivide_at_degree2
         lines = []
-        for pair in zip(gaps[::2], gaps[1::2]):
-            (m, gap), (m_sub, sub) = sorted(pair)
-            assert m_sub == m + 1
-            lines.append(f"{gap.hex()} {sub.hex()}\n")
-        assert lines[0] == "0x1.09bdc83bc22c8p-2 0x1.09bdc83bc22c0p-2\n"
-        assert hashlib.sha256("".join(lines).encode()).hexdigest() == P2_GAPS_SHA256
+
+        def recorded(g, x, e):
+            sub = subdivide(g, x, e)
+            assert sub.m == g.m + 1
+            lines.append(f"{to_graph6(g)} {x} {e[1]}\n")
+            return sub
+
+        monkeypatch.setattr(survey, "subdivide_at_degree2", recorded)
+        report = survey.verify_subdivision_invariance(trials=300, seed=1)
+        assert not report.conclusion_failures and report.checked == 300 and len(lines) == 300
+        assert lines[0] == "DkC 1 2\n"
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == P2_DRAWS_SHA256
+
+    def test_subdivision_checked_on_degree_pairs(self, monkeypatch):
+        # a wrong graph with one edge more, as a subdivision has, fails its trial alone
+        from graphtheta.graphs import from_edge_list
+
+        subdivide = survey.subdivide_at_degree2
+        calls = []
+
+        def fifth_wrong(g, x, e):
+            calls.append(to_graph6(g))
+            if len(calls) == 5:  # a pendent vertex at x in place of the subdivision
+                return from_edge_list(g.n + 1, [*g.edges(), (x, g.n)])
+            return subdivide(g, x, e)
+
+        monkeypatch.setattr(survey, "subdivide_at_degree2", fifth_wrong)
+        report = survey.verify_subdivision_invariance(trials=20, seed=3)
+        assert report.checked == 20 and report.conclusion_failures == (calls[4],)
 
     @pytest.mark.parametrize("name,tol", ORDER10_VERDICTS)
     def test_order10_verdicts_pinned(self, name, tol):
@@ -502,11 +518,8 @@ class TestVerifiers:
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_verifiers_reject_bad_tolerance(self, tol, monkeypatch):
-        # before any graph is scored: t1 holds on no graph of order 4, and
-        # p2's gaps within an infinite tol would all read as verified
+        # before any graph is scored: t1 holds on no graph of order 4
         monkeypatch.setattr(survey, "pairs_report", None)
-        with pytest.raises(ValueError, match="^tolerance must be finite and positive"):
-            survey.verify_subdivision_invariance(trials=50, seed=1, tol=tol)
         with pytest.raises(ValueError, match="^tolerance must be finite and positive"):
             verify("t1", [internal_universe(4)], tol)
 
@@ -534,6 +547,83 @@ class TestVerifiers:
     def test_pendent_bound_verifiers_clean(self, universes_1_to_6):
         assert not verify("t2", universes_1_to_6).conclusion_failures
         assert not verify("t3", universes_1_to_6).conclusion_failures
+
+
+def min_max_pairs(g):
+    """The degree pairs of ``g``'s edges, each as (min, max), with multiplicity."""
+    return collections.Counter((min(p), max(p)) for p in g.edge_degree_pairs())
+
+
+def abc_minus_abs_term(mpmath, a, b):
+    e = mpmath.mpf(a + b - 2)
+    return mpmath.sqrt(e / (a * b)) - mpmath.sqrt(e / (a + b))
+
+
+class TestExactP2:
+    """p2 is checked on degree pairs: a subdivision at a degree-2 vertex
+    adds one (2, 2) pair, the one pair of a p2 graph whose ABC and ABS
+    terms are equal, and so keeps the gap exactly."""
+
+    def test_subdivision_adds_one_22_pair_through_order_7(self):
+        from graphtheta.graphs import subdivide_at_degree2
+
+        checked = 0
+        for n in range(3, 8):
+            for g in internal_universe(n):
+                expected = min_max_pairs(g)
+                expected[2, 2] += 1
+                for x in (v for v, d in enumerate(g.degrees) if d == 2):
+                    for w in g.adj[x]:
+                        assert min_max_pairs(subdivide_at_degree2(g, x, (x, w))) == expected
+                        checked += 1
+        assert checked == 3082
+
+    def test_22_terms_are_sqrt_half(self):
+        mpmath = pytest.importorskip("mpmath")
+        _, _, abc, abs_ = indices.edge_terms(2, 2)
+        assert abc == abs_
+        with mpmath.workdps(60):
+            half = mpmath.sqrt(mpmath.mpf(1) / 2)
+            assert mpmath.sqrt(mpmath.mpf(2) / (2 * 2)) == half
+            assert mpmath.sqrt(mpmath.mpf(2) / (2 + 2)) == half
+            assert abc == float(half)
+
+    def test_radicands_equal_only_at_11_and_22(self):
+        from fractions import Fraction
+
+        equal = [(a, b) for a in range(1, 62) for b in range(a, 62)
+                 if Fraction(a + b - 2, a * b) == Fraction(a + b - 2, a + b)]
+        assert equal == [(1, 1), (2, 2)]
+
+
+class TestP1Tolerance:
+    """With minimum degree >= 2, each edge's ABC - ABS term is 0 at (2, 2)
+    and at most that of (2, 3), -0.06749..., elsewhere: a cycle's gap is
+    exactly 0.0 and every other p1 graph's is below -0.0674, so p1's
+    verdict is the same at any tol in (0, 0.0674)."""
+
+    def test_terms_at_most_that_of_23_but_at_22(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            top = abc_minus_abs_term(mpmath, 2, 3)
+            assert -0.0675 < top < -0.0674
+            assert abc_minus_abs_term(mpmath, 2, 2) == 0
+            # 61: the largest degree of a graph6 graph
+            for a in range(2, 62):
+                for b in range(a, 62):
+                    if (a, b) != (2, 2):
+                        assert abc_minus_abs_term(mpmath, a, b) <= top, (a, b)
+
+    def test_reports_equal_at_any_tol_below_the_23_term(self):
+        from graphtheta.smallgraphs import GraphUniverse
+
+        universes = [internal_universe(n) for n in range(1, 8)]
+        universes.append(
+            GraphUniverse(10, "seeded", tuple(random_connected_graphs(10, 200, seed=2309))))
+        reports = [verify("p1", universes, tol)._replace(elapsed=None)
+                   for tol in (1e-12, 1e-9, 0.06)]
+        assert reports[0] == reports[1] == reports[2]
+        assert not reports[0].conclusion_failures and reports[0].hypothesis_holds == 749
 
 
 def rechecked(g6):
