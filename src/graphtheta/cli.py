@@ -144,8 +144,7 @@ def _index_rows(
             print(f"line {lineno}: {exc}", file=sys.stderr)
             bad.append(lineno)
             continue
-        r = pairs_report(pairs)
-        yield (line, n, len(pairs), *r, certified_sign(r.gap, pairs, tol).value)
+        yield (line, n, len(pairs), *pairs_report(pairs), certified_sign(pairs, tol).value)
 
 
 def _cmd_index(args) -> int:

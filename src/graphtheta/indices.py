@@ -4,21 +4,27 @@ Each index is a sum over the edges of a term in the degree pair
 (d_u, d_v): Randic 1/sqrt(d_u*d_v), sum-connectivity 1/sqrt(d_u+d_v),
 ABC sqrt((d_u+d_v-2)/(d_u*d_v)) and ABS sqrt((d_u+d_v-2)/(d_u+d_v)).
 Each term is written once, in ``edge_terms``, a cached function of the
-degree pair that ``pairs_report`` and the tree census's exact terms
-(``treeclasses.Terms``) both read.  ``pairs_report`` scores a graph from
-its edges' degree pairs: ``index_report`` takes them from a ``Graph``,
+degree pair.  ``pairs_report`` scores a graph from its edges' degree
+pairs: ``index_report`` takes them from a ``Graph``,
 the ``index`` command from ``graph6.parse_degree_pairs``, with no
 ``Graph``, and ``verify`` from each statement's ``pairs`` (a graph's
 own, or its line graph's read from the root), with no connectivity
 search.
 
-Whole-graph values are correctly rounded sums of the edge terms: the
-surveys turn on the sign of gaps as small as ~1e-4, which must sit far
-above accumulated rounding error.  ``pairs_report`` accumulates them
-with ``math.fsum``.  The tree census writes each ABC - ABS term as an
-integer over 2**S and carries a class's exact integer gap in the class
-itself.  It signs most classes from that gap alone, and the rest with
-``pairs_report`` of the class's degree pairs, certified here.
+Whole-graph values are correctly rounded sums of the edge terms, which
+``pairs_report`` accumulates with ``math.fsum``.
+
+No double decides a sign: ``certified_sign`` decides it exactly, in
+integers.  ``term_bracket`` brackets an edge's ABC - ABS term by
+g = floor(2**k * ABC) - ceil(2**k * ABS), from ``math.isqrt``: 2**k
+times the real term lies in [g, g + 2).  ``treeclasses.Terms`` uses
+these brackets at k = BRACKET_BITS.  A gap whose brackets straddle
++-tol is written as sum_s Q_s * sqrt(s) over square-free s, with
+rational Q_s.  Square roots of distinct square-free integers are
+linearly independent over the rationals (Besicovitch 1940), so the gap
+is rational, and compared with tol exactly, iff every Q_s with s > 1 is
+0.  Otherwise it is irrational, never equal to the dyadic tol, and
+brackets at doubled bits soon clear +-tol.
 """
 
 from __future__ import annotations
@@ -27,15 +33,12 @@ import math
 from enum import Enum
 from functools import cache
 from itertools import starmap
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import Graph, DisconnectedGraphError, GraphError, is_connected
 
-if TYPE_CHECKING:
-    from decimal import Decimal
-
 DEFAULT_ZERO_TOL = 1e-9
-RECHECK_DIGITS = 50  # decimal digits of gap_extended_precision
+BRACKET_BITS = 54  # the first brackets, and the census's, are over 2**BRACKET_BITS
 
 
 class IndexReport(NamedTuple):
@@ -89,34 +92,65 @@ def sign_of_gap(gap: float, tol: float = DEFAULT_ZERO_TOL) -> Sign:
     return Sign.POSITIVE if gap > 0 else Sign.NEGATIVE
 
 
-def certified_sign(
-    gap: float, pairs: Iterable[tuple[int, int]], tol: float = DEFAULT_ZERO_TOL
-) -> Sign:
-    """The sign of ``gap``, the double-precision ABC - ABS gap of the
-    degree pairs ``pairs``, at zero tolerance ``tol``.
-
-    Outside the band |gap| <= tol the double decides.  Inside it, the gap
-    is re-evaluated at RECHECK_DIGITS digits, and only a gap still within
-    tol there is zero.  ``pairs`` is read only in that case.
-    """
-    sign = sign_of_gap(gap, tol)
-    if sign is Sign.ZERO_WITHIN_TOL:
-        hp = gap_extended_precision(pairs)
-        if abs(hp) > tol:
-            sign = Sign.POSITIVE if hp > 0 else Sign.NEGATIVE
-    return sign
+@cache
+def term_bracket(a: int, b: int, bits: int = BRACKET_BITS) -> int:
+    """floor(2**bits * ABC) - ceil(2**bits * ABS) of one edge between
+    degrees a and b: 2**bits times its real ABC - ABS term lies in
+    [this, this + 2).  floor(sqrt(x)) is isqrt(floor(x)), and
+    ceil(sqrt(x)) is the least r with r * r >= ceil(x)."""
+    e = a + b - 2 << 2 * bits
+    x = -(-e // (a + b))  # ceil(2**(2 * bits) * ABS**2)
+    r = math.isqrt(x)
+    return math.isqrt(e // (a * b)) - r - (r * r < x)
 
 
-def gap_extended_precision(pairs: Iterable[tuple[int, int]]) -> Decimal:
-    """Re-evaluate the ABC - ABS gap at RECHECK_DIGITS decimal digits, with
-    correctly rounded square roots (``Decimal.sqrt``).
+@cache
+def _surds(a: int, b: int) -> list[tuple[int, int, int]]:
+    """ABC and -ABS of one edge between degrees a and b, sqrt(e * ab) / ab
+    and -sqrt(e * (a + b)) / (a + b) with e = a + b - 2, as (s, c, d):
+    c * sqrt(s) / d with s square-free (0 if e is 0)."""
+    out = []
+    for sign, d in ((1, a * b), (-1, a + b)):
+        x = (a + b - 2) * d
+        f = next(f for f in range(math.isqrt(x) or 1, 0, -1) if x % (f * f) == 0)  # the largest
+        out.append((x // (f * f), sign * f, d))
+    return out
 
-    Used to confirm that a near-zero double-precision gap is not a
-    rounding artifact before it is reported as a true tie.
-    """
-    from decimal import Decimal, localcontext  # only this recheck needs decimal
 
-    with localcontext() as ctx:  # localcontext(prec=...) needs Python 3.11
-        ctx.prec = RECHECK_DIGITS
-        terms = ((Decimal(a + b - 2), a * b, a + b) for a, b in pairs)
-        return sum(((e / p).sqrt() - (e / s).sqrt() for e, p, s in terms), Decimal(0))
+def _rational_gap(pairs: Iterable[tuple[int, int]]) -> tuple[int, int] | None:
+    """The gap of the degree pairs ``pairs`` as (numerator, denominator)
+    if every Q_s with s > 1 is 0, else None."""
+    q: dict[int, tuple[int, int]] = {}  # s -> Q_s as (numerator, denominator)
+    for a, b in pairs:
+        for s, c, d in _surds(a, b):
+            num, den = q.get(s, (0, 1))
+            q[s] = num * d + c * den, den * d
+    return None if any(num for s, (num, _) in q.items() if s > 1) else q.get(1, (0, 1))
+
+
+def certified_sign(pairs: Sequence[tuple[int, int]], tol: float = DEFAULT_ZERO_TOL) -> Sign:
+    """The sign at zero tolerance ``tol`` of the real ABC - ABS gap of the
+    degree pairs ``pairs``, decided exactly (the module docstring).  The
+    first brackets are compared with tol * 2**BRACKET_BITS, an exact
+    double (or inf), as an int compares with a float exactly."""
+    _check_tol(tol)
+    bits = BRACKET_BITS
+    lo, width, edge = sum(starmap(term_bracket, pairs)), 2 * len(pairs), tol * 2.0**bits
+    while True:
+        # a scale times the real gap lies in [lo, lo + width], and edge is
+        # tol times that scale, or its floor
+        if lo > edge:
+            return Sign.POSITIVE
+        if lo + width < -edge:
+            return Sign.NEGATIVE
+        if -edge <= lo and lo + width <= edge:
+            return Sign.ZERO_WITHIN_TOL
+        num, den = tol.as_integer_ratio()
+        rational = _rational_gap(pairs) if bits == BRACKET_BITS else None
+        if rational:  # the scale is its denominator
+            (lo, scale), width = rational, 0
+            edge = num * scale // den
+        else:  # irrational: the brackets end up clear of +-tol
+            bits *= 2
+            lo = sum(term_bracket(a, b, bits) for a, b in pairs)
+            edge = (num << bits) // den

@@ -86,9 +86,9 @@ class VerificationReport(NamedTuple):
 def _nearest(entries: list, k: int) -> tuple[list, int | float]:
     """The near-list entries ``(|gap|, class, trees)`` whose |gap| is at
     most that of the k-th tree, ascending, and that |gap| (inf while the
-    entries hold fewer than k trees).  A |gap| is the class's exact
-    integer |ABC - ABS| over 2**S (``treeclasses.Tables.gap``), which
-    orders and ties the classes as their double |gap| does
+    entries hold fewer than k trees).  A |gap| is the class's |G|
+    (``treeclasses.Tables.gap``), which orders and ties the classes as
+    their double |gap| does
     (tests/test_survey.py::test_exact_and_double_gaps_rank_classes_alike).
     Classes are ``treeclasses`` packed ints.  A class met in several
     fold units has one entry per unit, all with its |gap|, so the k-th
@@ -111,19 +111,19 @@ def _scan_partition(
     trees (``_nearest``).
 
     This is what each census worker runs (``_census``).  One fold is
-    live at a time: each class is signed as it comes, from its exact gap
-    outside the band of tol (``Terms.band``) and by ``Tables.sign``
-    inside it, and dropped.  A class enters the near list when its exact
-    |gap| is at most that of the near_k-th tree kept so far; no double
-    is made here.  The merge of the near lists stays exact: a part keeps
-    every entry whose |gap| is at most that of the part's own near_k-th
-    tree, which is never below the merged near_k-th tree's |gap|.
+    live at a time: each class is signed as it comes, from its G outside
+    the band of tol (``Terms.band``) and by ``Tables.sign`` inside it,
+    and dropped.  A class enters the near list when its |G| is at most
+    that of the near_k-th tree kept so far; no double is made here.  The
+    merge of the near lists stays exact: a part keeps every entry whose
+    |G| is at most that of the part's own near_k-th tree, which is never
+    below the merged near_k-th tree's |G|.
     """
     signs: Counter = Counter()  # Sign -> trees, of the classes in the band
     positive = negative = 0  # trees of the classes outside it
     edge = tables.terms.band(tol)
     near: list = []
-    bound = math.inf  # exact |gap| of the near_k-th tree kept so far
+    bound = math.inf  # |G| of the near_k-th tree kept so far
     for unit in tables.units[part::parts]:
         # a class is met once per fold unit it comes from
         for cls, trees in tables.classes(unit).items():
@@ -261,7 +261,7 @@ def _near_ties(tables: treeclasses.Tables, near: list, k: int) -> list[TieRecord
     ``tables``, with the smallest |gap|; equal gaps in stream order,
     which is ascending graph6 order
     (tests/test_treegen.py::test_stream_in_ascending_graph6_order).
-    The trees are ranked by their classes' exact |gap|, and a printed
+    The trees are ranked by their classes' |G|, and a printed
     row's ABC, ABS and |gap| are the doubles of its class's
     ``pairs_report``, made once per printed class."""
     classes = {cls: a for a, cls, _ in near}
@@ -331,15 +331,14 @@ def find_near_ties(n: int, top_k: int) -> list[TieRecord]:
 
 class Statement(NamedTuple):
     """A statement checked graph by graph: for every graph of the
-    universe that meets ``hypothesis``, the gap of the degree pairs that
-    ``pairs`` reads from it (its own edges', or its line graph's) must
-    meet ``conclusion``."""
+    universe that meets ``hypothesis``, the degree pairs that ``pairs``
+    reads from it (its own edges', or its line graph's) must meet
+    ``conclusion``."""
 
     name: str
     hypothesis: Callable[[Graph], bool]
     pairs: Callable[[Graph], list[tuple[int, int]]]
-    # (graph, its degree pairs, their gap, tol)
-    conclusion: Callable[[Graph, list[tuple[int, int]], float, float], bool]
+    conclusion: Callable[[Graph, list[tuple[int, int]], float], bool]  # (graph, pairs, tol)
     min_order: int  # smallest internal universe order the CLI checks
     reports_margin: bool  # report the smallest -gap over the hypothesis graphs
 
@@ -348,8 +347,8 @@ def _min_degree2(g: Graph) -> bool:
     return g.n >= 3 and min_degree(g) >= 2
 
 
-def _zero_exactly_on_cycles(g: Graph, pairs: list, gap: float, tol: float) -> bool:
-    sign = certified_sign(gap, pairs, tol)
+def _zero_exactly_on_cycles(g: Graph, pairs: list, tol: float) -> bool:
+    sign = certified_sign(pairs, tol)
     return (sign is not Sign.POSITIVE
             and (sign is Sign.ZERO_WITHIN_TOL) == (classify_shape(g) is Shape.CYCLE))
 
@@ -358,8 +357,8 @@ def _line_graph_root(k: Graph) -> bool:
     return k.n >= 5 and classify_shape(k) not in (Shape.PATH, Shape.CYCLE)
 
 
-def _gap_negative(g: Graph, pairs: list, gap: float, tol: float) -> bool:
-    return certified_sign(gap, pairs, tol) is Sign.NEGATIVE
+def _gap_negative(g: Graph, pairs: list, tol: float) -> bool:
+    return certified_sign(pairs, tol) is Sign.NEGATIVE
 
 
 def _bounded_pendents(g: Graph) -> bool:
@@ -425,10 +424,11 @@ def verify_statement(
                 continue
             holds += 1
             pairs = statement.pairs(g)
-            gap = pairs_report(pairs).gap
-            if statement.reports_margin and (min_margin is None or -gap < min_margin):
-                min_margin = -gap
-            if not statement.conclusion(g, pairs, gap, tol):
+            if statement.reports_margin:
+                gap = pairs_report(pairs).gap
+                if min_margin is None or -gap < min_margin:
+                    min_margin = -gap
+            if not statement.conclusion(g, pairs, tol):
                 failures.append(to_graph6(g))
     return VerificationReport(
         statement=statement.name,

@@ -15,17 +15,17 @@ centroid (Polya 1937; Otter 1948; Harary-Palmer 1973, ch. 3-4):
   packed ints multiplies the monomials they stand for.  The top bit of
   each field stays clear, which lets ``expand`` test a field-wise
   subtraction for underflow.
-* Every ABC and ABS edge term is a double M / 2**S (S = 53-54 up to
-  n = 25), so an edge type's ABC - ABS term is an exact integer g over
-  2**S, and ``Terms`` holds each type's g.  Below the type fields a
-  class carries one more field: the sum of g + 2**S over its edges.
-  Each edge monomial holds its type's g + 2**S there, and the folds
-  only add packed ints or scale them by an integer, so every packed
-  int of e edges carries their exact gap G as that sum less e * 2**S
-  (``Tables.gap``).  Both terms of an edge lie in [0, 1), so each
-  summand lies in (0, 2**(S+1)), and a packed int counts fewer than
-  2**(width-1) edges (at most n-1 in a tree, and the type fields' top
-  bits stay clear): the field has S + width bits and never overflows.
+* ``Terms`` holds each edge type's term bracket g over 2**S, S = 54,
+  floor(2**S * ABC) - ceil(2**S * ABS) (``indices.term_bracket``).
+  Below the type fields a class carries one more field: the sum of
+  g + 2**S over its edges.  Each edge monomial holds its type's
+  g + 2**S there, and the folds only add packed ints or scale them by
+  an integer, so every packed int of e edges carries the sum G of their
+  brackets as that sum less e * 2**S (``Tables.gap``).  ABC is in
+  [0, 1) and ABS in [0, 1 - 1/(a + b)), so each summand lies in
+  (0, 2**(S+1)), and a packed int counts fewer than 2**(width-1) edges
+  (at most n-1 in a tree, and the type fields' top bits stay clear):
+  the field has S + width bits and never overflows.
   The summands are positive, so a subtraction that takes no type field
   below zero takes the sum below zero neither, and borrows nothing from
   the type fields.  The field sits at the bottom so that a packed int
@@ -46,12 +46,12 @@ centroid (Polya 1937; Otter 1948; Harary-Palmer 1973, ch. 3-4):
 sign and drop them one fold at a time, or split the units between
 processes.  ``Tables.sign(cls, tol)`` is the one class signer.  Outside
 a narrow band around +-tol (``Terms.band``; proof below), a class's
-certified sign is that of its exact gap G (``Tables.gap``), so most
-classes are signed with one integer comparison.  Only inside the band
-does ``sign`` decode the class's degree pairs, score them with
-``indices.pairs_report`` as ``index`` scores a graph, and certify that
-gap.  ``Tables.class_of`` gives the class of one streamed tree, so a
-tree is signed by its class.  It splits the tree's level bytes at the
+certified sign is that of G (``Tables.gap``), so most classes are
+signed with one integer comparison.  Only inside the band does
+``sign`` decode the class's degree pairs and sign them with
+``indices.certified_sign``, as ``index`` signs a graph.
+``Tables.class_of`` gives the class of one streamed tree, so a tree is
+signed by its class.  It splits the tree's level bytes at the
 root's children and reads each branch's root degree and class from a
 memo on the instance, keyed by the level bytes of the branch's
 descendants (absolute depths, so a key also fixes the branch's depth)
@@ -69,13 +69,13 @@ the trees stay level sequences throughout, and no ``Graph`` is built.
 The witness pass streams trees in order until its last negative one,
 and ``Tables.positive_block`` lets it leave out a *block*, the stream
 trees that share the root's first subtree T1, when a lower bound proves
-none of them negative.  The bound reads two tables of exact minima,
-integers over 2**S like the class gaps, that ``Terms`` fills as the
-pass asks for them and keeps in its ``_least`` memo:
+none of them negative.  The bound reads two tables of exact minima of
+sums of brackets, over 2**S like G, that ``Terms`` fills as the pass
+asks for them and keeps in its ``_least`` memo:
 
-* ``least_child(p, s, h)``: the least sum of the ABC - ABS terms of a
+* ``least_child(p, s, h)``: the least sum of the term brackets of a
   planted tree of s vertices and height at least h under a parent of
-  degree p, the term of its edge to the parent included, least over
+  degree p, the bracket of its edge to the parent included, least over
   its root degree;
 * ``_least_children(p, j, t, h)``: the least sum over j children of a
   vertex of degree p, t vertices in all, one of them of height at
@@ -83,8 +83,8 @@ pass asks for them and keeps in its ``_least`` memo:
 
 Children add their sums independently, so each minimum is one over
 sizes and degrees of smaller minima; a height of at least h asks only
-that one child reach h - 1.  An edge's term is its type's g, so every
-minimum is exact and needs no planted table.
+that one child reach h - 1.  An edge's bracket is its type's g, so
+every minimum is exact and needs no planted table.
 
 The bound.  A stream tree is rooted at a center c.  Let T1 have s1
 vertices, root degree d1 (its edge to c counted) and height h1.  The
@@ -92,40 +92,16 @@ rest of the tree, c with its other subtrees, is a planted tree R of
 n - s1 vertices under T1's root, whose root degree is that of c.  The
 stream takes a rooting only if ``treegen._accepts`` it, which needs the
 rest at least as high as T1, so R's height is at least h1.  The tree's
-exact sum is inner(T1) + term(deg c, d1) + inner(R), so at least
+G is inner(T1) + g(deg c, d1) + inner(R), so at least
 ``block_bound`` = inner(T1) + least_child(d1, n - s1, h1) for every
-tree of the block.  A bound above ``band(0)`` proves the block
-positive at any tol (the band, below).
+tree of the block.  A bound of at least 0 proves every real gap of the
+block at least 0 (the band, below), which is never signed negative.
 
-The band.  Let a class of a tree of order n have the exact ABC and ABS
-sums A and B over 2**S, so G = A - B.  Inside the band, ``sign`` takes
-the gap of ``pairs_report``, which rounds three times: two correctly
-rounded ``math.fsum``, whose exact values are A / 2**S and B / 2**S,
-and their difference.  Each term is below 1, so A / 2**S and B / 2**S
-lie in [0, n - 1), below 2**k for k = (n - 1).bit_length(); their
-doubles lie in [0, 2**k], and so does the magnitude of the difference,
-which is exact if it is 2**k.  A value below 2**k lies where doubles
-are at most 2**(k - 53) apart, so each rounding is off by at most
-2**(k - 54), and the double gap d differs from G / 2**S by at most
-3 * 2**(k - 54):
-in units of 2**-S, by at most the slack 3 * 2**(S + k - 54), an
-integer since S >= 53 from n = 3 (below, every term is an exact 0).
-So if |G| - slack > tol * 2**S, then |d| * 2**S > tol * 2**S, that is
-|d| > tol, strictly, with d on G's side of zero.  ``certified_sign``
-then returns d's sign from the double alone: the 50-digit recheck runs
-only for |d| <= tol, which cannot occur here, so no case is left where
-the double lands on +-tol.  tol * 2**S is an exact double, 2**S being a
-power of two (or inf, and then every class is in the band), and
-|G| - slack > tol * 2**S holds for the integer |G| - slack exactly when
-|G| > slack + floor(tol * 2**S): ``band`` returns that integer.  With
-tol = 0 the same argument guards the witness pass: G > ``band(0)``, the
-slack, gives a double gap above 0, and a real gap above the positive
-G / 2**S - 3(n - 1) * 2**-54, since each of the 2(n - 1) terms is within
-1.5 * 2**-54 of its real value and 3 * 2**k > 3(n - 1), as 2**k > n - 1.
-A term takes two roundings, the quotient's and the square root's, so it
-is not within half an ulp: ABC(4, 57) is off by 1.445 * 2**-54, the most
-of any term with a + b <= 62, the graph6 order bound.  So
-neither the double gap nor the 50-digit recheck can fall below -tol.
+The band.  2**S times a real term lies in [g, g + 2), so 2**S times a
+class's real gap lies in [G, G + 2(n - 1)): G > floor(tol * 2**S)
+proves it above tol, and G < -(2(n - 1) + floor(tol * 2**S)) below
+-tol.  ``band`` is 2(n - 1) + floor(tol * 2**S) (inf if tol * 2**S is
+not finite), and ``sign`` certifies only a class with |G| <= band.
 """
 
 from __future__ import annotations
@@ -135,7 +111,7 @@ from itertools import combinations_with_replacement, product
 from math import floor, inf
 from typing import Iterator
 
-from .indices import Sign, certified_sign, edge_terms, pairs_report
+from .indices import BRACKET_BITS, Sign, certified_sign, term_bracket
 from .treegen import stream_form
 
 BICENTROID = -1  # the unit of the trees with two centroids
@@ -202,9 +178,9 @@ def _memo(method):
 
 
 class Terms:
-    """The exact ABC - ABS edge terms of the trees of order n, each an
-    integer over ``unit`` = 2**S, with the band of ``Tables.sign`` and
-    the min-gap tables; no planted table is built."""
+    """The ABC - ABS term brackets of the edges of the trees of order n,
+    each an integer over ``unit`` = 2**S, with the band of ``Tables.sign``
+    and the min-gap tables; no planted table is built."""
 
     def __init__(self, n: int) -> None:
         if n < 1:
@@ -212,17 +188,10 @@ class Terms:
         self.n = n
         # in a tree, the two ends of an edge have degrees summing to <= n
         self.types = [(a, b) for a in range(1, n) for b in range(a, n - a + 1)]
-        # every ABC and ABS term is a double M / 2**S: S from their ratios
-        ratios = [[t.as_integer_ratio() for t in edge_terms(a, b)[2:]] for a, b in self.types]
-        self.unit = max((den for r in ratios for _, den in r), default=1)  # 2**S
-        # each type's exact ABC - ABS term over unit
-        self.gaps = [abc * (self.unit // p) - abs_ * (self.unit // q)
-                     for (abc, p), (abs_, q) in ratios]
-        # the ABC - ABS term over unit of one edge between degrees a and b
+        self.unit = 1 << BRACKET_BITS  # 2**S
+        self.gaps = [term_bracket(a, b) for a, b in self.types]
+        # the term bracket over unit of one edge between degrees a and b
         self._gap = self.per_edge(dict(zip(self.types, self.gaps)))
-        # three roundings in sign, each at most half an ulp below 2**k: see
-        # the module docstring
-        self.slack = 3 * self.unit << (n - 1).bit_length() >> 54
         self._least: dict[tuple, int | float] = {}  # see _memo
 
     def per_edge(self, of_type: dict[tuple[int, int], int]) -> list[list[int]]:
@@ -233,22 +202,20 @@ class Terms:
                  for b in range(n + 1)] for a in range(n + 1)]
 
     def band(self, tol: float) -> int | float:
-        """The band of a zero tolerance tol >= 0: the largest exact
-        |gap|, over ``unit``, of a tree's class whose double gap in
-        ``Tables.sign`` may lie within tol of zero.  A class with a
-        larger |gap| has a double gap beyond tol or -tol, on its exact
-        gap's side (the module docstring's proof, with |gap| - slack >
-        tol * 2**S taken in integers).  inf if tol * 2**S is not
-        finite."""
+        """The band of a zero tolerance tol >= 0: the largest |G|, over
+        ``unit``, of a tree's class whose real gap may lie within tol of
+        zero, 2(n - 1) + floor(tol * 2**S).  A class with a larger |G|
+        has a real gap beyond tol or -tol, on G's side (the module
+        docstring).  inf if tol * 2**S is not finite."""
         edge = tol * self.unit  # exact: unit is a power of two
-        return self.slack + floor(edge) if edge < inf else inf
+        return 2 * (self.n - 1) + floor(edge) if edge < inf else inf
 
     @_memo
     def least_child(self, p: int, s: int, h: int) -> int | float:
-        """The least sum, over ``unit``, of the ABC - ABS terms of a
-        planted tree of s vertices and height at least h under a parent
-        of degree p: the terms of its s - 1 inner edges and of its edge
-        to the parent, least over its root degree d; inf if there is no
+        """The least sum, over ``unit``, of the term brackets of a planted
+        tree of s vertices and height at least h under a parent of
+        degree p: those of its s - 1 inner edges and of its edge to the
+        parent, least over its root degree d; inf if there is no
         such tree.  The degrees of every edge must add up to at most n."""
         gap = self._gap[p]
         # the root's d - 1 children: one of height at least h - 1
@@ -385,18 +352,19 @@ class Tables:
         return deg, cls
 
     def gap(self, cls: int, edges: int | None = None) -> int:
-        """The exact ABC - ABS sum, over ``Terms.unit``, of the class of a
-        tree of order n, or of a packed int of ``edges`` edges."""
+        """The sum G of the ABC - ABS term brackets, over ``Terms.unit``,
+        of the class of a tree of order n, or of a packed int of ``edges``
+        edges."""
         if edges is None:
             edges = self.n - 1
         return (cls & self._gap_mask) - edges * self.terms.unit
 
     def block_bound(self, seq: tuple[int, ...]) -> int | float:
-        """A lower bound, over ``Terms.unit``, on the exact ABC - ABS sum
-        of every stream tree whose root's first subtree is that of ``seq``:
-        the sum inside that subtree plus ``Terms.least_child`` of the rest of
-        the tree, planted under the subtree's root, at the height the
-        stream's center rule asks of it."""
+        """A lower bound, over ``Terms.unit``, on G of every stream tree
+        whose root's first subtree is that of ``seq``: the sum inside that
+        subtree plus ``Terms.least_child`` of the rest of the tree, planted
+        under the subtree's root, at the height the stream's center rule
+        asks of it."""
         desc = bytes(seq)[1:]
         first = desc[1:].split(desc[:1], 1)[0]  # the first child's descendants
         got = self._branches.get(first)
@@ -409,9 +377,9 @@ class Tables:
 
     def positive_block(self, seq: tuple[int, ...]) -> bool:
         """True if ``block_bound`` proves that no tree of the block of
-        ``seq`` is signed negative, at any tol: if it is above
-        ``Terms.band(0)``, the slack."""
-        return self.block_bound(seq) > self.terms.slack
+        ``seq`` is signed negative, at any tol: if it is at least 0, as
+        then is every tree's real gap."""
+        return self.block_bound(seq) >= 0
 
     def drop_stream_memos(self) -> None:
         """Free the memos that ``class_of`` and ``positive_block`` fill as
@@ -421,15 +389,13 @@ class Tables:
         self.terms._least.clear()
 
     def sign(self, cls: int, tol: float) -> Sign:
-        """The certified sign of a class's gap at ``tol``: that of its
-        exact gap outside the band of tol, and inside it that of the gap
-        ``pairs_report`` makes from its decoded degree pairs, as ``index``
-        signs a graph."""
+        """The certified sign of a class's real gap at ``tol``: that of G
+        outside the band of tol, and inside it ``certified_sign`` of its
+        decoded degree pairs, as ``index`` signs a graph."""
         gap = self.gap(cls)
         if abs(gap) > self.terms.band(tol):
             return Sign.POSITIVE if gap > 0 else Sign.NEGATIVE
-        pairs = list(self.pairs(cls))
-        return certified_sign(pairs_report(pairs).gap, pairs, tol)
+        return certified_sign(list(self.pairs(cls)), tol)
 
     # --- listing the trees of a class ---------------------------------
 

@@ -149,6 +149,14 @@ def fsum_class_sums(tables, cls: int) -> tuple[float, float]:
     return math.fsum(abc), math.fsum(abs_)
 
 
+def real_gap(mpmath, pairs):
+    """The ABC - ABS gap of some degree pairs in mpmath, at its working
+    precision: an oracle independent of ``graphtheta.indices``."""
+    return mpmath.fsum(
+        mpmath.sqrt(mpmath.mpf(a + b - 2) / (a * b)) - mpmath.sqrt(mpmath.mpf(a + b - 2) / (a + b))
+        for a, b in pairs)
+
+
 def otter_classes(n: int) -> dict[int, int]:
     """The classes of the free trees of order n >= 2 (``treeclasses``
     packed ints) with their numbers of trees, counted with no centroid,

@@ -10,10 +10,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# runs the CLI with mpmath unimportable, as on an install with no extra
+# runs the CLI with mpmath unimportable, as on an install with no extra,
+# and decimal and fractions too: no command needs them, not even to sign
+# a gap inside the zero tolerance's band
 NO_MPMATH_CLI = """\
 import sys
-sys.modules["mpmath"] = None
+for name in ("mpmath", "decimal", "fractions"):
+    sys.modules[name] = None
 from graphtheta.cli import main
 sys.exit(main(sys.argv[1:]))
 """
@@ -56,7 +59,7 @@ def test_built_cli_runs_without_mpmath(built_lib):
     scan = run_built(built_lib, ["-c", NO_MPMATH_CLI, "scan", "11"])
     assert scan.returncode == 0, scan.stderr
     assert ",235,234,1,0," in scan.stdout
-    # at tol 0.02 one tree of order 11 is rechecked at 50 digits and stays zero
+    # at tol 0.02 one tree of order 11 is in the band and certified zero
     rechecked = run_built(built_lib, ["-c", NO_MPMATH_CLI, "scan", "11", "--tol", "0.02"])
     assert rechecked.returncode == 0, rechecked.stderr
     assert ",235,233,1,1," in rechecked.stdout
@@ -73,6 +76,18 @@ def test_built_cli_import_loads_no_dataclasses_or_decimal(built_lib):
     added = set(cli.stdout.split()) - set(bare)
     assert "graphtheta.cli" in added
     assert not added & {"dataclasses", "inspect", "decimal"}
+
+
+def test_no_module_imports_decimal_or_fractions():
+    # a sign is decided in integers (indices.certified_sign)
+    found = []
+    for path in sorted((ROOT / "src" / "graphtheta").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.partition(".")[0] in ("decimal", "fractions")]
+    assert found == []
 
 
 def test_star_import_resolves_every_public_name():

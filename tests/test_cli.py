@@ -144,7 +144,7 @@ class TestIndex:
             except GraphError as exc:
                 errors.append(f"line {lineno}: {exc}\n")
                 continue
-            sign = certified_sign(r.gap, g.edge_degree_pairs()).value
+            sign = certified_sign(g.edge_degree_pairs()).value
             rows.append(",".join([line, str(g.n), str(g.m), *(f"{x:.9g}" for x in r), sign]))
         assert 10 < len(errors) < len(lines) - 47
         code, out, err = run(capsys, "index", "--in", str(inp))

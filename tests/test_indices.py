@@ -5,16 +5,18 @@ import pytest
 
 from graphtheta.graphs import DisconnectedGraphError, GraphError, from_edge_list
 from graphtheta.indices import (
+    BRACKET_BITS,
     Sign,
+    certified_sign,
     edge_terms,
-    gap_extended_precision,
     index_report,
     pairs_report,
     sign_of_gap,
+    term_bracket,
 )
 from graphtheta.treeclasses import Tables
 
-from conftest import cycle_graph, path_graph, star_graph
+from conftest import cycle_graph, path_graph, real_gap, star_graph
 
 # gap of every path P_n, n >= 3: sqrt(2) - 2/sqrt(3), independent of n
 PATH_GAP = 0.2595130239938436
@@ -175,22 +177,70 @@ class TestSignOfGap:
                 sign_of_gap(0.1, tol)
 
 
-def test_extended_precision_matches_double():
-    g = path_graph(9)
-    hp = gap_extended_precision(g.edge_degree_pairs())
-    assert float(hp) == pytest.approx(index_report(g).gap, abs=1e-14)
+def real_sign(mpmath, pairs, tol):
+    """The sign of the gap of ``pairs`` at ``tol``, from mpmath at the
+    working precision, which must tell |gap| from tol."""
+    gap = real_gap(mpmath, pairs)
+    assert gap == 0 or abs(abs(gap) - tol) > mpmath.mpf(10) ** -50, pairs
+    if abs(gap) <= tol:
+        return Sign.ZERO_WITHIN_TOL
+    return Sign.POSITIVE if gap > 0 else Sign.NEGATIVE
 
 
-def test_extended_precision_matches_mpmath_at_60_digits():
-    # seeded random degree-pair lists against an independent oracle
+def brackets_straddle(pairs, tol):
+    """True if the brackets at BRACKET_BITS leave the sign at tol open,
+    so that ``certified_sign`` builds the Q vector."""
+    lo, edge = sum(term_bracket(a, b) for a, b in pairs), tol * 2**BRACKET_BITS
+    hi = lo + 2 * len(pairs)
+    return not (lo > edge or hi < -edge or -edge <= lo and hi <= edge)
+
+
+class TestCertifiedSign:
+    def test_rejects_bad_tolerance(self):
+        for tol in (0.0, -1e-9, math.nan, math.inf):
+            with pytest.raises(GraphError):
+                certified_sign([(1, 2)], tol)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 40])
+    def test_22_edges_are_exactly_zero_at_the_least_tol(self, k):
+        # each (2, 2) bracket is -1, so the brackets straddle +-5e-324
+        # and the rational branch decides: Q_2 is 0, and so is Q_1
+        for pairs in ([(2, 2)] * k, [(2, 2)] * k + [(1, 1)]):
+            assert brackets_straddle(pairs, 5e-324)
+            assert certified_sign(pairs, 5e-324) is Sign.ZERO_WITHIN_TOL
+        assert certified_sign([], 5e-324) is Sign.ZERO_WITHIN_TOL
+
+    def test_gap_within_the_brackets_of_tol_is_signed_by_its_real_value(self):
+        # a path's gap, sqrt(2) - 2/sqrt(3), and a star's, -3 * (ABS - ABC)
+        # of (1, 3), subdivided: the doubles next to |gap|, as tol, lie
+        # within 2m * 2**-54 of it, so the refinement loop decides some
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            for base in ([(1, 2), (1, 2)], [(1, 3)] * 3):
+                for k in (0, 6, 37):
+                    pairs = base + [(2, 2)] * k
+                    nearest = float(abs(real_gap(mpmath, pairs)))
+                    tols = (math.nextafter(nearest, 0), nearest, math.nextafter(nearest, 1))
+                    assert any(brackets_straddle(pairs, tol) for tol in tols)
+                    for tol in tols:
+                        assert certified_sign(pairs, tol) is real_sign(mpmath, pairs, tol)
+
+
+def test_certified_sign_matches_mpmath_at_60_digits():
+    # seeded random degree-pair lists against an independent oracle, at
+    # the default tol and at the doubles nearest each |gap|, where the
+    # brackets straddle tol
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(20240817)
+    straddled = 0
     with mpmath.workdps(60):
         for _ in range(500):
             pairs = [(rng.randint(1, 60), rng.randint(1, 60))
                      for _ in range(rng.randint(1, 30))]
-            ref = mpmath.fsum(
-                mpmath.sqrt(mpmath.mpf(a + b - 2) / (a * b))
-                - mpmath.sqrt(mpmath.mpf(a + b - 2) / (a + b)) for a, b in pairs)
-            hp = gap_extended_precision(pairs)
-            assert abs(mpmath.mpf(str(hp)) - ref) < 1e-45, pairs
+            nearest = float(abs(real_gap(mpmath, pairs)))
+            tols = [1e-9] + ([nearest, math.nextafter(nearest, 0)] if nearest else [])
+            for tol in tols:
+                straddled += brackets_straddle(pairs, tol)
+                assert certified_sign(pairs, tol) is real_sign(mpmath, pairs, tol), (pairs, tol)
+    # the loop runs on about half of them: above ~2, a double ulp outgrows the brackets
+    assert straddled >= 500

@@ -11,15 +11,13 @@ from graphtheta.indices import (
     DEFAULT_ZERO_TOL,
     Sign,
     certified_sign,
-    gap_extended_precision,
     index_report,
     pairs_report,
-    sign_of_gap,
 )
 from graphtheta.smallgraphs import internal_universe
 
 from conftest import (
-    assert_no_child_left, complete_graph, cycle_graph, random_connected_graphs,
+    assert_no_child_left, complete_graph, cycle_graph, random_connected_graphs, real_gap,
     sequence_to_graph,
 )
 
@@ -119,20 +117,16 @@ class TestClassifyTrees:
 @functools.cache
 def reference_census(n, tol=DEFAULT_ZERO_TOL):
     """The census of order n made tree by tree, as it was made before it
-    counted degree-pair classes: every tree scored from its own degree
-    pairs, an in-band gap rechecked at 50 digits, the minimum |gap| and
-    the witnesses taken first in stream order."""
+    counted degree-pair classes: every tree signed from its own degree
+    pairs, the minimum double |gap| and the witnesses taken first in
+    stream order."""
     signs = {sign: 0 for sign in Sign}
     best = None
     witnesses = []
     for seq in treegen.free_tree_sequences(n):
         g = sequence_to_graph(seq)
         gap = index_report(g).gap
-        sign = sign_of_gap(gap, tol)
-        if sign is Sign.ZERO_WITHIN_TOL:
-            hp = gap_extended_precision(g.edge_degree_pairs())
-            if abs(hp) > tol:
-                sign = Sign.POSITIVE if hp > 0 else Sign.NEGATIVE
+        sign = certified_sign(g.edge_degree_pairs(), tol)
         signs[sign] += 1
         if sign is Sign.NEGATIVE and len(witnesses) < survey.DEFAULT_WITNESS_CAP:
             witnesses.append(to_graph6(sequence_to_graph(seq)))
@@ -204,7 +198,7 @@ def reference_witnesses(n, cap=survey.DEFAULT_WITNESS_CAP, tol=DEFAULT_ZERO_TOL)
     found = []
     for seq in treegen.free_tree_sequences(n):
         g = sequence_to_graph(seq)
-        if certified_sign(index_report(g).gap, g.edge_degree_pairs(), tol) is Sign.NEGATIVE:
+        if certified_sign(g.edge_degree_pairs(), tol) is Sign.NEGATIVE:
             found.append(to_graph6(g))
             if len(found) == cap:
                 break
@@ -395,7 +389,8 @@ class TestNearTies:
 
 
 def test_exact_and_double_gaps_rank_classes_alike():
-    # the near list ranks classes by their exact |gap| over 2**S and prints
+    # the near list ranks classes by their |G|, the sum of their term
+    # brackets over 2**S, and prints
     # their double |gap|: over every class, both keys give one order, and
     # two classes tie under one exactly when they tie under the other
     for n in range(3, 18):
@@ -614,6 +609,12 @@ class TestP1Tolerance:
                     if (a, b) != (2, 2):
                         assert abc_minus_abs_term(mpmath, a, b) <= top, (a, b)
 
+    def test_p1_scores_no_double(self, monkeypatch):
+        # p1 reports no margin, so its graphs are only signed, exactly
+        monkeypatch.setattr(survey, "pairs_report", None)
+        report = verify("p1", [internal_universe(n) for n in range(1, 6)])
+        assert report.hypothesis_holds == 15 and not report.conclusion_failures
+
     def test_reports_equal_at_any_tol_below_the_23_term(self):
         from graphtheta.smallgraphs import GraphUniverse
 
@@ -627,13 +628,17 @@ class TestP1Tolerance:
 
 
 def rechecked(g6):
-    """The gap of the graph6 string ``g6`` at 50 digits, as a double."""
-    return float(gap_extended_precision(parse_graph6(g6).edge_degree_pairs()))
+    """The gap of the graph6 string ``g6`` in mpmath at 60 digits,
+    correctly rounded to a double."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        return float(real_gap(mpmath, parse_graph6(g6).edge_degree_pairs()))
 
 
 class TestRecheck:
-    """The 50-digit recheck of every |gap| <= tol, end to end.  The
-    expected values were recorded when the recheck ran on mpmath."""
+    """The certified sign of every double |gap| <= tol, end to end.  The
+    expected values were recorded when in-band gaps were rechecked at
+    50 digits."""
 
     # in double precision, 13 trees of order 16 share this |gap|; one lies below it
     TOL_16 = 9.699402605711782e-05
@@ -650,8 +655,8 @@ class TestRecheck:
     }
 
     def test_census_counts_rechecked_signs(self):
-        # the 13 trees at |gap| == tol lie above it at 50 digits, so the
-        # recheck moves them out of zero
+        # the 13 trees at double |gap| == tol lie above it, so their
+        # certified signs are not zero
         r = survey.classify_trees(16, tol=self.TOL_16)
         assert (r.positive, r.negative, r.zero) == (17027, 2292, 1)
 
@@ -669,23 +674,24 @@ class TestRecheck:
         found = {t.graph6: (t.abc - t.abs, rechecked(t.graph6)) for t in ties[:k]}
         assert {g6: (gap.hex(), hp.hex()) for g6, (gap, hp) in found.items()} == self.CANDIDATES_16
         assert sum(abs(hp) > self.TOL_16 for _, hp in found.values()) == 13
+        # the brackets at 2**-54 straddle TOL_16 for those 13, and the
+        # refinement loop signs them by their real gaps
+        for g6, (_, hp) in found.items():
+            expected = Sign.ZERO_WITHIN_TOL if abs(hp) <= self.TOL_16 else (
+                Sign.POSITIVE if hp > 0 else Sign.NEGATIVE)
+            assert certified_sign(parse_graph6(g6).edge_degree_pairs(), self.TOL_16) is expected
 
 
 @pytest.mark.parametrize("tol", [5e-324, 1e-9, TestRecheck.TOL_16, 0.02, 0.5, 1e300])
-def test_sign_from_exact_gap_agrees_with_score(tol, monkeypatch):
+def test_sign_from_exact_gap_agrees_with_score(tol):
     # every class of every fold unit: Tables.sign and the census's counts
-    # against a scorer that certifies the pairs_report gap of every class
-    # the 50-digit recheck is a pure function of the degree pairs: each
-    # class's runs once, for score, Tables.sign and the census alike
-    recheck = functools.cache(gap_extended_precision)
-    monkeypatch.setattr(indices, "gap_extended_precision", lambda pairs: recheck(tuple(pairs)))
+    # against a scorer that certifies the degree pairs of every class
     for n in range(3, 18):
         tables = treeclasses.Tables(n)
 
-        @functools.cache  # one 50-digit recheck per class, however often it is scored
+        @functools.cache  # one certificate per class, however often it is scored
         def score(cls):
-            pairs = list(tables.pairs(cls))
-            return certified_sign(pairs_report(pairs).gap, pairs, tol)
+            return certified_sign(list(tables.pairs(cls)), tol)
 
         expected = collections.Counter()
         for unit in tables.units:

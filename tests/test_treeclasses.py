@@ -6,9 +6,9 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from conftest import fsum_class_sums, otter_classes, sequence_to_graph, stream_blocks
+from conftest import fsum_class_sums, otter_classes, real_gap, sequence_to_graph, stream_blocks
 from graphtheta import survey, treeclasses, treegen
-from graphtheta.indices import DEFAULT_ZERO_TOL, Sign, edge_terms, pairs_report
+from graphtheta.indices import DEFAULT_ZERO_TOL, Sign, pairs_report, term_bracket
 from graphtheta.treeclasses import Tables, Terms
 
 # OEIS A000055, free trees of order n = 1..20
@@ -145,15 +145,10 @@ def test_class_of_over_the_order_17_witness_prefix():
 # --- the min-gap tables and the block bound ----------------------------
 
 def exact_gap(terms, pairs):
-    """The ABC - ABS sum of some edges' double terms, an integer over
-    the terms' unit, read from each term's exact ratio."""
-    total = 0
-    for a, b in pairs:
-        for sign, term in ((1, edge_terms(a, b)[2]), (-1, edge_terms(a, b)[3])):
-            num, den = term.as_integer_ratio()
-            assert terms.unit % den == 0
-            total += sign * num * (terms.unit // den)
-    return total
+    """The sum of some edges' ABC - ABS term brackets, over the terms'
+    unit, from ``indices.term_bracket`` edge by edge."""
+    assert terms.unit == 2**54
+    return sum(term_bracket(a, b) for a, b in pairs)
 
 
 def planted_trees(s_max):
@@ -227,8 +222,12 @@ def test_least_gap_of_order_62_builds_no_planted_table(monkeypatch):
     monkeypatch.setattr(treeclasses, "_fold", None)
     monkeypatch.setattr(treeclasses, "Tables", None)
     terms = Terms(62)
-    assert terms.unit == 2**55
-    assert least_gap(terms) == -143165599843289388
+    assert terms.unit == 2**54
+    least = least_gap(terms)
+    assert least == -71582799921644784
+    # within 2 * 61 * 2**-54 of the least sum of the doubles' exact terms,
+    # -143165599843289388 / 2**55, when those were the census's terms
+    assert abs(least * 2 - -143165599843289388) <= 2 * 61 * 2
 
 
 @pytest.mark.parametrize("n", range(2, 16))
@@ -242,38 +241,44 @@ def test_block_bound_is_at_most_each_blocks_least_sum(n):
 
 @pytest.mark.parametrize("n", [3, 9, 17, 25])
 def test_positive_block_needs_a_bound_above_the_margin(n, monkeypatch):
-    # the margin is band(0), the slack of the module docstring
+    # the margin is 0: G >= 0 gives a real gap >= 0, never signed negative
     tables = Tables(n)
     seq = next(treegen.free_tree_sequences(n))
-    monkeypatch.setattr(tables, "block_bound", lambda seq: tables.terms.band(0))
+    monkeypatch.setattr(tables, "block_bound", lambda seq: -1)
     assert not tables.positive_block(seq)
-    monkeypatch.setattr(tables, "block_bound", lambda seq: tables.terms.band(0) + 1)
+    monkeypatch.setattr(tables, "block_bound", lambda seq: 0)
     assert tables.positive_block(seq)
 
 
-# from order 3: at order 2 every term is an exact 0 and unit is 1
+# the slack band(0), 2(n - 1) over unit = 2**54, stays below the three
+# half ulps of a double below 2**k, k = (n - 1).bit_length(), that three
+# roundings of a double gap may add up to, so the band is no wider than
+# one built on the double gap would be
 @pytest.mark.parametrize("n", [3, 9, 17, 25, 62])
 def test_slack_is_three_half_ulps_below_2_to_the_k(n):
     terms = Terms(n)
-    assert terms.band(0) == terms.slack == 3 * 2**((n - 1).bit_length() - 54) * terms.unit
+    half_ulp = 2**((n - 1).bit_length() - 54) * terms.unit
+    assert half_ulp == int(half_ulp)
+    assert terms.band(0) == 2 * (n - 1) < 3 * half_ulp
 
 
 def test_slack_exceeds_the_real_gaps_error_at_every_order():
-    # band(0) guards the witness pass only if the slack, 3 * 2**(k - 54)
-    # over 2**S, is above the 3(n-1) * 2**-54 between the exact sum of a
-    # tree's double terms and its real gap: 2(n-1) terms, each within
-    # 1.5 * 2**-54 of its real value
+    # 2**54 times each real ABC - ABS term lies in [g, g + 2), for every
+    # pair of degrees up to 61, the most a graph6 graph has, so a class's
+    # real gap times 2**54 lies in [G, G + slack) with slack 2(n - 1);
+    # and where a + b <= 62 each g + 2**54 fits the gap field, (0, 2**55)
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
         for a in range(1, 62):
-            for b in range(1, 63 - a):
-                _, _, abc, abs_ = edge_terms(a, b)
-                real_abc = mpmath.sqrt(mpmath.mpf(a + b - 2) / (a * b))
-                real_abs = mpmath.sqrt(mpmath.mpf(a + b - 2) / (a + b))
-                for term, real in ((abc, real_abc), (abs_, real_abs)):
-                    assert abs(mpmath.mpf(term) - real) <= 1.5 * 2**-54, (a, b)
-    for n in range(3, 63):
-        assert 3 * 2**(n - 1).bit_length() > 3 * (n - 1)
+            for b in range(1, 62):
+                g = term_bracket(a, b)
+                assert g <= real_gap(mpmath, [(a, b)]) * 2**54 < g + 2, (a, b)
+                if a + b <= 62:
+                    assert 0 < g + 2**54 < 2**55, (a, b)
+    for n in range(1, 63):
+        terms = Terms(n)
+        assert terms.unit == 2**54
+        assert terms.band(0) == 2 * (n - 1)
 
 
 # --- the band of tol -----------------------------------------------------
@@ -283,11 +288,8 @@ def test_slack_exceeds_the_real_gaps_error_at_every_order():
 def test_only_classes_inside_the_band_are_scored(n, tol, monkeypatch):
     tables = Tables(n)
     unit = Terms(n).unit
-    # the slack of the module docstring: three roundings, each at most half
-    # an ulp of a double below 2**k, k = (n-1).bit_length(), over unit
-    slack = 3 * 2**((n - 1).bit_length() - 54) * unit
-    assert slack == int(slack)
-    edge = math.floor(tol * unit) + int(slack)  # the largest |gap| in the band
+    # the band of the module docstring: n - 1 brackets, each within 2
+    edge = math.floor(tol * unit) + 2 * (n - 1)  # the largest |gap| in the band
     base = (n - 1) * unit  # the gap field of n - 1 edges whose gaps add up to 0
     classes = {}
     for gap in (edge - 1, edge, edge + 1):
@@ -298,7 +300,7 @@ def test_only_classes_inside_the_band_are_scored(n, tol, monkeypatch):
     assert [tables.gap(cls) for cls in classes] == list(classes.values())
     scored = []
 
-    def stub(gap, pairs, tol):
+    def stub(pairs, tol):
         scored.append(tuple(pairs))
         return Sign.ZERO_WITHIN_TOL
 
